@@ -254,26 +254,30 @@ void FixedArchModel::PredictSingleRow(const EncodedDataset& data, size_t row,
   Tensor& z = ctx->z;
   z.Resize({1, emb_cols + inter_dim_});
   float* zr = z.row(0);
-  emb_.GatherRow(data, row, zr);
-  for (size_t p = 0; p < arch_.size(); ++p) {
-    switch (arch_[p]) {
-      case InterMethod::kMemorize:
-        cross_emb_->CopyRow(data, row, mem_slot_[p],
+  {
+    // Gathers + in-place interactions, attributed apart from the MLP.
+    OPTINTER_TRACE_SPAN("gather_assemble");
+    emb_.GatherRow(data, row, zr);
+    for (size_t p = 0; p < arch_.size(); ++p) {
+      switch (arch_[p]) {
+        case InterMethod::kMemorize:
+          cross_emb_->CopyRow(data, row, mem_slot_[p],
+                              zr + emb_cols + block_offset_[p]);
+          break;
+        case InterMethod::kFactorize: {
+          const auto [i, j] = cat_pairs_[p];
+          FactorizedForward(pair_fns_[p], s1_, zr + i * s1_, zr + j * s1_,
                             zr + emb_cols + block_offset_[p]);
-        break;
-      case InterMethod::kFactorize: {
-        const auto [i, j] = cat_pairs_[p];
-        FactorizedForward(pair_fns_[p], s1_, zr + i * s1_, zr + j * s1_,
-                          zr + emb_cols + block_offset_[p]);
-        break;
+          break;
+        }
+        case InterMethod::kNaive:
+          break;
       }
-      case InterMethod::kNaive:
-        break;
     }
-  }
-  if (triple_emb_) {
-    triple_emb_->GatherRow(
-        data, row, zr + emb_cols + inter_dim_ - triple_emb_->output_dim());
+    if (triple_emb_) {
+      triple_emb_->GatherRow(
+          data, row, zr + emb_cols + inter_dim_ - triple_emb_->output_dim());
+    }
   }
   mlp_->Forward(z, &ctx->mlp_out, &ctx->mlp);
   ctx->logits.resize(1);

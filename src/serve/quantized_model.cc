@@ -88,6 +88,7 @@ void QuantizedFixedArchModel::Predict(const Batch& batch,
 void QuantizedFixedArchModel::GatherAssembleRow(const EncodedDataset& data,
                                                 size_t row,
                                                 float* zr) const {
+  OPTINTER_TRACE_SPAN("gather_assemble");
   const size_t num_cat = cat_tables_.size();
   for (size_t f = 0; f < num_cat; ++f) {
     cat_tables_[f].DequantRow(data.cat(row, f), zr + f * s1_);

@@ -45,6 +45,11 @@ namespace optinter {
 struct KernelTable {
   /// Backend name ("avx512", "avx2-fma", "sse2", "scalar", "neon").
   const char* name;
+  /// Packed-GEMM register tile: up to gemm_mr rows of C by gemm_nr
+  /// columns (one B panel). Tests aim their partial-tile and
+  /// partial-panel cases at these.
+  size_t gemm_mr;
+  size_t gemm_nr;
 
   /// C[m×n] = alpha·A[m×k]·B[k×n] + beta·C.
   void (*gemm_nn)(const float* a, const float* b, float* c, size_t m,

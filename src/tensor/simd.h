@@ -11,8 +11,10 @@
 //                                                 (1 lane)
 //
 // The abstraction is deliberately small: lane-wise arithmetic, compare
-// masks + select, a correctly-rounded sqrt/div, a polynomial Exp, and one
-// horizontal reduction with a FIXED lane-combination order. Everything a
+// masks + select, a correctly-rounded sqrt/div, a polynomial Exp, one
+// horizontal reduction with a FIXED lane-combination order, and a
+// kLanes×kLanes in-register Transpose (pure data movement, used by the
+// GEMM weight pack). Everything a
 // kernel computes through these ops is deterministic for a given backend:
 //
 //  * Lane-wise ops (Add/Mul/MulAdd/Div/Sqrt/Min/Max/Select/Exp) produce

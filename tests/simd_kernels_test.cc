@@ -10,6 +10,11 @@
 //    with alpha/beta edge cases — every packed-path corner (partial
 //    micro-tiles, partial panels, KC blocking, the small-shape fallbacks)
 //    is inside this grid,
+//  * bitwise oracles on every available dispatch backend: GemmNT (whose
+//    weight pack is a blocked in-register transpose) must equal GemmNN on
+//    the materialized transpose, and every output row must equal the same
+//    row computed alone (the row-exact micro-tile contract serving relies
+//    on),
 //  * 64-byte alignment of Tensor storage.
 
 #include <gtest/gtest.h>
@@ -20,6 +25,7 @@
 #include <vector>
 
 #include "tensor/aligned.h"
+#include "tensor/dispatch.h"
 #include "tensor/kernels.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
@@ -321,6 +327,103 @@ TEST(GemmPropertyTest, RepeatedCallsAreBitIdentical) {
   GemmNN(a.data(), b.data(), c1.data(), m, k, n, 1.0f, 0.0f);
   GemmNN(a.data(), b.data(), c2.data(), m, k, n, 1.0f, 0.0f);
   EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise oracles, run under every dispatch backend this host supports.
+// ---------------------------------------------------------------------------
+
+// Restores auto dispatch selection when a test returns.
+struct BackendGuard {
+  ~BackendGuard() { SelectKernelBackendForTest("auto"); }
+};
+
+bool BitEqual(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// The transposing B pack must write the same panels as the plain pack of
+// the materialized transpose; past the pack both calls run the same
+// micro-kernels, so any transpose-tile, k-tail or partial-panel bug shows
+// up as a bit difference. Every shape here takes the packed path
+// (n >= gemm_nr, k >= 8); m reaches the parallel cell grid at 64.
+TEST(GemmBitwiseTest, GemmNTEqualsGemmNNOnMaterializedTranspose) {
+  BackendGuard guard;
+  std::mt19937 rng(20261017);
+  for (const KernelTable* table : AvailableKernelBackends()) {
+    ASSERT_TRUE(SelectKernelBackendForTest(table->name)) << table->name;
+    const size_t mr = table->gemm_mr, nr = table->gemm_nr;
+    size_t idx = 0;
+    for (size_t k : {8, 15, 16, 17, 255, 256, 257, 688}) {
+      for (size_t n : {nr, nr + 1, 2 * nr, size_t{129}}) {
+        for (size_t m : {size_t{1}, size_t{2}, mr - 1, mr, mr + 1,
+                         size_t{64}}) {
+          const float alpha = (idx % 2 == 0) ? 1.0f : 0.5f;
+          const float beta = (idx / 2 % 2 == 0) ? 0.0f : 1.0f;
+          ++idx;
+          const std::vector<float> a = RandomVec(m * k, &rng);
+          const std::vector<float> bt = RandomVec(n * k, &rng);
+          std::vector<float> b(k * n);
+          for (size_t j = 0; j < n; ++j) {
+            for (size_t p = 0; p < k; ++p) b[p * n + j] = bt[j * k + p];
+          }
+          std::vector<float> c_nt = RandomVec(m * n, &rng);
+          std::vector<float> c_nn = c_nt;
+          GemmNT(a.data(), bt.data(), c_nt.data(), m, k, n, alpha, beta);
+          GemmNN(a.data(), b.data(), c_nn.data(), m, k, n, alpha, beta);
+          ASSERT_TRUE(BitEqual(c_nt, c_nn))
+              << table->name << " m=" << m << " k=" << k << " n=" << n
+              << " alpha=" << alpha << " beta=" << beta;
+        }
+      }
+    }
+  }
+}
+
+// Each C row is its own ascending-p accumulation chain, whatever rows
+// share its register tile: a row of an m-row call must equal that row
+// computed alone at m=1. Micro-batched Submit answers equal PredictNow
+// answers because of this. Covers full and partial panels, one and three
+// kKC reduction blocks, and the unpacked fallback (n=3).
+TEST(GemmBitwiseTest, RowsMatchSingleRowCallsOnEveryBackend) {
+  BackendGuard guard;
+  std::mt19937 rng(7);
+  struct Shape {
+    size_t k, n;
+  };
+  const Shape shapes[] = {{688, 128}, {688, 129}, {40, 33}, {24, 3}};
+  for (const KernelTable* table : AvailableKernelBackends()) {
+    ASSERT_TRUE(SelectKernelBackendForTest(table->name)) << table->name;
+    for (const Shape& sh : shapes) {
+      const size_t k = sh.k, n = sh.n;
+      const std::vector<float> bt = RandomVec(n * k, &rng);
+      const std::vector<float> b = RandomVec(k * n, &rng);
+      for (size_t m = 1; m <= 2 * table->gemm_mr + 1; ++m) {
+        const std::vector<float> a = RandomVec(m * k, &rng);
+        std::vector<float> c_nt(m * n), c_nn(m * n);
+        GemmNT(a.data(), bt.data(), c_nt.data(), m, k, n, 1.0f, 0.0f);
+        GemmNN(a.data(), b.data(), c_nn.data(), m, k, n, 1.0f, 0.0f);
+        std::vector<float> row(n);
+        for (size_t i = 0; i < m; ++i) {
+          GemmNT(a.data() + i * k, bt.data(), row.data(), 1, k, n, 1.0f,
+                 0.0f);
+          ASSERT_EQ(std::memcmp(row.data(), c_nt.data() + i * n,
+                                n * sizeof(float)),
+                    0)
+              << table->name << " GemmNT m=" << m << " row=" << i
+              << " k=" << k << " n=" << n;
+          GemmNN(a.data() + i * k, b.data(), row.data(), 1, k, n, 1.0f,
+                 0.0f);
+          ASSERT_EQ(std::memcmp(row.data(), c_nn.data() + i * n,
+                                n * sizeof(float)),
+                    0)
+              << table->name << " GemmNN m=" << m << " row=" << i
+              << " k=" << k << " n=" << n;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
