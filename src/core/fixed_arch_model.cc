@@ -79,7 +79,9 @@ void FixedArchModel::AssembleForward(const Batch& batch,
   const size_t b = batch.size;
   const size_t emb_cols = ctx->emb_out.cols();
   Tensor& z = ctx->z;
-  z.Resize({b, emb_cols + inter_dim_});
+  // Every column is written below: the embedding copy, then one block per
+  // memorized/factorized pair (they tile inter_dim_), then the triples.
+  z.ResizeForOverwrite({b, emb_cols + inter_dim_});
   auto assemble = [&](size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       float* zr = z.row(k);

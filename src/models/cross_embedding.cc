@@ -43,7 +43,8 @@ void CrossEmbedding::Gather(const Batch& batch, Tensor* out) const {
   const EncodedDataset& data = *batch.data;
   CHECK(data.has_cross());
   CHECK_EQ(data.num_pairs(), data_.num_pairs());
-  out->Resize({batch.size, output_dim()});
+  // CopyRow writes whole rows, so every element of out is written.
+  out->ResizeForOverwrite({batch.size, output_dim()});
   auto gather = [&](size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       const size_t r = batch.rows[k];

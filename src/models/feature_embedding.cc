@@ -58,7 +58,9 @@ void FeatureEmbedding::Gather(const Batch& batch, Tensor* out) const {
   CHECK_EQ(data.num_continuous(), cont_tables_.size());
   const size_t num_cat = cat_tables_.size();
   const size_t num_cont = cont_tables_.size();
-  out->Resize({batch.size, output_dim()});
+  // Each row gets every categorical and continuous block in full, so
+  // every element of out is written.
+  out->ResizeForOverwrite({batch.size, output_dim()});
   auto gather = [&](size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       const size_t r = batch.rows[k];

@@ -47,7 +47,8 @@ void TripleEmbedding::Gather(const Batch& batch, Tensor* out) const {
   const EncodedDataset& data = *batch.data;
   CHECK(data.has_triples());
   CHECK_EQ(data.num_triples(), data_.num_triples());
-  out->Resize({batch.size, output_dim()});
+  // CopyRow writes whole rows, so every element of out is written.
+  out->ResizeForOverwrite({batch.size, output_dim()});
   auto gather = [&](size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       const size_t r = batch.rows[k];

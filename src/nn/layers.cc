@@ -39,8 +39,9 @@ Linear::Linear(std::string name, size_t in_dim, size_t out_dim, float lr,
 void Linear::Forward(const Tensor& x, Tensor* y, LinearWorkspace* ws) const {
   OPTINTER_TRACE_SPAN("linear_fwd");
   CHECK_EQ(x.cols(), in_dim_);
-  ws->x_cache = x;
-  y->Resize({x.rows(), out_dim_});
+  ws->x = &x;
+  // GemmNT at beta=0 writes every element of y before the bias add.
+  y->ResizeForOverwrite({x.rows(), out_dim_});
   GemmNT(x.data(), weight.value.data(), y->data(), x.rows(), in_dim_,
          out_dim_);
   const float* b = bias.value.data();
@@ -66,11 +67,15 @@ void Linear::Forward(const Tensor& x, Tensor* y, LinearWorkspace* ws) const {
 void Linear::Backward(const Tensor& dy, Tensor* dx,
                       const LinearWorkspace& ws) {
   OPTINTER_TRACE_SPAN("linear_bwd");
+  CHECK(ws.x != nullptr)
+      << "Linear::Backward without a matching Forward on this workspace";
+  const Tensor& x = *ws.x;
   CHECK_EQ(dy.cols(), out_dim_);
-  CHECK_EQ(dy.rows(), ws.x_cache.rows());
+  CHECK_EQ(dy.rows(), x.rows());
+  CHECK_EQ(x.cols(), in_dim_);
   // dW[out×in] += dy^T x  : GemmTN with A=dy [B×out], B=x [B×in].
-  GemmTN(dy.data(), ws.x_cache.data(), weight.grad.data(), dy.rows(),
-         out_dim_, in_dim_, 1.0f, 1.0f);
+  GemmTN(dy.data(), x.data(), weight.grad.data(), dy.rows(), out_dim_,
+         in_dim_, 1.0f, 1.0f);
   // db += column sums of dy — a reduction over rows. The fixed chunk grid
   // and chunk-ordered merge keep the sum bit-identical at any thread
   // count (the path choice depends only on the shape).
@@ -108,8 +113,8 @@ void Linear::Backward(const Tensor& dy, Tensor* dx,
     col_sums(0, rows, db);
   }
   if (dx != nullptr) {
-    // dx[B×in] = dy[B×out] * W[out×in].
-    dx->Resize({dy.rows(), in_dim_});
+    // dx[B×in] = dy[B×out] * W[out×in]; GemmNN at beta=0 writes all of dx.
+    dx->ResizeForOverwrite({dy.rows(), in_dim_});
     GemmNN(dy.data(), weight.value.data(), dx->data(), dy.rows(), out_dim_,
            in_dim_);
   }
@@ -121,15 +126,12 @@ void Linear::RegisterParams(Optimizer* opt) {
 }
 
 void Relu::Forward(const Tensor& x, Tensor* y, ReluWorkspace* ws) const {
-  y->Resize(x.shape());
-  ws->mask.Resize(x.shape());
-  Tensor& mask = ws->mask;
+  y->ResizeForOverwrite(x.shape());
+  ws->y = y;
   const float* xp = x.data();
   auto body = [&](size_t lo, size_t hi) {
     float* yp = y->data();
-    float* mp = mask.data();
     const simd::VecF zero = simd::Zero();
-    const simd::VecF one = simd::Set1(1.0f);
     size_t i = lo;
     // The vector and scalar forms are exact (compare + select), so an
     // element's bits never depend on which side of a group boundary it
@@ -138,13 +140,8 @@ void Relu::Forward(const Tensor& x, Tensor* y, ReluWorkspace* ws) const {
       const simd::VecF xv = simd::LoadU(xp + i);
       const simd::VecF pos = simd::GtMask(xv, zero);
       simd::StoreU(yp + i, simd::Select(pos, xv, zero));
-      simd::StoreU(mp + i, simd::And(pos, one));
     }
-    for (; i < hi; ++i) {
-      const bool pos = xp[i] > 0.0f;
-      yp[i] = pos ? xp[i] : 0.0f;
-      mp[i] = pos ? 1.0f : 0.0f;
-    }
+    for (; i < hi; ++i) yp[i] = xp[i] > 0.0f ? xp[i] : 0.0f;
   };
   if (x.size() >= kParallelElems) {
     ParallelForChunks(0, x.size(), body, /*min_chunk=*/4096);
@@ -156,19 +153,27 @@ void Relu::Forward(const Tensor& x, Tensor* y, ReluWorkspace* ws) const {
 void Relu::Backward(const Tensor& dy, Tensor* dx,
                     const ReluWorkspace& ws) const {
   OPTINTER_TRACE_SPAN("relu_bwd");
-  const Tensor& mask = ws.mask;
-  CHECK(dy.SameShape(mask));
+  CHECK(ws.y != nullptr)
+      << "Relu::Backward without a matching Forward on this workspace";
+  const Tensor& y = *ws.y;
+  CHECK(dy.SameShape(y));
   dx->Resize(dy.shape());
   const float* dyp = dy.data();
-  const float* mp = mask.data();
+  const float* yp = y.data();
+  // The {0,1} factor is rebuilt from the forward output: y > 0 exactly
+  // where x > 0 (y is x there and +0 elsewhere, NaN inputs included), and
+  // dy is multiplied by the same 1.0f/0.0f the forward used to store.
   auto body = [&](size_t lo, size_t hi) {
     float* dxp = dx->data();
+    const simd::VecF zero = simd::Zero();
+    const simd::VecF one = simd::Set1(1.0f);
     size_t i = lo;
     for (; i + kL <= hi; i += kL) {
-      simd::StoreU(dxp + i,
-                   simd::Mul(simd::LoadU(dyp + i), simd::LoadU(mp + i)));
+      const simd::VecF factor =
+          simd::And(simd::GtMask(simd::LoadU(yp + i), zero), one);
+      simd::StoreU(dxp + i, simd::Mul(simd::LoadU(dyp + i), factor));
     }
-    for (; i < hi; ++i) dxp[i] = dyp[i] * mp[i];
+    for (; i < hi; ++i) dxp[i] = dyp[i] * (yp[i] > 0.0f ? 1.0f : 0.0f);
   };
   // Disjoint elementwise writes; a single multiply rounds identically in
   // vector and scalar form, so the fan-out is bit-identical to serial
@@ -199,9 +204,10 @@ void LayerNorm::Forward(const Tensor& x, Tensor* y,
   CHECK_EQ(x.cols(), dim_);
   const size_t batch = x.rows();
   const size_t dim = dim_;
-  y->Resize({batch, dim_});
-  ws->xhat.Resize({batch, dim_});
-  ws->inv_std.Resize({batch});
+  // Every row of y, xhat and inv_std is written below.
+  y->ResizeForOverwrite({batch, dim_});
+  ws->xhat.ResizeForOverwrite({batch, dim_});
+  ws->inv_std.ResizeForOverwrite({batch});
   Tensor& xhat = ws->xhat;
   Tensor& inv_std_cache = ws->inv_std;
   const float* g = gamma.value.data();

@@ -1,9 +1,11 @@
 // Batch-oriented layers with explicit forward/backward.
 //
-// Every layer caches what its backward pass needs during Forward();
-// calling Backward() without a preceding Forward() on the same batch is a
-// programmer error. Parameter gradients accumulate (ZeroGrad between
-// steps); input gradients are overwritten.
+// Every layer records what its backward pass needs during Forward();
+// calling Backward() without a preceding Forward() on the same workspace
+// CHECK-fails. Linear records a pointer to its input and Relu a pointer
+// to its output, not copies: the tensors passed to Forward must stay
+// alive and unchanged until the matching Backward. Parameter gradients
+// accumulate (ZeroGrad between steps); input gradients are overwritten.
 //
 // Re-entrancy: the workspace-taking Forward overloads are const and keep
 // all per-call state in the caller's workspace, so one layer can serve
@@ -36,15 +38,17 @@ class Linear {
   Linear(std::string name, size_t in_dim, size_t out_dim, float lr,
          float l2, Rng* rng);
 
-  /// y: [B × out]. Caches x in `ws` for the backward pass. Re-entrant:
-  /// concurrent calls with distinct workspaces are safe.
+  /// y: [B × out]. Records &x in `ws` for the backward pass (x is not
+  /// copied). Re-entrant: concurrent calls with distinct workspaces are
+  /// safe.
   void Forward(const Tensor& x, Tensor* y, LinearWorkspace* ws) const;
 
   /// Single-caller convenience using the layer's default workspace.
   void Forward(const Tensor& x, Tensor* y) { Forward(x, y, &ws_); }
 
   /// Accumulates dW, db; writes dx (pass nullptr to skip input grads,
-  /// e.g. for the first layer). `ws` must come from the matching Forward.
+  /// e.g. for the first layer). `ws` must come from the matching Forward,
+  /// whose input x must still be alive and unchanged.
   void Backward(const Tensor& dy, Tensor* dx, const LinearWorkspace& ws);
 
   void Backward(const Tensor& dy, Tensor* dx) { Backward(dy, dx, ws_); }
@@ -64,7 +68,8 @@ class Linear {
   LinearWorkspace ws_;
 };
 
-/// Elementwise ReLU.
+/// Elementwise ReLU. Keeps no mask: Backward rebuilds the {0,1} factor
+/// from the Forward output y, which must still be alive and unchanged.
 class Relu {
  public:
   void Forward(const Tensor& x, Tensor* y, ReluWorkspace* ws) const;

@@ -25,31 +25,10 @@ Mlp::Mlp(std::string name, size_t in_dim, const MlpConfig& config, Rng* rng)
 
 void Mlp::Forward(const Tensor& x, Tensor* y, MlpWorkspace* ws) const {
   OPTINTER_TRACE_SPAN("mlp_forward");
-  const size_t n_hidden = config_.hidden.size();
   ws->linears.resize(linears_.size());
-  ws->relus.resize(relus_.size());
-  ws->norms.resize(norms_.size());
-  // Per-hidden slots: post-linear, post-relu, and (with layer_norm) the
-  // normed output in its own workspace slot — a local temporary here would
-  // reallocate every call and break the steady-state zero-allocation
-  // contract for TrainStep.
-  const size_t per_hidden = config_.layer_norm ? 3 : 2;
-  ws->acts.resize(per_hidden * n_hidden + 1);
-  const Tensor* cur = &x;
-  size_t slot = 0;
-  for (size_t li = 0; li < n_hidden; ++li) {
-    Tensor& lin_out = ws->acts[slot++];
-    linears_[li].Forward(*cur, &lin_out, &ws->linears[li]);
-    Tensor& act_out = ws->acts[slot++];
-    relus_[li].Forward(lin_out, &act_out, &ws->relus[li]);
-    cur = &act_out;
-    if (config_.layer_norm) {
-      Tensor& normed = ws->acts[slot++];
-      norms_[li].Forward(act_out, &normed, &ws->norms[li]);
-      cur = &normed;
-    }
-  }
-  linears_[n_hidden].Forward(*cur, y, &ws->linears[n_hidden]);
+  ForwardWith(x, y, ws, [&](size_t li, const Tensor& in, Tensor* out) {
+    linears_[li].Forward(in, out, &ws->linears[li]);
+  });
 }
 
 void Mlp::Backward(const Tensor& dy, Tensor* dx, MlpWorkspace* ws) {

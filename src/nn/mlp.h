@@ -39,6 +39,17 @@ class Mlp {
   void Forward(const Tensor& x, Tensor* y, MlpWorkspace* ws) const;
   void Forward(const Tensor& x, Tensor* y) { Forward(x, y, &ws_); }
 
+  /// The tower's one layer loop with a caller-supplied affine step:
+  /// `linear_step(li, in, out)` maps layer li's input to its output (li =
+  /// hidden.size() is the output layer); this Mlp's ReLUs and LayerNorms
+  /// run between the steps. Forward passes its fp32 Linears; the int8
+  /// serving model passes its quantized GEMMs. Activations live in
+  /// `ws->acts`, whose slot layout (and so its buffer capacity) is shared
+  /// by every caller.
+  template <typename LinearStep>
+  void ForwardWith(const Tensor& x, Tensor* y, MlpWorkspace* ws,
+                   LinearStep&& linear_step) const;
+
   /// Accumulates parameter grads; writes dx unless nullptr. `ws` must
   /// come from the matching Forward call.
   void Backward(const Tensor& dy, Tensor* dx, MlpWorkspace* ws);
@@ -64,5 +75,34 @@ class Mlp {
   std::vector<LayerNorm> norms_;      // one per hidden layer (if enabled)
   MlpWorkspace ws_;                   // default workspace (training path)
 };
+
+template <typename LinearStep>
+void Mlp::ForwardWith(const Tensor& x, Tensor* y, MlpWorkspace* ws,
+                      LinearStep&& linear_step) const {
+  const size_t n_hidden = config_.hidden.size();
+  ws->relus.resize(relus_.size());
+  ws->norms.resize(norms_.size());
+  // Per-hidden slots: post-linear, post-relu, and (with layer_norm) the
+  // normed output in its own workspace slot — a local temporary here would
+  // reallocate every call and break the steady-state zero-allocation
+  // contract for TrainStep.
+  const size_t per_hidden = config_.layer_norm ? 3 : 2;
+  ws->acts.resize(per_hidden * n_hidden + 1);
+  const Tensor* cur = &x;
+  size_t slot = 0;
+  for (size_t li = 0; li < n_hidden; ++li) {
+    Tensor& lin_out = ws->acts[slot++];
+    linear_step(li, *cur, &lin_out);
+    Tensor& act_out = ws->acts[slot++];
+    relus_[li].Forward(lin_out, &act_out, &ws->relus[li]);
+    cur = &act_out;
+    if (config_.layer_norm) {
+      Tensor& normed = ws->acts[slot++];
+      norms_[li].Forward(act_out, &normed, &ws->norms[li]);
+      cur = &normed;
+    }
+  }
+  linear_step(n_hidden, *cur, y);
+}
 
 }  // namespace optinter

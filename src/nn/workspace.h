@@ -1,10 +1,15 @@
 // Per-call activation workspaces for the nn layers.
 //
-// Each layer's Forward caches what its Backward needs (inputs, masks,
-// normalization statistics). Historically those caches were layer members,
-// which made Forward non-re-entrant: two concurrent Predict calls on
-// different batches clobbered each other's activations, forcing evaluation
-// to run batches serially. The structs below move that per-call state into
+// Each layer's Forward records what its Backward needs: Linear a pointer
+// to its input, Relu a pointer to its output (the {0,1} derivative is
+// rebuilt from it), LayerNorm the normalized input and per-row inverse
+// std. The pointed-to tensors are not copied, so they must stay alive and
+// unchanged from Forward until the matching Backward (layers.h).
+//
+// Historically this state lived in layer members, which made Forward
+// non-re-entrant: two concurrent Predict calls on different batches
+// clobbered each other's activations, forcing evaluation to run batches
+// serially. The structs below move that per-call state into
 // a caller-owned workspace threaded through Forward/Backward, so a shared
 // (read-only) layer can serve any number of concurrent calls, each with
 // its own workspace. Every layer keeps one private default workspace
@@ -19,14 +24,15 @@
 
 namespace optinter {
 
-/// Forward-pass state of one Linear call (input cached for the dW GEMM).
+/// Forward-pass state of one Linear call: the input the dW GEMM reads.
 struct LinearWorkspace {
-  Tensor x_cache;
+  const Tensor* x = nullptr;
 };
 
-/// Forward-pass state of one Relu call.
+/// Forward-pass state of one Relu call: the output, whose positive
+/// entries mark where the gradient passes.
 struct ReluWorkspace {
-  Tensor mask;
+  const Tensor* y = nullptr;
 };
 
 /// Forward-pass state of one LayerNorm call.

@@ -54,7 +54,6 @@ QuantizedFixedArchModel::QuantizedFixedArchModel(
   }
   if (mode_ == QuantMode::kInt8) {
     const Mlp& mlp = fp32.mlp();
-    relus_.resize(mlp.config().hidden.size());
     qlinears_.reserve(mlp.linears().size());
     for (const Linear& lin : mlp.linears()) {
       QuantLinear q;
@@ -150,31 +149,12 @@ void QuantizedFixedArchModel::QuantLinearForward(const QuantLinear& layer,
 void QuantizedFixedArchModel::MlpForwardInt8(const Tensor& z, Tensor* y,
                                              ForwardContext* ctx) const {
   OPTINTER_TRACE_SPAN("mlp_forward_int8");
-  const Mlp& mlp = fp32_.mlp();
-  const MlpConfig& cfg = mlp.config();
-  const size_t n_hidden = cfg.hidden.size();
-  MlpWorkspace* ws = &ctx->mlp;
-  ws->relus.resize(n_hidden);
-  ws->norms.resize(mlp.norms().size());
-  // Same activation-slot layout as Mlp::Forward so buffer capacity is
-  // retained across calls (steady-state zero allocation).
-  const size_t per_hidden = cfg.layer_norm ? 3 : 2;
-  ws->acts.resize(per_hidden * n_hidden + 1);
-  const Tensor* cur = &z;
-  size_t slot = 0;
-  for (size_t li = 0; li < n_hidden; ++li) {
-    Tensor& lin_out = ws->acts[slot++];
-    QuantLinearForward(qlinears_[li], *cur, &lin_out, &ctx->quant);
-    Tensor& act_out = ws->acts[slot++];
-    relus_[li].Forward(lin_out, &act_out, &ws->relus[li]);
-    cur = &act_out;
-    if (cfg.layer_norm) {
-      Tensor& normed = ws->acts[slot++];
-      mlp.norms()[li].Forward(act_out, &normed, &ws->norms[li]);
-      cur = &normed;
-    }
-  }
-  QuantLinearForward(qlinears_[n_hidden], *cur, y, &ctx->quant);
+  // The fp32 tower's layer loop and ReLU/LayerNorm stages with the int8
+  // GEMM as the affine step.
+  fp32_.mlp().ForwardWith(
+      z, y, &ctx->mlp, [&](size_t li, const Tensor& in, Tensor* out) {
+        QuantLinearForward(qlinears_[li], in, out, &ctx->quant);
+      });
 }
 
 void QuantizedFixedArchModel::Predict(const Batch& batch,

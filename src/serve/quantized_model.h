@@ -74,7 +74,8 @@ class QuantizedFixedArchModel : public CtrModel {
   /// computes the interaction blocks in place (the fused serving layout).
   void GatherAssembleRow(const EncodedDataset& data, size_t row,
                          float* zr) const;
-  /// int8 MLP forward over z (int8 mode only).
+  /// int8 MLP forward over z (int8 mode only): Mlp::ForwardWith with
+  /// QuantLinearForward as the affine step.
   void MlpForwardInt8(const Tensor& z, Tensor* y, ForwardContext* ctx) const;
   void QuantLinearForward(const QuantLinear& layer, const Tensor& x,
                           Tensor* y, QuantScratch* qs) const;
@@ -103,7 +104,6 @@ class QuantizedFixedArchModel : public CtrModel {
   std::vector<QuantizedTable> cross_tables_;
   std::vector<QuantizedTable> triple_tables_;
   std::vector<QuantLinear> qlinears_;  // int8 mode only
-  std::vector<Relu> relus_;            // stateless fp32 activations
 
   ForwardContext ctx_;  // non-re-entrant Predict overload only
 };

@@ -1,5 +1,7 @@
 #include "serve/snapshot.h"
 
+#include <utility>
+
 #include "io/serialize.h"
 #include "obs/registry.h"
 #include "serve/quantized_model.h"
@@ -36,11 +38,18 @@ Status SnapshotSlot::Publish(std::shared_ptr<const CtrModel> model) {
   if (!st.ok()) return st;
   auto snap = std::make_shared<ModelSnapshot>();
   snap->model = std::move(model);
-  snap->version = generations_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Release store: a reader that acquires the new pointer sees the fully
-  // constructed snapshot (and every weight the loader wrote before the
-  // Publish call).
-  current_.store(std::move(snap), std::memory_order_release);
+  std::shared_ptr<const ModelSnapshot> old;
+  {
+    // The mutex orders the exchange after every write that built the
+    // model, so a reader that acquires the new pointer sees the fully
+    // constructed snapshot; versions are assigned in publication order.
+    std::lock_guard<std::mutex> lock(mu_);
+    snap->version = ++generations_;
+    old = std::exchange(current_, std::move(snap));
+  }
+  // `old` drops here, outside the lock: when no request still holds the
+  // outgoing generation it is destroyed on this thread, not under mu_.
+  old.reset();
   SwapCounter()->Increment();
   return Status::OK();
 }

@@ -1,13 +1,20 @@
-// Lock-free model hot-swap for the serving layer.
+// Model hot-swap for the serving layer.
 //
-// The live model is published as an immutable ModelSnapshot behind an
-// atomic shared_ptr (RCU idiom): readers Acquire() a reference-counted
-// pointer, predict against it, and drop it; a swap atomically exchanges
-// the pointer to a fully-built replacement. The two generations are
-// therefore double-buffered — the outgoing snapshot stays alive (and
-// keeps serving its in-flight requests) until the last reader releases
-// it, so every request sees one whole snapshot's weights: no torn reads,
-// no pause, no reader-side lock.
+// The live model is published as an immutable ModelSnapshot behind a
+// mutex-guarded shared_ptr (RCU idiom): readers Acquire() a
+// reference-counted pointer, predict against it, and drop it; a swap
+// exchanges the pointer to a fully-built replacement. The mutex covers
+// only that pointer copy or exchange — never a prediction, a model build
+// or a generation's destruction — so readers and swaps hold it for a few
+// nanoseconds. The two generations are double-buffered: the outgoing
+// snapshot stays alive (and keeps serving its in-flight requests) until
+// the last reader releases it, so every request sees one whole
+// snapshot's weights: no torn reads, no pause.
+//
+// (A mutex rather than std::atomic<std::shared_ptr>: ThreadSanitizer
+// cannot see the internal lock of libstdc++ 12's implementation and
+// reports Publish vs Acquire as a data race; a standing false alarm
+// would mask real ones.)
 //
 // Swap safety rules:
 //  * A snapshot's model is NEVER mutated after Publish. Hot-swapping a
@@ -24,10 +31,10 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/status.h"
@@ -48,11 +55,12 @@ struct ModelSnapshot {
   uint64_t version = 0;
 };
 
-/// Atomic publication slot for the live snapshot.
+/// Publication slot for the live snapshot.
 ///
 /// Thread-safe: any number of Acquire()ing readers may run concurrently
-/// with Publish. Readers never block a swap and a swap never blocks
-/// readers — the exchange is a single atomic shared_ptr store.
+/// with Publish. Both take the slot's mutex only to copy or exchange the
+/// pointer; the outgoing generation is released after the lock is
+/// dropped, so destroying a model never stalls a reader.
 class SnapshotSlot {
  public:
   /// Publishes `model` as the new live snapshot, replacing any previous
@@ -63,7 +71,8 @@ class SnapshotSlot {
   /// The current snapshot, pinned for the caller's lifetime of the
   /// returned pointer; nullptr before the first Publish.
   std::shared_ptr<const ModelSnapshot> Acquire() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_;
   }
 
   /// Generation id of the live snapshot (0 before the first Publish).
@@ -73,8 +82,9 @@ class SnapshotSlot {
   }
 
  private:
-  std::atomic<std::shared_ptr<const ModelSnapshot>> current_{nullptr};
-  std::atomic<uint64_t> generations_{0};
+  mutable std::mutex mu_;
+  std::shared_ptr<const ModelSnapshot> current_;  // guarded by mu_
+  uint64_t generations_ = 0;                       // guarded by mu_
 };
 
 /// Builds a fresh model via `factory`, restores `checkpoint_path` into it

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 namespace optinter {
@@ -48,6 +49,24 @@ struct AlignedAllocator {
 /// std::vector whose data() is always 64-byte aligned.
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+
+/// AlignedAllocator whose argument-less construct() default-initializes,
+/// so `resize` grows a vector of trivial T without writing the new
+/// elements. Every other construction (fill, copy, assign) is unchanged.
+/// Only for storage that offers an explicit non-zeroing resize
+/// (Tensor::ResizeForOverwrite).
+template <typename T>
+struct DefaultInitAlignedAllocator : AlignedAllocator<T> {
+  DefaultInitAlignedAllocator() = default;
+  template <typename U>
+  constexpr DefaultInitAlignedAllocator(
+      const DefaultInitAlignedAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
 
 /// True when `p` is aligned for kTensorAlignment. Kernels debug-assert
 /// this on the buffers they allocate themselves (packing panels).

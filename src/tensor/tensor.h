@@ -36,11 +36,25 @@ class Tensor {
   /// temporary std::vector on the heap at every call site.
   void Resize(const std::vector<size_t>& shape) {
     shape_.assign(shape.begin(), shape.end());
-    ResizeDataToShape();
+    data_.assign(ShapeElems(), 0.0f);
   }
   void Resize(std::initializer_list<size_t> shape) {
     shape_.assign(shape.begin(), shape.end());
-    ResizeDataToShape();
+    data_.assign(ShapeElems(), 0.0f);
+  }
+
+  /// Reshapes to `shape` WITHOUT zero-filling: the elements keep whatever
+  /// the buffer held (stale values of an earlier shape, or uninitialized
+  /// memory after growth). Only for outputs that the next kernel
+  /// overwrites in full before anything reads them (DESIGN.md §5 lists
+  /// the call sites and the rule); everything else uses Resize.
+  void ResizeForOverwrite(const std::vector<size_t>& shape) {
+    shape_.assign(shape.begin(), shape.end());
+    data_.resize(ShapeElems());
+  }
+  void ResizeForOverwrite(std::initializer_list<size_t> shape) {
+    shape_.assign(shape.begin(), shape.end());
+    data_.resize(ShapeElems());
   }
 
   /// Reinterprets the buffer with a new shape of identical element count.
@@ -120,14 +134,14 @@ class Tensor {
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }
 
  private:
-  void ResizeDataToShape() {
+  size_t ShapeElems() const {
     size_t n = 1;
     for (size_t d : shape_) n *= d;
-    data_.assign(n, 0.0f);
+    return n;
   }
 
   std::vector<size_t> shape_;
-  AlignedVector<float> data_;
+  std::vector<float, DefaultInitAlignedAllocator<float>> data_;
 };
 
 }  // namespace optinter

@@ -48,6 +48,23 @@ TEST(TensorTest, FillAndZero) {
   EXPECT_EQ(t[0], 0.0f);
 }
 
+TEST(TensorTest, ResizeForOverwriteKeepsBytesResizeZeroes) {
+  Tensor t({4, 8});
+  t.Fill(7.0f);
+  const float* buf = t.data();
+  // Shrinking and regrowing within capacity writes nothing and keeps the
+  // buffer: the old bytes are still there.
+  t.ResizeForOverwrite({2, 3});
+  EXPECT_EQ(t.size(), 6u);
+  EXPECT_EQ(t.cols(), 3u);
+  t.ResizeForOverwrite({3, 10});
+  EXPECT_EQ(t.data(), buf);
+  for (size_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 7.0f) << i;
+  // Resize keeps its zero-fill contract.
+  t.Resize({3, 10});
+  for (size_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0f) << i;
+}
+
 TEST(KernelsTest, GemmNNSmall) {
   // [1 2; 3 4] * [5 6; 7 8] = [19 22; 43 50]
   const float a[] = {1, 2, 3, 4};
