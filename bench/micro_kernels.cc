@@ -25,7 +25,13 @@
 #include "nn/param.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "tensor/cpu_features.h"
+#include "tensor/dispatch.h"
 #include "tensor/kernels.h"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 namespace optinter {
 namespace {
@@ -95,6 +101,128 @@ void BM_GemmTN(benchmark::State& state) {
   SetGemmCounters(state, m, k, n);
 }
 BENCHMARK(BM_GemmTN)->Arg(64)->Arg(512)->Arg(2048);
+
+// The three MLP GEMMs of one Linear layer at the criteo_like first-layer
+// shapes: batch 512, input width range(0) (688 for the retrain model,
+// 1520 for the search supernet), 128 outputs. Each runs in the
+// orientation Linear uses: NT forward (y = x·Wᵀ), NN input gradient
+// (dx = dy·W), TN weight gradient accumulated into dW (beta = 1). Rates
+// use wall time, so they cover every pool thread the GEMM fans out to.
+constexpr size_t kMlpBatch = 512;
+constexpr size_t kMlpOut = 128;
+
+std::vector<float> BenchValues(size_t count) {
+  std::vector<float> v(count);
+  for (size_t i = 0; i < count; ++i) {
+    v[i] = static_cast<float>(static_cast<int>(i % 37) - 18) / 32.0f;
+  }
+  return v;
+}
+
+void BM_GemmMlpNT(benchmark::State& state) {
+  const size_t in = static_cast<size_t>(state.range(0));
+  const std::vector<float> x = BenchValues(kMlpBatch * in);
+  const std::vector<float> w = BenchValues(kMlpOut * in);
+  std::vector<float> y(kMlpBatch * kMlpOut);
+  for (auto _ : state) {
+    GemmNT(x.data(), w.data(), y.data(), kMlpBatch, in, kMlpOut);
+    benchmark::DoNotOptimize(y.data());
+  }
+  SetGemmCounters(state, kMlpBatch, in, kMlpOut);
+}
+BENCHMARK(BM_GemmMlpNT)->Arg(688)->Arg(1520)->UseRealTime();
+
+void BM_GemmMlpNN(benchmark::State& state) {
+  const size_t in = static_cast<size_t>(state.range(0));
+  const std::vector<float> dy = BenchValues(kMlpBatch * kMlpOut);
+  const std::vector<float> w = BenchValues(kMlpOut * in);
+  std::vector<float> dx(kMlpBatch * in);
+  for (auto _ : state) {
+    GemmNN(dy.data(), w.data(), dx.data(), kMlpBatch, kMlpOut, in);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  SetGemmCounters(state, kMlpBatch, kMlpOut, in);
+}
+BENCHMARK(BM_GemmMlpNN)->Arg(688)->Arg(1520)->UseRealTime();
+
+void BM_GemmMlpTN(benchmark::State& state) {
+  const size_t in = static_cast<size_t>(state.range(0));
+  const std::vector<float> dy = BenchValues(kMlpBatch * kMlpOut);
+  const std::vector<float> x = BenchValues(kMlpBatch * in);
+  std::vector<float> dw(kMlpOut * in);
+  for (auto _ : state) {
+    GemmTN(dy.data(), x.data(), dw.data(), kMlpBatch, kMlpOut, in, 1.0f,
+           1.0f);
+    benchmark::DoNotOptimize(dw.data());
+  }
+  SetGemmCounters(state, kMlpBatch, kMlpOut, in);
+}
+BENCHMARK(BM_GemmMlpTN)->Arg(688)->Arg(1520)->UseRealTime();
+
+// Register-only FMA throughput of one core for the active kernel backend:
+// independent accumulator chains (more than FMA latency × issue width),
+// no loads or stores in the loop. This, not the repo's own GEMM, is the
+// peak a "fraction of peak" figure should divide by.
+#if defined(__x86_64__) && defined(__GNUC__)
+constexpr int kFmaChains = 12;
+
+__attribute__((target("avx2,fma"))) float FmaLoopAvx2(size_t iters) {
+  __m256 acc[kFmaChains];
+  for (int c = 0; c < kFmaChains; ++c) acc[c] = _mm256_set1_ps(0.001f * c);
+  const __m256 mul = _mm256_set1_ps(0.999999f);
+  const __m256 add = _mm256_set1_ps(1e-7f);
+  for (size_t i = 0; i < iters; ++i) {
+    for (int c = 0; c < kFmaChains; ++c) {
+      acc[c] = _mm256_fmadd_ps(acc[c], mul, add);
+    }
+  }
+  __m256 sum = acc[0];
+  for (int c = 1; c < kFmaChains; ++c) sum = _mm256_add_ps(sum, acc[c]);
+  return _mm256_cvtss_f32(sum);
+}
+
+__attribute__((target("avx512f"))) float FmaLoopAvx512(size_t iters) {
+  __m512 acc[kFmaChains];
+  for (int c = 0; c < kFmaChains; ++c) acc[c] = _mm512_set1_ps(0.001f * c);
+  const __m512 mul = _mm512_set1_ps(0.999999f);
+  const __m512 add = _mm512_set1_ps(1e-7f);
+  for (size_t i = 0; i < iters; ++i) {
+    for (int c = 0; c < kFmaChains; ++c) {
+      acc[c] = _mm512_fmadd_ps(acc[c], mul, add);
+    }
+  }
+  __m512 sum = acc[0];
+  for (int c = 1; c < kFmaChains; ++c) sum = _mm512_add_ps(sum, acc[c]);
+  return _mm512_cvtss_f32(sum);
+}
+#endif
+
+void BM_FmaPeak(benchmark::State& state) {
+  const std::string backend = ActiveKernelBackend();
+  const CpuFeatures& cpu = GetCpuFeatures();
+  size_t iters = size_t{1} << 16;
+  int lanes = 0;
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (backend == "avx512" && cpu.avx512f) lanes = 16;
+  if (backend == "avx2-fma" && cpu.avx2 && cpu.fma) lanes = 8;
+#endif
+  if (lanes == 0) {
+    state.SkipWithError("active backend has no FMA loop on this CPU");
+    return;
+  }
+  for (auto _ : state) {
+    // Opaque trip count: keeps the pure loop from being hoisted out.
+    benchmark::DoNotOptimize(iters);
+#if defined(__x86_64__) && defined(__GNUC__)
+    float r = lanes == 16 ? FmaLoopAvx512(iters) : FmaLoopAvx2(iters);
+    benchmark::DoNotOptimize(r);
+#endif
+  }
+  state.SetLabel(backend);
+  SetRateCounters(state, 2.0 * lanes * kFmaChains * static_cast<double>(iters),
+                  0.0);
+}
+BENCHMARK(BM_FmaPeak);
 
 void BM_Dot(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

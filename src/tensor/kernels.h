@@ -2,18 +2,25 @@
 //
 // All GEMM variants are expressed with explicit transpose flags so the
 // layer backward passes never materialize transposed copies. The GEMMs
-// are cache-blocked, panel-packed implementations with register-tiled
-// micro-kernels built on the fixed-width SIMD abstraction in simd.h
-// (AVX2+FMA / SSE2 / NEON / scalar, chosen at compile time); large GEMMs
-// are additionally row-blocked across the global thread pool.
+// pack B into column panels, read A in place, and run register-tiled
+// micro-kernels built on the fixed-width SIMD abstraction in simd.h. The
+// GEMMs (like the sigmoid range and the int8 kernels) are dispatched at
+// runtime to the widest kernel table the host supports (AVX-512 /
+// AVX2+FMA / SSE2 / scalar, or the binary's own backend; OPTINTER_SIMD
+// overrides — dispatch.h); the other kernels here use the backend chosen
+// at compile time. Large GEMMs are split across the global thread pool
+// over a 2-D cell grid (chunked GemmTN: over B panels).
 //
-// Determinism: for a given build (backend), every kernel is bit-identical
-// at any thread count — row chunking never changes a row's accumulation
-// order, reductions use fixed chunk grids with fixed-shape merges, and
-// elementwise kernels compute each element identically whether a vector
-// lane or a scalar tail handles it (see simd.h). Results differ ACROSS
-// backends (FMA contracts rounding; Exp is polynomial vs libm), which is
-// fine: tests compare against references, not golden floats (DESIGN.md §5).
+// Determinism: for a given build and kernel table, every kernel is
+// bit-identical at any thread count — cell and row chunking never change
+// an element's accumulation order, reductions use fixed chunk grids with
+// fixed-shape merges, and elementwise kernels compute each element
+// identically whether a vector lane or a scalar tail handles it (see
+// simd.h). Results differ ACROSS backends (FMA contracts rounding; Exp is
+// polynomial vs libm). Tests compare against naive references and also
+// against golden hashes recorded per backend and build configuration:
+// tests/gemm_golden_test.cc pins the GEMM outputs, golden_bits_test.cc a
+// whole train-and-predict pipeline (DESIGN.md §5, §7).
 
 #pragma once
 
@@ -43,9 +50,10 @@ void GemmNT(const float* a, const float* b, float* c, size_t m, size_t k,
             size_t n, float alpha = 1.0f, float beta = 0.0f);
 
 /// C[k×n] = A^T * B where A is [m×k], B is [m×n]. Weight-gradient shape.
-/// Large shapes are row-blocked over m with per-chunk private accumulators
-/// combined by a fixed-shape tree reduce; the chunk grid depends only on
-/// the shape, so the result is bit-identical at any thread count.
+/// Large shapes split the reduction over m into a fixed chunk grid; each C
+/// tile sums every chunk into its own partial and combines them with a
+/// fixed-shape tree. The grid depends only on the shape, so the result is
+/// bit-identical at any thread count.
 void GemmTN(const float* a, const float* b, float* c, size_t m, size_t k,
             size_t n, float alpha = 1.0f, float beta = 0.0f);
 

@@ -36,6 +36,7 @@
 
 #include "core/fixed_arch_model.h"
 #include "core/search_model.h"
+#include "golden_util.h"
 #include "models/hyperparams.h"
 #include "tensor/dispatch.h"
 #include "test_data.h"
@@ -44,6 +45,10 @@
 namespace optinter {
 namespace {
 
+using testing::BackendGuard;
+using testing::BuildConfig;
+using testing::Fnv1a;
+using testing::kFnvBasis;
 using testing::SharedTinyData;
 
 struct Fingerprint {
@@ -127,40 +132,10 @@ const std::vector<Golden> kGoldens = {
       0x0e45eeb4f3b31e53ull, 0xe55cb074e99e820eull}},
 };
 
-// Optimized GCC x86-64 builds only: -O0 and other compilers contract and
-// schedule floating point differently, so they have no goldens.
-const char* BuildConfig() {
-#if !defined(__OPTIMIZE__) || !defined(__GNUC__) || defined(__clang__) || \
-    !defined(__x86_64__)
-  return "unrecorded";
-#elif defined(OPTINTER_DISABLE_SIMD) && !defined(__SANITIZE_ADDRESS__)
-  return "nosimd";
-#elif defined(OPTINTER_DISABLE_SIMD)
-  return "unrecorded";
-#elif defined(__SANITIZE_ADDRESS__) && defined(__AVX2__) && defined(__FMA__)
-  return "asan-ubsan";
-#elif defined(__AVX2__) && defined(__FMA__)
-  return "avx2";
-#else
-  return "unrecorded";
-#endif
-}
-
 std::string EmbedOverride() {
   const char* env = std::getenv("OPTINTER_EMBED_BACKEND");
   return env == nullptr || env[0] == '\0' ? "dense" : env;
 }
-
-uint64_t Fnv1a(const void* data, size_t bytes, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvBasis = 14695981039346656037ull;
 
 uint64_t StateHash(CtrModel* model) {
   std::vector<Tensor*> state;
@@ -256,11 +231,6 @@ std::string GoldenLine(const char* config, const std::string& embed,
                 static_cast<unsigned long long>(fp.predict_b2048));
   return buf;
 }
-
-// Restores the startup kernel selection when the test returns.
-struct BackendGuard {
-  ~BackendGuard() { SelectKernelBackendForTest("auto"); }
-};
 
 TEST(GoldenBitsTest, PipelineMatchesRecordedBitsOnEveryBackend) {
   BackendGuard guard;

@@ -13,13 +13,16 @@
 #include <sstream>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/fixed_arch_model.h"
 #include "core/search_model.h"
 #include "models/hyperparams.h"
 #include "models/prepared_batch.h"
+#include "nn/layers.h"
 #include "obs/registry.h"
 #include "obs/run_report.h"
+#include "tensor/dispatch.h"
 #include "test_data.h"
 #include "train/pipeline_executor.h"
 #include "train/trainer.h"
@@ -37,10 +40,15 @@
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<size_t> g_alloc_events{0};
+std::atomic<size_t> g_alloc_max_bytes{0};  // largest counted allocation
 
 void* CountedAlloc(std::size_t size, std::size_t align) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_events.fetch_add(1, std::memory_order_relaxed);
+    size_t seen = g_alloc_max_bytes.load(std::memory_order_relaxed);
+    while (size > seen && !g_alloc_max_bytes.compare_exchange_weak(
+                              seen, size, std::memory_order_relaxed)) {
+    }
   }
   void* p = align == 0 ? std::malloc(size)
                        : std::aligned_alloc(align, (size + align - 1) /
@@ -126,6 +134,46 @@ TEST(TrainPipelineTest, SearchModelTrainStepSteadyStateZeroAlloc) {
   const Batch batch = HeadBatch(p, 256);
   EXPECT_EQ(CountSteadyStateAllocs(&model, batch, /*warmup=*/3, /*steps=*/5),
             0u);
+}
+
+// The tiny models above never reach the MLP-scale GEMM paths. A
+// criteo_like first-layer Linear (batch 512, 688 → 128) does: the 2-D
+// cell grid for the NT forward and NN input gradient, and the chunked
+// GemmTN weight gradient. Its second Forward+Backward must allocate
+// nothing. No buffer the first pass allocates (the GemmTN B panel pack
+// included) may exceed what chunked GemmTN used to hold: 8 chunk partials
+// of out × in floats plus one 64-row chunk's B pack.
+TEST(TrainPipelineTest, MlpShapeLinearSteadyStateZeroAlloc) {
+  PoolGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  const size_t kBatch = 512, kIn = 688, kOut = 128;
+  Rng rng(31);
+  Linear linear("mlp_shape", kIn, kOut, /*lr=*/0.01f, /*l2=*/0.0f, &rng);
+  Tensor x({kBatch, kIn});
+  Tensor dy({kBatch, kOut});
+  for (size_t i = 0; i < x.size(); ++i) x.data()[i] = static_cast<float>(rng.Uniform(-1, 1));
+  for (size_t i = 0; i < dy.size(); ++i) dy.data()[i] = static_cast<float>(rng.Uniform(-1, 1));
+  Tensor y, dx;
+  LinearWorkspace ws;
+  const auto pass = [&] {
+    linear.Forward(x, &y, &ws);
+    linear.Backward(dy, &dx, ws);
+  };
+
+  g_alloc_max_bytes.store(0);
+  g_count_allocs.store(true);
+  pass();
+  g_count_allocs.store(false);
+  const size_t nr = ActiveKernels().gemm_nr;
+  const size_t padded_in = (kIn + nr - 1) / nr * nr;
+  const size_t old_tn_floats = 8 * kOut * kIn + kBatch / 8 * padded_in;
+  EXPECT_LE(g_alloc_max_bytes.load(), old_tn_floats * sizeof(float));
+
+  g_alloc_events.store(0);
+  g_count_allocs.store(true);
+  pass();
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_events.load(), 0u);
 }
 
 // The executor's workspace-growth counter tells the same story at run
