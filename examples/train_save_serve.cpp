@@ -139,7 +139,8 @@ int main(int argc, char** argv) {
     b.rows = &row;
     b.size = 1;
     std::vector<float> fresh;
-    model.Predict(b, &fresh);
+    ForwardContext ctx;
+    model.Predict(b, &fresh, &ctx);
 
     const serve::PredictRequest req =
         serve::RequestFromRow(*served_data, row);
@@ -175,7 +176,8 @@ int main(int argc, char** argv) {
     b.rows = &row;
     b.size = 1;
     std::vector<float> fresh;
-    model.Predict(b, &fresh);
+    ForwardContext ctx;
+    model.Predict(b, &fresh, &ctx);
     auto now = server.PredictNow(serve::RequestFromRow(*served_data, row));
     CHECK(now.ok()) << now.status().ToString();
     all_match &= fresh[0] == *now;

@@ -156,8 +156,8 @@ void ParallelForChunks(size_t begin, size_t end, Body&& body,
   if (pool.num_threads() == 1) {
     // One worker would execute everything sequentially anyway; running
     // inline skips the Submit allocations and, crucially, cannot deadlock
-    // when the lone worker is parked inside a long-lived task (e.g. a
-    // fence-blocked pipeline prefetch).
+    // when the lone worker is busy inside a long-lived task (e.g. a
+    // pipeline prefetch).
     body(begin, end);
     return;
   }

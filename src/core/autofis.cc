@@ -35,17 +35,18 @@ AutoFisSearchModel::AutoFisSearchModel(const EncodedDataset& data,
   mlp_->RegisterParams(&theta_opt_);
 }
 
-void AutoFisSearchModel::Forward(const Batch& batch) {
-  emb_.Forward(batch, &emb_out_);
-  const size_t b = batch.size;
-  const size_t emb_cols = emb_out_.cols();
+void AutoFisSearchModel::Forward(ForwardContext* ctx) const {
+  const Tensor& emb_out = ctx->emb_out;
+  const size_t b = emb_out.rows();
+  const size_t emb_cols = emb_out.cols();
   const size_t num_pairs = data_.num_pairs();
-  z_.Resize({b, emb_cols + num_pairs * s1_});
+  Tensor& z = ctx->z;
+  z.Resize({b, emb_cols + num_pairs * s1_});
   const float* g = gates_.value.data();
   for (size_t k = 0; k < b; ++k) {
-    float* zr = z_.row(k);
-    std::memcpy(zr, emb_out_.row(k), emb_cols * sizeof(float));
-    const float* e = emb_out_.row(k);
+    float* zr = z.row(k);
+    std::memcpy(zr, emb_out.row(k), emb_cols * sizeof(float));
+    const float* e = emb_out.row(k);
     for (size_t p = 0; p < num_pairs; ++p) {
       const auto [i, j] = cat_pairs_[p];
       const float* ei = e + i * s1_;
@@ -54,35 +55,39 @@ void AutoFisSearchModel::Forward(const Batch& batch) {
       for (size_t t = 0; t < s1_; ++t) block[t] = g[p] * ei[t] * ej[t];
     }
   }
-  mlp_->Forward(z_, &mlp_out_);
-  logits_.resize(b);
-  for (size_t k = 0; k < b; ++k) logits_[k] = mlp_out_.at(k, 0);
+  mlp_->Forward(z, &ctx->mlp_out, &ctx->mlp);
+  ctx->logits.resize(b);
+  for (size_t k = 0; k < b; ++k) ctx->logits[k] = ctx->mlp_out.at(k, 0);
 }
 
-float AutoFisSearchModel::TrainStep(const Batch& batch) {
-  Forward(batch);
-  const size_t b = batch.size;
-  labels_.resize(b);
+void AutoFisSearchModel::PrepareBatch(const Batch& batch,
+                                      PreparedBatch* prep) const {
+  prep->BeginFill(batch);
+  emb_.Prepare(batch, prep);
+}
+
+float AutoFisSearchModel::ForwardBackward(const PreparedBatch& prep) {
+  emb_.ForwardPrepared(prep, prep.cat, &ctx_.emb_out);
+  Forward(&ctx_);
+  const size_t b = prep.size;
   dlogits_.resize(b);
-  for (size_t k = 0; k < b; ++k) labels_[k] = batch.label(k);
-  const float loss = BceWithLogitsLoss(logits_.data(), labels_.data(), b,
-                                       dlogits_.data());
+  const float loss = BceWithLogitsLoss(ctx_.logits.data(), prep.labels.data(),
+                                       b, dlogits_.data());
 
-  Tensor dmlp_out({b, 1});
-  for (size_t k = 0; k < b; ++k) dmlp_out.at(k, 0) = dlogits_[k];
-  Tensor dz;
-  mlp_->Backward(dmlp_out, &dz);
+  dmlp_out_.Resize({b, 1});
+  for (size_t k = 0; k < b; ++k) dmlp_out_.at(k, 0) = dlogits_[k];
+  mlp_->Backward(dmlp_out_, &dz_, &ctx_.mlp);
 
-  const size_t emb_cols = emb_out_.cols();
+  const size_t emb_cols = ctx_.emb_out.cols();
   const size_t num_pairs = data_.num_pairs();
-  Tensor demb({b, emb_cols});
+  demb_.Resize({b, emb_cols});
   const float* g = gates_.value.data();
   float* dg = gates_.grad.data();
   for (size_t k = 0; k < b; ++k) {
-    const float* dzr = dz.row(k);
-    std::memcpy(demb.row(k), dzr, emb_cols * sizeof(float));
-    const float* e = emb_out_.row(k);
-    float* de = demb.row(k);
+    const float* dzr = dz_.row(k);
+    std::memcpy(demb_.row(k), dzr, emb_cols * sizeof(float));
+    const float* e = ctx_.emb_out.row(k);
+    float* de = demb_.row(k);
     for (size_t p = 0; p < num_pairs; ++p) {
       const auto [i, j] = cat_pairs_[p];
       const float* ei = e + i * s1_;
@@ -100,20 +105,24 @@ float AutoFisSearchModel::TrainStep(const Batch& batch) {
       dg[p] += static_cast<float>(dgp);
     }
   }
-  emb_.Backward(demb);
-  emb_.Step();
+  emb_.BackwardPrepared(demb_, prep, prep.cat);
+  return loss;
+}
+
+void AutoFisSearchModel::ApplyGrads() {
+  emb_.StepPrepared();
   theta_opt_.Step();
   theta_opt_.ZeroGrad();
   gate_opt_.Step();
   gate_opt_.ZeroGrad();
-  return loss;
 }
 
-void AutoFisSearchModel::Predict(const Batch& batch,
-                                 std::vector<float>* probs) {
-  Forward(batch);
+void AutoFisSearchModel::Predict(const Batch& batch, std::vector<float>* probs,
+                                 ForwardContext* ctx) const {
+  emb_.Gather(batch, &ctx->emb_out);
+  Forward(ctx);
   probs->resize(batch.size);
-  SigmoidForward(logits_.data(), batch.size, probs->data());
+  SigmoidForward(ctx->logits.data(), batch.size, probs->data());
 }
 
 void AutoFisSearchModel::CollectState(std::vector<Tensor*>* out) {

@@ -26,8 +26,11 @@ class AutoFisSearchModel : public CtrModel {
   AutoFisSearchModel(const EncodedDataset& data, const HyperParams& hp);
 
   std::string Name() const override { return "AutoFIS-search"; }
-  float TrainStep(const Batch& batch) override;
-  void Predict(const Batch& batch, std::vector<float>* probs) override;
+  void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override;
+  float ForwardBackward(const PreparedBatch& prep) override;
+  void ApplyGrads() override;
+  void Predict(const Batch& batch, std::vector<float>* probs,
+               ForwardContext* ctx) const override;
   size_t ParamCount() const override;
   void CollectState(std::vector<Tensor*>* out) override;
 
@@ -38,7 +41,9 @@ class AutoFisSearchModel : public CtrModel {
   Architecture ExtractArchitecture() const;
 
  private:
-  void Forward(const Batch& batch);
+  /// Gated interactions + MLP from the gathered embeddings in
+  /// ctx->emb_out; fills ctx->logits.
+  void Forward(ForwardContext* ctx) const;
 
   const EncodedDataset& data_;
   size_t s1_;
@@ -51,12 +56,12 @@ class AutoFisSearchModel : public CtrModel {
 
   std::vector<std::pair<size_t, size_t>> cat_pairs_;
 
-  Tensor emb_out_;
-  Tensor z_;
-  Tensor mlp_out_;
-  std::vector<float> logits_;
-  std::vector<float> labels_;
+  // Training-path state, reused across steps.
+  ForwardContext ctx_;
   std::vector<float> dlogits_;
+  Tensor dmlp_out_;
+  Tensor dz_;
+  Tensor demb_;
 };
 
 }  // namespace optinter

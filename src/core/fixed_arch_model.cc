@@ -74,9 +74,7 @@ FixedArchModel::FixedArchModel(const EncodedDataset& data,
   mlp_->RegisterParams(&dense_opt_);
 }
 
-void FixedArchModel::AssembleForward(const Batch& batch,
-                                     ForwardContext* ctx) const {
-  const size_t b = batch.size;
+void FixedArchModel::AssembleForward(size_t b, ForwardContext* ctx) const {
   const size_t emb_cols = ctx->emb_out.cols();
   Tensor& z = ctx->z;
   // Every column is written below: the embedding copy, then one block per
@@ -123,13 +121,6 @@ void FixedArchModel::AssembleForward(const Batch& batch,
   for (size_t k = 0; k < b; ++k) ctx->logits[k] = ctx->mlp_out.at(k, 0);
 }
 
-float FixedArchModel::TrainStep(const Batch& batch) {
-  PrepareBatch(batch, &own_prep_);
-  const float loss = ForwardBackward(own_prep_);
-  ApplyGrads();
-  return loss;
-}
-
 void FixedArchModel::PrepareBatch(const Batch& batch,
                                   PreparedBatch* prep) const {
   OPTINTER_TRACE_SPAN("prepare_batch");
@@ -140,14 +131,14 @@ void FixedArchModel::PrepareBatch(const Batch& batch,
 }
 
 float FixedArchModel::ForwardBackward(const PreparedBatch& prep) {
-  emb_.ForwardPrepared(prep, &ctx_.emb_out);
+  emb_.ForwardPrepared(prep, prep.cat, &ctx_.emb_out);
   if (cross_emb_) {
     cross_emb_->ForwardPrepared(prep.cross, prep.size, &ctx_.cross_out);
   }
   if (triple_emb_) {
     triple_emb_->ForwardPrepared(prep.triple, prep.size, &ctx_.triple_out);
   }
-  AssembleForward(prep.AsBatch(), &ctx_);
+  AssembleForward(prep.size, &ctx_);
 
   const size_t b = prep.size;
   dlogits_.resize(b);
@@ -198,7 +189,7 @@ float FixedArchModel::ForwardBackward(const PreparedBatch& prep) {
       bwd_rows(0, b);
     }
   }
-  emb_.BackwardPrepared(demb_, prep);
+  emb_.BackwardPrepared(demb_, prep, prep.cat);
   if (cross_emb_) cross_emb_->BackwardPrepared(dcross_, prep.cross);
   if (triple_emb_) {
     dtriple_.Resize({b, triple_emb_->output_dim()});
@@ -222,23 +213,18 @@ void FixedArchModel::ApplyGrads() {
   dense_opt_.ZeroGrad();
 }
 
-void FixedArchModel::Predict(const Batch& batch, std::vector<float>* probs) {
-  Predict(batch, probs, &ctx_);
-}
-
 void FixedArchModel::Predict(const Batch& batch, std::vector<float>* probs,
                              ForwardContext* ctx) const {
   if (batch.size == 1 && fuse_single_row_) {
     PredictSingleRow(*batch.data, batch.rows[0], probs, ctx);
     return;
   }
-  // Gather (not Forward): eval never scatters gradients, so the embedding
-  // layers' batch-row caches stay untouched and concurrent calls with
+  // Gather touches no mutable layer state, so concurrent calls with
   // distinct contexts share only immutable parameters.
   emb_.Gather(batch, &ctx->emb_out);
   if (cross_emb_) cross_emb_->Gather(batch, &ctx->cross_out);
   if (triple_emb_) triple_emb_->Gather(batch, &ctx->triple_out);
-  AssembleForward(batch, ctx);
+  AssembleForward(batch.size, ctx);
   probs->resize(batch.size);
   SigmoidForward(ctx->logits.data(), batch.size, probs->data());
 }

@@ -45,20 +45,11 @@ class FixedArchModel : public CtrModel {
 
   std::string Name() const override { return name_; }
 
-  /// Exactly PrepareBatch + ForwardBackward + ApplyGrads, so the serial
-  /// loop and the pipelined executor produce bit-identical training.
-  float TrainStep(const Batch& batch) override;
-
-  bool SupportsPhasedTrainStep() const override { return true; }
   void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override;
   float ForwardBackward(const PreparedBatch& prep) override;
   void ApplyGrads() override;
 
-  void Predict(const Batch& batch, std::vector<float>* probs) override;
-
-  /// Re-entrant prediction into a caller-owned context; safe to run
-  /// concurrently on different batches.
-  bool SupportsReentrantPredict() const override { return true; }
+  /// Batch size 1 takes the fused single-row path (bit-identical).
   void Predict(const Batch& batch, std::vector<float>* probs,
                ForwardContext* ctx) const override;
 
@@ -111,7 +102,7 @@ class FixedArchModel : public CtrModel {
  private:
   /// Shared tail of the forward pass: assembles z from the gathered
   /// embeddings in `ctx`, runs the MLP, fills ctx->logits.
-  void AssembleForward(const Batch& batch, ForwardContext* ctx) const;
+  void AssembleForward(size_t b, ForwardContext* ctx) const;
 
   /// Fused batch-1 predict: gathers embeddings straight into the z row and
   /// computes interactions in place. Bit-identical to the generic path.
@@ -141,12 +132,10 @@ class FixedArchModel : public CtrModel {
   bool fuse_single_row_ = true;       // batch-1 fast path (test toggle)
 
   // Training-path caches: activations live in ctx_ so forward state has a
-  // single home shared with the re-entrant Predict machinery. The prepared
-  // batch and gradient tensors are members (not step locals) so their
-  // buffers persist across steps — part of the steady-state
-  // zero-allocation contract (DESIGN.md).
+  // single home shared with Predict. Gradient tensors are members (not
+  // step locals) so their buffers persist across steps — part of the
+  // steady-state zero-allocation contract (DESIGN.md).
   ForwardContext ctx_;
-  PreparedBatch own_prep_;  // used by the plain (serial) TrainStep
   std::vector<float> dlogits_;
   Tensor dmlp_out_;
   Tensor dz_;

@@ -73,20 +73,21 @@ void MultiOpSearchModel::SampleProbs(std::vector<float>* probs) {
   }
 }
 
-void MultiOpSearchModel::ForwardWithProbs(const Batch& batch,
-                                          const std::vector<float>& probs) {
-  emb_.Forward(batch, &emb_out_);
-  cross_emb_->Forward(batch, &cross_out_);
-  const size_t b = batch.size;
-  const size_t emb_cols = emb_out_.cols();
+void MultiOpSearchModel::ForwardWithProbs(const std::vector<float>& probs,
+                                          ForwardContext* ctx) const {
+  const Tensor& emb_out = ctx->emb_out;
+  const size_t b = emb_out.rows();
+  const size_t emb_cols = emb_out.cols();
   const size_t num_pairs = data_.num_pairs();
   const size_t k = num_candidates();
-  z_.Resize({b, emb_cols + num_pairs * db_});
+  std::vector<float> scratch(db_);
+  Tensor& z = ctx->z;
+  z.Resize({b, emb_cols + num_pairs * db_});
   for (size_t row = 0; row < b; ++row) {
-    float* zr = z_.row(row);
-    std::memcpy(zr, emb_out_.row(row), emb_cols * sizeof(float));
-    const float* e = emb_out_.row(row);
-    const float* cr = cross_out_.row(row);
+    float* zr = z.row(row);
+    std::memcpy(zr, emb_out.row(row), emb_cols * sizeof(float));
+    const float* e = emb_out.row(row);
+    const float* cr = ctx->cross_out.row(row);
     float* blocks = zr + emb_cols;
     std::memset(blocks, 0, num_pairs * db_ * sizeof(float));
     for (size_t p = 0; p < num_pairs; ++p) {
@@ -98,45 +99,53 @@ void MultiOpSearchModel::ForwardWithProbs(const Batch& batch,
       for (size_t f = 0; f < fns_.size(); ++f) {
         const size_t w = FactorizedWidth(fns_[f], s1_);
         FactorizedForward(fns_[f], s1_, e + i * s1_, e + j * s1_,
-                          scratch_.data());
-        for (size_t t = 0; t < w; ++t) block[t] += pr[1 + f] * scratch_[t];
+                          scratch.data());
+        for (size_t t = 0; t < w; ++t) block[t] += pr[1 + f] * scratch[t];
       }
       // Last candidate (naive) contributes nothing.
     }
   }
-  mlp_->Forward(z_, &mlp_out_);
-  logits_.resize(b);
-  for (size_t row = 0; row < b; ++row) logits_[row] = mlp_out_.at(row, 0);
+  mlp_->Forward(z, &ctx->mlp_out, &ctx->mlp);
+  ctx->logits.resize(b);
+  for (size_t row = 0; row < b; ++row) {
+    ctx->logits[row] = ctx->mlp_out.at(row, 0);
+  }
 }
 
-float MultiOpSearchModel::TrainStep(const Batch& batch) {
+void MultiOpSearchModel::PrepareBatch(const Batch& batch,
+                                      PreparedBatch* prep) const {
+  prep->BeginFill(batch);
+  emb_.Prepare(batch, prep);
+  cross_emb_->Prepare(batch, &prep->dedup, &prep->cross);
+}
+
+float MultiOpSearchModel::ForwardBackward(const PreparedBatch& prep) {
   SampleProbs(&probs_cache_);
-  ForwardWithProbs(batch, probs_cache_);
-  const size_t b = batch.size;
+  const size_t b = prep.size;
+  emb_.ForwardPrepared(prep, prep.cat, &ctx_.emb_out);
+  cross_emb_->ForwardPrepared(prep.cross, b, &ctx_.cross_out);
+  ForwardWithProbs(probs_cache_, &ctx_);
   const size_t k = num_candidates();
-  labels_.resize(b);
   dlogits_.resize(b);
-  for (size_t row = 0; row < b; ++row) labels_[row] = batch.label(row);
-  const float loss = BceWithLogitsLoss(logits_.data(), labels_.data(), b,
-                                       dlogits_.data());
+  const float loss = BceWithLogitsLoss(ctx_.logits.data(), prep.labels.data(),
+                                       b, dlogits_.data());
 
-  Tensor dmlp_out({b, 1});
-  for (size_t row = 0; row < b; ++row) dmlp_out.at(row, 0) = dlogits_[row];
-  Tensor dz;
-  mlp_->Backward(dmlp_out, &dz);
+  dmlp_out_.Resize({b, 1});
+  for (size_t row = 0; row < b; ++row) dmlp_out_.at(row, 0) = dlogits_[row];
+  mlp_->Backward(dmlp_out_, &dz_, &ctx_.mlp);
 
-  const size_t emb_cols = emb_out_.cols();
+  const size_t emb_cols = ctx_.emb_out.cols();
   const size_t num_pairs = data_.num_pairs();
-  Tensor demb({b, emb_cols});
-  Tensor dcross({b, cross_out_.cols()});
-  std::vector<double> dp(num_pairs * k, 0.0);
+  demb_.Resize({b, emb_cols});
+  dcross_.Resize({b, ctx_.cross_out.cols()});
+  dp_.assign(num_pairs * k, 0.0);
   for (size_t row = 0; row < b; ++row) {
-    const float* dzr = dz.row(row);
-    std::memcpy(demb.row(row), dzr, emb_cols * sizeof(float));
-    const float* e = emb_out_.row(row);
-    const float* cr = cross_out_.row(row);
-    float* de = demb.row(row);
-    float* dcr = dcross.row(row);
+    const float* dzr = dz_.row(row);
+    std::memcpy(demb_.row(row), dzr, emb_cols * sizeof(float));
+    const float* e = ctx_.emb_out.row(row);
+    const float* cr = ctx_.cross_out.row(row);
+    float* de = demb_.row(row);
+    float* dcr = dcross_.row(row);
     const float* dblocks = dzr + emb_cols;
     for (size_t p = 0; p < num_pairs; ++p) {
       const float* pr = probs_cache_.data() + p * k;
@@ -148,7 +157,7 @@ float MultiOpSearchModel::TrainStep(const Batch& batch) {
         dpm += static_cast<double>(dblock[t]) * mem[t];
         dmem[t] = pr[0] * dblock[t];
       }
-      dp[p * k + 0] += dpm;
+      dp_[p * k + 0] += dpm;
       const auto [i, j] = cat_pairs_[p];
       const float* ei = e + i * s1_;
       const float* ej = e + j * s1_;
@@ -159,7 +168,7 @@ float MultiOpSearchModel::TrainStep(const Batch& batch) {
         for (size_t t = 0; t < w; ++t) {
           dpf += static_cast<double>(dblock[t]) * scratch_[t];
         }
-        dp[p * k + 1 + f] += dpf;
+        dp_[p * k + 1 + f] += dpf;
         FactorizedBackward(fns_[f], s1_, ei, ej, dblock, pr[1 + f],
                            de + i * s1_, de + j * s1_);
       }
@@ -168,7 +177,7 @@ float MultiOpSearchModel::TrainStep(const Batch& batch) {
 
   for (size_t p = 0; p < num_pairs; ++p) {
     const float* pr = probs_cache_.data() + p * k;
-    const double* dpr = dp.data() + p * k;
+    const double* dpr = dp_.data() + p * k;
     double weighted = 0.0;
     for (size_t c = 0; c < k; ++c) weighted += pr[c] * dpr[c];
     float* da = alpha_.grad.row(p);
@@ -177,19 +186,22 @@ float MultiOpSearchModel::TrainStep(const Batch& batch) {
     }
   }
 
-  emb_.Backward(demb);
-  cross_emb_->Backward(dcross);
-  emb_.Step();
-  cross_emb_->Step();
+  emb_.BackwardPrepared(demb_, prep, prep.cat);
+  cross_emb_->BackwardPrepared(dcross_, prep.cross);
+  return loss;
+}
+
+void MultiOpSearchModel::ApplyGrads() {
+  emb_.StepPrepared();
+  cross_emb_->StepPrepared();
   theta_opt_.Step();
   theta_opt_.ZeroGrad();
   arch_opt_.Step();
   arch_opt_.ZeroGrad();
-  return loss;
 }
 
-void MultiOpSearchModel::Predict(const Batch& batch,
-                                 std::vector<float>* probs) {
+void MultiOpSearchModel::Predict(const Batch& batch, std::vector<float>* probs,
+                                 ForwardContext* ctx) const {
   const size_t num_pairs = data_.num_pairs();
   const size_t k = num_candidates();
   std::vector<float> p(num_pairs * k);
@@ -199,9 +211,11 @@ void MultiOpSearchModel::Predict(const Batch& batch,
     for (size_t c = 0; c < k; ++c) scaled[c] = a[c] / tau_;
     Softmax(k, scaled.data(), p.data() + q * k);
   }
-  ForwardWithProbs(batch, p);
+  emb_.Gather(batch, &ctx->emb_out);
+  cross_emb_->Gather(batch, &ctx->cross_out);
+  ForwardWithProbs(p, ctx);
   probs->resize(batch.size);
-  SigmoidForward(logits_.data(), batch.size, probs->data());
+  SigmoidForward(ctx->logits.data(), batch.size, probs->data());
 }
 
 size_t MultiOpSearchModel::ParamCount() const {

@@ -39,8 +39,14 @@ class MultiOpSearchModel : public CtrModel {
                          FactorizeFn::kInnerProduct});
 
   std::string Name() const override { return "OptInter-multiop-search"; }
-  float TrainStep(const Batch& batch) override;
-  void Predict(const Batch& batch, std::vector<float>* probs) override;
+  void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override;
+  /// Samples fresh Gumbel noise, then forward + loss + backward; Θ and α
+  /// are both updated in ApplyGrads (joint mode).
+  float ForwardBackward(const PreparedBatch& prep) override;
+  void ApplyGrads() override;
+  /// Noise-free expectation under softmax(α/τ).
+  void Predict(const Batch& batch, std::vector<float>* probs,
+               ForwardContext* ctx) const override;
   size_t ParamCount() const override;
   void CollectState(std::vector<Tensor*>* out) override;
 
@@ -56,7 +62,10 @@ class MultiOpSearchModel : public CtrModel {
 
  private:
   void SampleProbs(std::vector<float>* probs);
-  void ForwardWithProbs(const Batch& batch, const std::vector<float>& probs);
+  /// Mixed candidates + MLP from the gathered embeddings in ctx->emb_out
+  /// and ctx->cross_out; fills ctx->logits.
+  void ForwardWithProbs(const std::vector<float>& probs,
+                        ForwardContext* ctx) const;
 
   const EncodedDataset& data_;
   std::vector<FactorizeFn> fns_;
@@ -74,15 +83,16 @@ class MultiOpSearchModel : public CtrModel {
 
   std::vector<std::pair<size_t, size_t>> cat_pairs_;
 
-  Tensor emb_out_;
-  Tensor cross_out_;
-  Tensor z_;
-  Tensor mlp_out_;
+  // Training-path state, reused across steps.
+  ForwardContext ctx_;
   std::vector<float> probs_cache_;
   std::vector<float> scratch_;
-  std::vector<float> logits_;
-  std::vector<float> labels_;
   std::vector<float> dlogits_;
+  Tensor dmlp_out_;
+  Tensor dz_;
+  Tensor demb_;
+  Tensor dcross_;
+  std::vector<double> dp_;
 };
 
 }  // namespace optinter

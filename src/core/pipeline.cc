@@ -66,11 +66,9 @@ SearchResult RunSearchStage(const EncodedDataset& data, const Splits& splits,
   Architecture prev_arch;  // empty until the first epoch snapshot
   const size_t epochs = std::max<size_t>(1, options.search_epochs);
   // Joint mode pipelines Θ+α steps; bi-level interleaves a serial ArchStep
-  // per batch, so overlapping the next prepare would change nothing and
-  // complicate the fence story.
-  const bool use_pipeline = options.pipeline &&
-                            options.mode == UpdateMode::kJoint &&
-                            model.SupportsPhasedTrainStep();
+  // per batch, so it runs the serial loop.
+  const bool use_pipeline =
+      options.pipeline && options.mode == UpdateMode::kJoint;
   std::unique_ptr<PipelinedTrainExecutor> executor;
   if (use_pipeline) executor = std::make_unique<PipelinedTrainExecutor>(&model);
   // Within-epoch α sampling: every K steps, diff the argmax architecture

@@ -75,10 +75,8 @@ void SearchModel::SampleProbs(std::vector<float>* probs) {
   }
 }
 
-void SearchModel::AssembleForward(const Batch& batch,
-                                  const std::vector<float>& probs,
+void SearchModel::AssembleForward(size_t b, const std::vector<float>& probs,
                                   ForwardContext* ctx) const {
-  const size_t b = batch.size;
   const size_t emb_cols = ctx->emb_out.cols();
   const size_t num_pairs = data_.num_pairs();
   Tensor& z = ctx->z;
@@ -125,29 +123,24 @@ void SearchModel::AssembleForward(const Batch& batch,
   for (size_t k = 0; k < b; ++k) ctx->logits[k] = ctx->mlp_out.at(k, 0);
 }
 
-float SearchModel::ComputeForwardBackward(const Batch& batch,
-                                          const PreparedBatch* prep) {
+void SearchModel::PrepareBatch(const Batch& batch,
+                               PreparedBatch* prep) const {
+  OPTINTER_TRACE_SPAN("prepare_batch");
+  prep->BeginFill(batch);
+  emb_.Prepare(batch, prep);
+  cross_emb_->Prepare(batch, &prep->dedup, &prep->cross);
+}
+
+float SearchModel::ForwardBackward(const PreparedBatch& prep) {
+  OPTINTER_TRACE_SPAN("search_step");
   SampleProbs(&probs_cache_);
-  if (prep != nullptr) {
-    emb_.ForwardPrepared(*prep, &ctx_.emb_out);
-    cross_emb_->ForwardPrepared(prep->cross, prep->size, &ctx_.cross_out);
-  } else {
-    emb_.Forward(batch, &ctx_.emb_out);
-    cross_emb_->Forward(batch, &ctx_.cross_out);
-  }
-  AssembleForward(batch, probs_cache_, &ctx_);
-  const size_t b = batch.size;
-  const float* labels;
-  if (prep != nullptr) {
-    labels = prep->labels.data();
-  } else {
-    labels_.resize(b);
-    for (size_t k = 0; k < b; ++k) labels_[k] = batch.label(k);
-    labels = labels_.data();
-  }
+  const size_t b = prep.size;
+  emb_.ForwardPrepared(prep, prep.cat, &ctx_.emb_out);
+  cross_emb_->ForwardPrepared(prep.cross, b, &ctx_.cross_out);
+  AssembleForward(b, probs_cache_, &ctx_);
   dlogits_.resize(b);
-  const float loss = BceWithLogitsLoss(ctx_.logits.data(), labels, b,
-                                       dlogits_.data());
+  const float loss = BceWithLogitsLoss(ctx_.logits.data(), prep.labels.data(),
+                                       b, dlogits_.data());
 
   dmlp_out_.Resize({b, 1});
   for (size_t k = 0; k < b; ++k) dmlp_out_.at(k, 0) = dlogits_[k];
@@ -238,34 +231,9 @@ float SearchModel::ComputeForwardBackward(const Batch& batch,
     }
   }
 
-  if (prep != nullptr) {
-    emb_.BackwardPrepared(demb_, *prep);
-    cross_emb_->BackwardPrepared(dcross_, prep->cross);
-  } else {
-    emb_.Backward(demb_);
-    cross_emb_->Backward(dcross_);
-  }
+  emb_.BackwardPrepared(demb_, prep, prep.cat);
+  cross_emb_->BackwardPrepared(dcross_, prep.cross);
   return loss;
-}
-
-float SearchModel::TrainStep(const Batch& batch) {
-  PrepareBatch(batch, &own_prep_);
-  const float loss = ForwardBackward(own_prep_);
-  ApplyGrads();
-  return loss;
-}
-
-void SearchModel::PrepareBatch(const Batch& batch,
-                               PreparedBatch* prep) const {
-  OPTINTER_TRACE_SPAN("prepare_batch");
-  prep->BeginFill(batch);
-  emb_.Prepare(batch, prep);
-  cross_emb_->Prepare(batch, &prep->dedup, &prep->cross);
-}
-
-float SearchModel::ForwardBackward(const PreparedBatch& prep) {
-  OPTINTER_TRACE_SPAN("search_step");
-  return ComputeForwardBackward(prep.AsBatch(), &prep);
 }
 
 void SearchModel::ApplyGrads() {
@@ -279,20 +247,15 @@ void SearchModel::ApplyGrads() {
 }
 
 float SearchModel::ArchStep(const Batch& batch) {
-  OPTINTER_TRACE_SPAN("search_step");
-  // α-only update on the legacy (unprepared) path: Θ gradients are
-  // computed but discarded.
-  const float loss = ComputeForwardBackward(batch, nullptr);
-  emb_.ClearGrads();
-  cross_emb_->ClearGrads();
+  // α-only update: Θ gradients are computed but discarded.
+  PrepareBatch(batch, step_prep());
+  const float loss = ForwardBackward(*step_prep());
+  emb_.ClearPreparedGrads();
+  cross_emb_->ClearPreparedGrads();
   theta_opt_.ZeroGrad();
   arch_opt_.Step();
   arch_opt_.ZeroGrad();
   return loss;
-}
-
-void SearchModel::Predict(const Batch& batch, std::vector<float>* probs) {
-  Predict(batch, probs, &ctx_);
 }
 
 void SearchModel::Predict(const Batch& batch, std::vector<float>* probs,
@@ -306,12 +269,11 @@ void SearchModel::Predict(const Batch& batch, std::vector<float>* probs,
     for (int k = 0; k < 3; ++k) scaled[k] = a[k] / tau_;
     Softmax(3, scaled, p.data() + q * 3);
   }
-  // Gather (not Forward): eval never scatters gradients, so the embedding
-  // layers' batch-row caches stay untouched and concurrent calls with
+  // Gather touches no mutable layer state, so concurrent calls with
   // distinct contexts share only immutable parameters.
   emb_.Gather(batch, &ctx->emb_out);
   cross_emb_->Gather(batch, &ctx->cross_out);
-  AssembleForward(batch, p, ctx);
+  AssembleForward(batch.size, p, ctx);
   probs->resize(batch.size);
   SigmoidForward(ctx->logits.data(), batch.size, probs->data());
 }

@@ -50,27 +50,19 @@ class SearchModel : public CtrModel {
                                        : "OptInter-search-bilevel";
   }
 
-  /// One step on a training batch. Joint mode updates Θ and α; bi-level
-  /// mode updates Θ only. Implemented as exactly PrepareBatch +
-  /// ForwardBackward + ApplyGrads, so the serial loop and the pipelined
-  /// executor produce bit-identical training (including the Gumbel noise
-  /// stream, which is consumed inside ForwardBackward in step order).
-  float TrainStep(const Batch& batch) override;
-
-  bool SupportsPhasedTrainStep() const override { return true; }
+  /// TrainStep (CtrModel) updates Θ and α in joint mode and Θ only in
+  /// bi-level mode. The Gumbel noise stream is consumed inside
+  /// ForwardBackward in step order, so the serial loop and the pipelined
+  /// executor train bit-identically.
   void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override;
   float ForwardBackward(const PreparedBatch& prep) override;
   void ApplyGrads() override;
 
-  /// Bi-level only: one α-update step (typically on a validation batch).
+  /// Bi-level only: one α-update step (typically on a validation batch),
+  /// prepared the way TrainStep prepares its batch.
   float ArchStep(const Batch& batch);
 
   /// Eval-time prediction: expectation under softmax(α/τ), no noise.
-  void Predict(const Batch& batch, std::vector<float>* probs) override;
-
-  /// Re-entrant prediction into a caller-owned context (same math as
-  /// Predict above); safe to run concurrently on different batches.
-  bool SupportsReentrantPredict() const override { return true; }
   void Predict(const Batch& batch, std::vector<float>* probs,
                ForwardContext* ctx) const override;
 
@@ -97,16 +89,12 @@ class SearchModel : public CtrModel {
  private:
   /// Shared tail of the forward pass: assembles z from ctx->emb_out /
   /// ctx->cross_out, runs the MLP, fills ctx->logits. Touches only `ctx`.
-  void AssembleForward(const Batch& batch, const std::vector<float>& probs,
+  void AssembleForward(size_t b, const std::vector<float>& probs,
                        ForwardContext* ctx) const;
 
   /// Computes per-pair probabilities with fresh Gumbel noise.
   void SampleProbs(std::vector<float>* probs);
 
-  /// Gumbel sample + forward + loss + backward (Θ and α gradients left
-  /// accumulated). With `prep` non-null the prepared gather/scatter path
-  /// is used; otherwise the legacy batch path (ArchStep).
-  float ComputeForwardBackward(const Batch& batch, const PreparedBatch* prep);
 
   const EncodedDataset& data_;
   UpdateMode mode_;
@@ -127,14 +115,11 @@ class SearchModel : public CtrModel {
   std::vector<std::pair<size_t, size_t>> cat_pairs_;
 
   // Training-path caches: activations live in ctx_ so forward state has a
-  // single home shared with the re-entrant Predict machinery. Gradient
-  // tensors and reduction buffers are members so their heap capacity
-  // persists across steps (steady-state zero-allocation contract,
-  // DESIGN.md).
+  // single home shared with Predict. Gradient tensors and reduction
+  // buffers are members so their heap capacity persists across steps
+  // (steady-state zero-allocation contract, DESIGN.md).
   ForwardContext ctx_;
-  PreparedBatch own_prep_;  // used by the plain (serial) TrainStep
   std::vector<float> probs_cache_;
-  std::vector<float> labels_;
   std::vector<float> dlogits_;
   Tensor dmlp_out_;
   Tensor dz_;

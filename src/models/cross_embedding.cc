@@ -30,14 +30,6 @@ CrossEmbedding::CrossEmbedding(const EncodedDataset& data,
   }
 }
 
-void CrossEmbedding::Forward(const Batch& batch, Tensor* out) {
-  // Any compatibly-encoded dataset is accepted (Gather checks layout);
-  // it must stay valid through Backward, which re-reads ids from it.
-  Gather(batch, out);
-  batch_data_ = batch.data;
-  batch_rows_.assign(batch.rows, batch.rows + batch.size);
-}
-
 void CrossEmbedding::Gather(const Batch& batch, Tensor* out) const {
   OPTINTER_TRACE_SPAN("cross_gather");
   const EncodedDataset& data = *batch.data;
@@ -65,36 +57,6 @@ void CrossEmbedding::Gather(const Batch& batch, Tensor* out) const {
 void CrossEmbedding::CopyRow(const EncodedDataset& data, size_t row,
                              size_t t, float* dst) const {
   tables_[t]->CopyRow(data.cross(row, pairs_[t]), dst);
-}
-
-void CrossEmbedding::Backward(const Tensor& d_out) {
-  OPTINTER_TRACE_SPAN("cross_scatter");
-  CHECK_EQ(d_out.rows(), batch_rows_.size());
-  CHECK_EQ(d_out.cols(), output_dim());
-  const size_t rows = batch_rows_.size();
-  // Row-bucketed scatter: one bucket per (table, backing-row shard), each
-  // scanning rows in ascending order — shard contents match the serial
-  // loop bit for bit, and distinct buckets never share a gradient slot.
-  // The table routes each id's backing parts to their owning shard.
-  auto scatter_bucket = [&](size_t t, size_t shard) {
-    EmbeddingTable& table = *tables_[t];
-    for (size_t k = 0; k < rows; ++k) {
-      const int32_t id = batch_data_->cross(batch_rows_[k], pairs_[t]);
-      table.AccumulateGradForShard(shard, id, d_out.row(k) + t * dim_);
-    }
-  };
-  const size_t num_buckets = pairs_.size() * EmbeddingTable::kGradShards;
-  auto run_buckets = [&](size_t lo, size_t hi) {
-    for (size_t b = lo; b < hi; ++b) {
-      scatter_bucket(b / EmbeddingTable::kGradShards,
-                     b % EmbeddingTable::kGradShards);
-    }
-  };
-  if (d_out.size() >= (1u << 15) && num_buckets > 1) {
-    ParallelForChunks(0, num_buckets, run_buckets, /*min_chunk=*/1);
-  } else {
-    run_buckets(0, num_buckets);
-  }
 }
 
 void CrossEmbedding::Prepare(const Batch& batch, IdDedupScratch* dedup,
@@ -143,6 +105,10 @@ void CrossEmbedding::BackwardPrepared(
   OPTINTER_TRACE_SPAN("cross_scatter");
   CHECK_EQ(tables.size(), pairs_.size());
   CHECK_EQ(d_out.cols(), output_dim());
+  // One bucket per (table, backing-row shard). Each bucket walks its rows
+  // in ascending order, so every backing row accumulates in the serial
+  // row order — bit for bit at any thread count — and distinct buckets
+  // never share a gradient slot.
   auto scatter_bucket = [&](size_t t, size_t shard) {
     EmbeddingTable& table = *tables_[t];
     const PreparedTable& pt = tables[t];
@@ -178,12 +144,8 @@ void CrossEmbedding::StepPrepared(const AdamConfig& config) {
   for (auto& t : tables_) t->SparseAdamStepPrepared(config);
 }
 
-void CrossEmbedding::Step(const AdamConfig& config) {
-  for (auto& t : tables_) t->SparseAdamStep(config);
-}
-
-void CrossEmbedding::ClearGrads() {
-  for (auto& t : tables_) t->ClearGrads();
+void CrossEmbedding::ClearPreparedGrads() {
+  for (auto& t : tables_) t->ClearPreparedGrads();
 }
 
 void CrossEmbedding::CollectState(std::vector<Tensor*>* out) {

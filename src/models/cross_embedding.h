@@ -33,14 +33,11 @@ class CrossEmbedding {
                  size_t dim, float lr, float l2, Rng* rng,
                  const EmbeddingBackendConfig& backend = {});
 
-  /// out: [B × (pairs.size() * dim)], pair blocks in the order given at
-  /// construction. Caches the batch for Backward.
-  void Forward(const Batch& batch, Tensor* out);
-
-  /// Inference-only lookup: same output as Forward but touches no mutable
-  /// state, so concurrent calls on different batches are safe. The batch
-  /// may reference any dataset with the same pair layout as the
-  /// construction dataset (serving-arena batches qualify).
+  /// Inference-only lookup, out: [B × (pairs.size() * dim)] with pair
+  /// blocks in the order given at construction. Touches no mutable state,
+  /// so concurrent calls on different batches are safe. The batch may
+  /// reference any dataset with the same pair layout as the construction
+  /// dataset (serving-arena batches qualify).
   void Gather(const Batch& batch, Tensor* out) const;
 
   /// Embedding row for pair-block `t` of dataset row `row`, written into
@@ -50,12 +47,10 @@ class CrossEmbedding {
   void CopyRow(const EncodedDataset& data, size_t row, size_t t,
                float* dst) const;
 
-  /// Scatters d_out into table gradients.
-  void Backward(const Tensor& d_out);
-
-  // Phase-split path (see prepared_batch.h / DESIGN.md): id prep reads
-  // only the dataset, ForwardPrepared arms the slot-addressed scatter,
-  // BackwardPrepared/StepPrepared mirror Backward/Step bit for bit.
+  // Training path (see prepared_batch.h / DESIGN.md): id prep reads only
+  // the dataset, ForwardPrepared gathers what Gather would and arms the
+  // slot-addressed scatter, BackwardPrepared accumulates into it and
+  // StepPrepared applies sparse Adam over the prepared slots.
   void Prepare(const Batch& batch, IdDedupScratch* dedup,
                std::vector<PreparedTable>* tables) const;
   void ForwardPrepared(const std::vector<PreparedTable>& tables,
@@ -63,9 +58,8 @@ class CrossEmbedding {
   void BackwardPrepared(const Tensor& d_out,
                         const std::vector<PreparedTable>& tables);
   void StepPrepared(const AdamConfig& config = {});
-
-  void Step(const AdamConfig& config = {});
-  void ClearGrads();
+  /// Ends the prepared scatter without updating (discarded gradients).
+  void ClearPreparedGrads();
 
   size_t ParamCount() const;
 
@@ -85,10 +79,6 @@ class CrossEmbedding {
   std::vector<size_t> pairs_;
   size_t dim_;
   std::vector<std::unique_ptr<EmbeddingTable>> tables_;
-  // Cached batch (dataset + rows) for the backward scatter; the dataset a
-  // Forward batch references must stay valid until Backward runs.
-  const EncodedDataset* batch_data_ = nullptr;
-  std::vector<size_t> batch_rows_;
 };
 
 }  // namespace optinter

@@ -25,8 +25,6 @@ DeepBaselineModel::DeepBaselineModel(const EncodedDataset& data,
 
   size_t mlp_in = emb_.output_dim();
   switch (variant_) {
-    case DeepVariant::kFnn:
-      break;
     case DeepVariant::kIpnn:
       mlp_in += num_pairs_;
       break;
@@ -82,8 +80,6 @@ DeepBaselineModel::DeepBaselineModel(const EncodedDataset& data,
 
 std::string DeepBaselineModel::Name() const {
   switch (variant_) {
-    case DeepVariant::kFnn:
-      return "FNN";
     case DeepVariant::kIpnn:
       return "IPNN";
     case DeepVariant::kOpnn:
@@ -96,11 +92,11 @@ std::string DeepBaselineModel::Name() const {
   return "Deep?";
 }
 
-void DeepBaselineModel::Forward(const Batch& batch) {
-  emb_.Forward(batch, &emb_out_);
-  const size_t b = batch.size;
+void DeepBaselineModel::Forward(ForwardContext* ctx) const {
+  const Tensor& emb_out = ctx->emb_out;
+  const size_t b = emb_out.rows();
   const size_t d = dim_;
-  const size_t emb_cols = emb_out_.cols();
+  const size_t emb_cols = emb_out.cols();
 
   size_t extra = 0;
   if (variant_ == DeepVariant::kIpnn || variant_ == DeepVariant::kOpnn) {
@@ -108,19 +104,19 @@ void DeepBaselineModel::Forward(const Batch& batch) {
   } else if (variant_ == DeepVariant::kPin) {
     extra = num_pairs_ * kPinSubnetOut;
   }
-  z_.Resize({b, emb_cols + extra});
+  Tensor& z = ctx->z;
+  z.Resize({b, emb_cols + extra});
   for (size_t k = 0; k < b; ++k) {
-    std::memcpy(z_.row(k), emb_out_.row(k), emb_cols * sizeof(float));
+    std::memcpy(z.row(k), emb_out.row(k), emb_cols * sizeof(float));
   }
 
   switch (variant_) {
-    case DeepVariant::kFnn:
     case DeepVariant::kDeepFm:
       break;
     case DeepVariant::kIpnn: {
       for (size_t k = 0; k < b; ++k) {
-        const float* e = emb_out_.row(k);
-        float* zp = z_.row(k) + emb_cols;
+        const float* e = emb_out.row(k);
+        float* zp = z.row(k) + emb_cols;
         for (size_t p = 0; p < num_pairs_; ++p) {
           const auto [i, j] = field_pairs_[p];
           zp[p] = Dot(d, e + i * d, e + j * d);
@@ -130,8 +126,8 @@ void DeepBaselineModel::Forward(const Batch& batch) {
     }
     case DeepVariant::kOpnn: {
       for (size_t k = 0; k < b; ++k) {
-        const float* e = emb_out_.row(k);
-        float* zp = z_.row(k) + emb_cols;
+        const float* e = emb_out.row(k);
+        float* zp = z.row(k) + emb_cols;
         for (size_t p = 0; p < num_pairs_; ++p) {
           const auto [i, j] = field_pairs_[p];
           const float* w = kernels_.value.row(p);
@@ -145,40 +141,41 @@ void DeepBaselineModel::Forward(const Batch& batch) {
       break;
     }
     case DeepVariant::kPin: {
-      subnet_in_.resize(num_pairs_);
-      subnet_out_.resize(num_pairs_);
+      ctx->subnet_in.resize(num_pairs_);
+      ctx->subnet_out.resize(num_pairs_);
+      ctx->subnet_ws.resize(num_pairs_);
       for (size_t p = 0; p < num_pairs_; ++p) {
         const auto [i, j] = field_pairs_[p];
-        Tensor& in = subnet_in_[p];
+        Tensor& in = ctx->subnet_in[p];
         in.Resize({b, 3 * d});
         for (size_t k = 0; k < b; ++k) {
-          const float* e = emb_out_.row(k);
+          const float* e = emb_out.row(k);
           float* dst = in.row(k);
           std::memcpy(dst, e + i * d, d * sizeof(float));
           std::memcpy(dst + d, e + j * d, d * sizeof(float));
           Hadamard(d, e + i * d, e + j * d, dst + 2 * d);
         }
-        subnets_[p]->Forward(in, &subnet_out_[p]);
+        Tensor& out = ctx->subnet_out[p];
+        subnets_[p]->Forward(in, &out, &ctx->subnet_ws[p]);
         for (size_t k = 0; k < b; ++k) {
-          std::memcpy(z_.row(k) + emb_cols + p * kPinSubnetOut,
-                      subnet_out_[p].row(k), kPinSubnetOut * sizeof(float));
+          std::memcpy(z.row(k) + emb_cols + p * kPinSubnetOut, out.row(k),
+                      kPinSubnetOut * sizeof(float));
         }
       }
       break;
     }
   }
 
-  mlp_->Forward(z_, &mlp_out_);
-  logits_.resize(b);
-  for (size_t k = 0; k < b; ++k) logits_[k] = mlp_out_.at(k, 0);
+  mlp_->Forward(z, &ctx->mlp_out, &ctx->mlp);
+  ctx->logits.resize(b);
+  for (size_t k = 0; k < b; ++k) ctx->logits[k] = ctx->mlp_out.at(k, 0);
 
   if (variant_ == DeepVariant::kDeepFm) {
-    linear_->Forward(batch, &linear_out_);
+    const Tensor& linear_out = ctx->first_order;
     std::vector<float> sum_t(d);
     for (size_t k = 0; k < b; ++k) {
-      float fm = fm_bias_.value[0] +
-                 Sum(linear_out_.cols(), linear_out_.row(k));
-      const float* e = emb_out_.row(k);
+      float fm = fm_bias_.value[0] + Sum(linear_out.cols(), linear_out.row(k));
+      const float* e = emb_out.row(k);
       for (size_t t = 0; t < d; ++t) sum_t[t] = 0.0f;
       float sq = 0.0f;
       for (size_t f = 0; f < num_fields_; ++f) {
@@ -191,40 +188,47 @@ void DeepBaselineModel::Forward(const Batch& batch) {
       float s2 = 0.0f;
       for (size_t t = 0; t < d; ++t) s2 += sum_t[t] * sum_t[t];
       fm += 0.5f * (s2 - sq);
-      logits_[k] += fm;
+      ctx->logits[k] += fm;
     }
   }
 }
 
-float DeepBaselineModel::TrainStep(const Batch& batch) {
-  Forward(batch);
-  const size_t b = batch.size;
+void DeepBaselineModel::PrepareBatch(const Batch& batch,
+                                     PreparedBatch* prep) const {
+  prep->BeginFill(batch);
+  emb_.Prepare(batch, prep);
+  if (linear_) linear_->PrepareIds(batch, &prep->dedup, &prep->first_order);
+}
+
+float DeepBaselineModel::ForwardBackward(const PreparedBatch& prep) {
+  emb_.ForwardPrepared(prep, prep.cat, &ctx_.emb_out);
+  if (linear_) {
+    linear_->ForwardPrepared(prep, prep.first_order, &ctx_.first_order);
+  }
+  Forward(&ctx_);
+  const size_t b = prep.size;
   const size_t d = dim_;
-  labels_.resize(b);
   dlogits_.resize(b);
-  for (size_t k = 0; k < b; ++k) labels_[k] = batch.label(k);
-  const float loss = BceWithLogitsLoss(logits_.data(), labels_.data(), b,
-                                       dlogits_.data());
+  const float loss = BceWithLogitsLoss(ctx_.logits.data(), prep.labels.data(),
+                                       b, dlogits_.data());
 
-  Tensor dmlp_out({b, 1});
-  for (size_t k = 0; k < b; ++k) dmlp_out.at(k, 0) = dlogits_[k];
-  Tensor dz;
-  mlp_->Backward(dmlp_out, &dz);
+  dmlp_out_.Resize({b, 1});
+  for (size_t k = 0; k < b; ++k) dmlp_out_.at(k, 0) = dlogits_[k];
+  mlp_->Backward(dmlp_out_, &dz_, &ctx_.mlp);
 
-  const size_t emb_cols = emb_out_.cols();
-  Tensor demb({b, emb_cols});
+  const Tensor& emb_out = ctx_.emb_out;
+  const size_t emb_cols = emb_out.cols();
+  demb_.Resize({b, emb_cols});
   for (size_t k = 0; k < b; ++k) {
-    std::memcpy(demb.row(k), dz.row(k), emb_cols * sizeof(float));
+    std::memcpy(demb_.row(k), dz_.row(k), emb_cols * sizeof(float));
   }
 
   switch (variant_) {
-    case DeepVariant::kFnn:
-      break;
     case DeepVariant::kIpnn: {
       for (size_t k = 0; k < b; ++k) {
-        const float* e = emb_out_.row(k);
-        const float* dzp = dz.row(k) + emb_cols;
-        float* de = demb.row(k);
+        const float* e = emb_out.row(k);
+        const float* dzp = dz_.row(k) + emb_cols;
+        float* de = demb_.row(k);
         for (size_t p = 0; p < num_pairs_; ++p) {
           const auto [i, j] = field_pairs_[p];
           Axpy(d, dzp[p], e + j * d, de + i * d);
@@ -235,9 +239,9 @@ float DeepBaselineModel::TrainStep(const Batch& batch) {
     }
     case DeepVariant::kOpnn: {
       for (size_t k = 0; k < b; ++k) {
-        const float* e = emb_out_.row(k);
-        const float* dzp = dz.row(k) + emb_cols;
-        float* de = demb.row(k);
+        const float* e = emb_out.row(k);
+        const float* dzp = dz_.row(k) + emb_cols;
+        float* de = demb_.row(k);
         for (size_t p = 0; p < num_pairs_; ++p) {
           const float g = dzp[p];
           if (g == 0.0f) continue;
@@ -260,15 +264,16 @@ float DeepBaselineModel::TrainStep(const Batch& batch) {
     }
     case DeepVariant::kDeepFm: {
       // FM-logit path adds gradients on top of the MLP path.
-      Tensor dlinear({b, linear_out_.cols()});
+      const size_t linear_cols = ctx_.first_order.cols();
+      dlinear_.Resize({b, linear_cols});
       std::vector<float> sum_t(d);
       for (size_t k = 0; k < b; ++k) {
         const float g = dlogits_[k];
         fm_bias_.grad[0] += g;
-        float* dl = dlinear.row(k);
-        for (size_t c = 0; c < linear_out_.cols(); ++c) dl[c] = g;
-        const float* e = emb_out_.row(k);
-        float* de = demb.row(k);
+        float* dl = dlinear_.row(k);
+        for (size_t c = 0; c < linear_cols; ++c) dl[c] = g;
+        const float* e = emb_out.row(k);
+        float* de = demb_.row(k);
         for (size_t t = 0; t < d; ++t) sum_t[t] = 0.0f;
         for (size_t f = 0; f < num_fields_; ++f) {
           const float* ef = e + f * d;
@@ -280,25 +285,23 @@ float DeepBaselineModel::TrainStep(const Batch& batch) {
           for (size_t t = 0; t < d; ++t) def[t] += g * (sum_t[t] - ef[t]);
         }
       }
-      linear_->Backward(dlinear);
-      linear_->Step();
+      linear_->BackwardPrepared(dlinear_, prep, prep.first_order);
       break;
     }
     case DeepVariant::kPin: {
-      Tensor dsub_out({b, kPinSubnetOut});
-      Tensor dsub_in;
+      dsub_out_.Resize({b, kPinSubnetOut});
       for (size_t p = 0; p < num_pairs_; ++p) {
         const auto [i, j] = field_pairs_[p];
         for (size_t k = 0; k < b; ++k) {
-          std::memcpy(dsub_out.row(k),
-                      dz.row(k) + emb_cols + p * kPinSubnetOut,
+          std::memcpy(dsub_out_.row(k),
+                      dz_.row(k) + emb_cols + p * kPinSubnetOut,
                       kPinSubnetOut * sizeof(float));
         }
-        subnets_[p]->Backward(dsub_out, &dsub_in);
+        subnets_[p]->Backward(dsub_out_, &dsub_in_, &ctx_.subnet_ws[p]);
         for (size_t k = 0; k < b; ++k) {
-          const float* e = emb_out_.row(k);
-          const float* din = dsub_in.row(k);
-          float* de = demb.row(k);
+          const float* e = emb_out.row(k);
+          const float* din = dsub_in_.row(k);
+          float* de = demb_.row(k);
           const float* ei = e + i * d;
           const float* ej = e + j * d;
           float* dei = de + i * d;
@@ -313,18 +316,24 @@ float DeepBaselineModel::TrainStep(const Batch& batch) {
     }
   }
 
-  emb_.Backward(demb);
-  emb_.Step();
-  dense_opt_.Step();
-  dense_opt_.ZeroGrad();
+  emb_.BackwardPrepared(demb_, prep, prep.cat);
   return loss;
 }
 
-void DeepBaselineModel::Predict(const Batch& batch,
-                                std::vector<float>* probs) {
-  Forward(batch);
+void DeepBaselineModel::ApplyGrads() {
+  emb_.StepPrepared();
+  if (linear_) linear_->StepPrepared();
+  dense_opt_.Step();
+  dense_opt_.ZeroGrad();
+}
+
+void DeepBaselineModel::Predict(const Batch& batch, std::vector<float>* probs,
+                                ForwardContext* ctx) const {
+  emb_.Gather(batch, &ctx->emb_out);
+  if (linear_) linear_->Gather(batch, &ctx->first_order);
+  Forward(ctx);
   probs->resize(batch.size);
-  SigmoidForward(logits_.data(), batch.size, probs->data());
+  SigmoidForward(ctx->logits.data(), batch.size, probs->data());
 }
 
 void DeepBaselineModel::CollectState(std::vector<Tensor*>* out) {

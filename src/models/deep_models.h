@@ -1,7 +1,7 @@
 // Deep baselines (paper Table III / §III-A3), all instances of the
-// OptInter framework with a fixed feature-interaction method:
+// OptInter framework with a fixed feature-interaction method (FNN, the
+// naïve instance, is FixedArchModel::MakeFnn):
 //
-//   FNN    (Zhang 2016):  naïve — MLP over original embeddings only.
 //   IPNN   (Qu 2016):     factorized, inner product ⟨e_i, e_j⟩ per pair.
 //   OPNN   (Qu 2016):     factorized, kernel product e_i K_(i,j) e_jᵀ.
 //   DeepFM (Guo 2017):    factorized, FM logit + MLP logit, shared E^o.
@@ -21,7 +21,7 @@
 
 namespace optinter {
 
-enum class DeepVariant { kFnn, kIpnn, kOpnn, kDeepFm, kPin };
+enum class DeepVariant { kIpnn, kOpnn, kDeepFm, kPin };
 
 /// Output width of each PIN sub-network (paper: sub-net=[40,5]; scaled).
 inline constexpr size_t kPinSubnetOut = 4;
@@ -34,13 +34,19 @@ class DeepBaselineModel : public CtrModel {
                     DeepVariant variant);
 
   std::string Name() const override;
-  float TrainStep(const Batch& batch) override;
-  void Predict(const Batch& batch, std::vector<float>* probs) override;
+  void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override;
+  float ForwardBackward(const PreparedBatch& prep) override;
+  void ApplyGrads() override;
+  void Predict(const Batch& batch, std::vector<float>* probs,
+               ForwardContext* ctx) const override;
   size_t ParamCount() const override;
   void CollectState(std::vector<Tensor*>* out) override;
 
  private:
-  void Forward(const Batch& batch);
+  /// Forward from the gathered embeddings in ctx->emb_out (and, for
+  /// DeepFM, the first-order weights in ctx->first_order); fills
+  /// ctx->logits and every activation the backward pass reads.
+  void Forward(ForwardContext* ctx) const;
 
   DeepVariant variant_;
   size_t dim_;
@@ -57,16 +63,15 @@ class DeepBaselineModel : public CtrModel {
 
   std::vector<std::pair<size_t, size_t>> field_pairs_;
 
-  // Forward caches.
-  Tensor emb_out_;
-  Tensor linear_out_;
-  Tensor z_;        // MLP input
-  Tensor mlp_out_;  // [B × 1]
-  std::vector<Tensor> subnet_in_;
-  std::vector<Tensor> subnet_out_;
-  std::vector<float> logits_;
-  std::vector<float> labels_;
+  // Training-path state, reused across steps.
+  ForwardContext ctx_;
   std::vector<float> dlogits_;
+  Tensor dmlp_out_;
+  Tensor dz_;
+  Tensor demb_;
+  Tensor dlinear_;
+  Tensor dsub_out_;
+  Tensor dsub_in_;
 };
 
 }  // namespace optinter

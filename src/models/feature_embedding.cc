@@ -17,7 +17,7 @@ constexpr size_t kParallelGatherFloats = 1u << 15;
 FeatureEmbedding::FeatureEmbedding(const EncodedDataset& data, size_t dim,
                                    float lr, float l2, Rng* rng,
                                    const EmbeddingBackendConfig& backend)
-    : data_(data), dim_(dim) {
+    : dim_(dim) {
   CHECK_GT(dim, 0u);
   const size_t num_cat = data.num_categorical();
   cat_tables_.reserve(num_cat);
@@ -36,16 +36,6 @@ FeatureEmbedding::FeatureEmbedding(const EncodedDataset& data, size_t dim,
     table->Init(rng);
     cont_tables_.push_back(std::move(table));
   }
-}
-
-void FeatureEmbedding::Forward(const Batch& batch, Tensor* out) {
-  // Backward re-reads ids for the cached rows through the batch's dataset,
-  // which must therefore stay valid through the whole train step. Any
-  // dataset encoded compatibly with the construction one is accepted
-  // (batch-local streaming buffers included); Gather checks the layout.
-  Gather(batch, out);
-  batch_data_ = batch.data;
-  batch_rows_.assign(batch.rows, batch.rows + batch.size);
 }
 
 void FeatureEmbedding::Gather(const Batch& batch, Tensor* out) const {
@@ -102,72 +92,29 @@ void FeatureEmbedding::GatherRow(const EncodedDataset& data, size_t row,
   }
 }
 
-void FeatureEmbedding::Backward(const Tensor& d_out) {
-  OPTINTER_TRACE_SPAN("embedding_scatter");
-  const size_t num_cat = cat_tables_.size();
-  const size_t num_cont = cont_tables_.size();
-  CHECK_EQ(d_out.rows(), batch_rows_.size());
-  CHECK_EQ(d_out.cols(), output_dim());
-  const size_t rows = batch_rows_.size();
-  // One scatter bucket per (table, backing-row shard). Buckets own
-  // disjoint gradient shards, so they can run concurrently without locks;
-  // each bucket scans the batch rows in ascending order, so every backing
-  // row's accumulation order — and therefore the shard contents — match
-  // the serial loop bit for bit. The table routes each id's backing parts
-  // to their owning shard (AccumulateGradForShard filters internally).
-  auto scatter_bucket = [&](size_t f, size_t shard) {
-    if (f < num_cat) {
-      EmbeddingTable& table = *cat_tables_[f];
-      for (size_t k = 0; k < rows; ++k) {
-        const int32_t id = batch_data_->cat(batch_rows_[k], f);
-        table.AccumulateGradForShard(shard, id, d_out.row(k) + f * dim_);
-      }
-    } else {
-      // Continuous tables have a single row: id 0, one shard. The scaled
-      // accumulate shares its rounding with the prepared path
-      // (AccumulatePreparedGradScaled), keeping the two bit-identical.
-      if (shard != EmbeddingTable::ShardOf(0)) return;
-      const size_t fc = f - num_cat;
-      EmbeddingTable& table = *cont_tables_[fc];
-      for (size_t k = 0; k < rows; ++k) {
-        const float v = batch_data_->cont(batch_rows_[k], fc);
-        table.AccumulateScaledGradForShard(shard, 0, d_out.row(k) + f * dim_,
-                                           v);
-      }
-    }
-  };
-  const size_t num_buckets =
-      (num_cat + num_cont) * EmbeddingTable::kGradShards;
-  auto run_buckets = [&](size_t lo, size_t hi) {
-    for (size_t b = lo; b < hi; ++b) {
-      scatter_bucket(b / EmbeddingTable::kGradShards,
-                     b % EmbeddingTable::kGradShards);
-    }
-  };
-  if (d_out.size() >= kParallelGatherFloats && num_buckets > 1) {
-    ParallelForChunks(0, num_buckets, run_buckets, /*min_chunk=*/1);
-  } else {
-    run_buckets(0, num_buckets);
-  }
-}
-
-void FeatureEmbedding::Prepare(const Batch& batch, PreparedBatch* prep) const {
-  OPTINTER_TRACE_SPAN("embedding_prepare");
+void FeatureEmbedding::PrepareIds(const Batch& batch, IdDedupScratch* dedup,
+                                  std::vector<PreparedTable>* tables) const {
   // Prepared buffers copy everything the step needs, so the batch may
   // point at any compatibly-encoded dataset — including a streaming
   // batcher's reusable buffer that is recycled right after this call.
   const EncodedDataset& data = *batch.data;
   const size_t num_cat = cat_tables_.size();
-  const size_t num_cont = cont_tables_.size();
   CHECK_EQ(data.num_categorical(), num_cat);
-  CHECK_EQ(data.num_continuous(), num_cont);
-  prep->cat.resize(num_cat);
+  CHECK_EQ(data.num_continuous(), cont_tables_.size());
+  tables->resize(num_cat);
   for (size_t f = 0; f < num_cat; ++f) {
     PrepareTableIds(
         *cat_tables_[f], batch.size,
-        [&](size_t k) { return data.cat(batch.rows[k], f); }, &prep->dedup,
-        &prep->cat[f]);
+        [&](size_t k) { return data.cat(batch.rows[k], f); }, dedup,
+        &(*tables)[f]);
   }
+}
+
+void FeatureEmbedding::Prepare(const Batch& batch, PreparedBatch* prep) const {
+  OPTINTER_TRACE_SPAN("embedding_prepare");
+  PrepareIds(batch, &prep->dedup, &prep->cat);
+  const EncodedDataset& data = *batch.data;
+  const size_t num_cont = cont_tables_.size();
   prep->cont.clear();
   for (size_t k = 0; k < batch.size; ++k) {
     const size_t r = batch.rows[k];
@@ -178,21 +125,22 @@ void FeatureEmbedding::Prepare(const Batch& batch, PreparedBatch* prep) const {
 }
 
 void FeatureEmbedding::ForwardPrepared(const PreparedBatch& prep,
+                                       const std::vector<PreparedTable>& cat,
                                        Tensor* out) {
   OPTINTER_TRACE_SPAN("embedding_gather");
-  // prep is self-contained (ids, slots, cont values all copied); prep.data
-  // may already be stale — e.g. a recycled streaming buffer — and is
-  // deliberately not dereferenced here.
+  // prep is self-contained (ids, slots, cont values all copied); the
+  // batch's dataset may already be stale — e.g. a recycled streaming
+  // buffer.
   const size_t num_cat = cat_tables_.size();
   const size_t num_cont = cont_tables_.size();
-  CHECK_EQ(prep.cat.size(), num_cat);
+  CHECK_EQ(cat.size(), num_cat);
   const size_t batch_size = prep.size;
   out->Resize({batch_size, output_dim()});
   auto gather = [&](size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       float* dst = out->row(k);
       for (size_t f = 0; f < num_cat; ++f) {
-        cat_tables_[f]->CopyRow(prep.cat[f].ids[k], dst + f * dim_);
+        cat_tables_[f]->CopyRow(cat[f].ids[k], dst + f * dim_);
       }
       for (size_t f = 0; f < num_cont; ++f) {
         const float v = prep.cont[k * num_cont + f];
@@ -209,30 +157,31 @@ void FeatureEmbedding::ForwardPrepared(const PreparedBatch& prep,
   }
   // Arm the slot-addressed scatters for BackwardPrepared.
   for (size_t f = 0; f < num_cat; ++f) {
-    cat_tables_[f]->BeginPreparedScatter(prep.cat[f].unique_rows.data(),
-                                         prep.cat[f].unique_rows.size());
+    cat_tables_[f]->BeginPreparedScatter(cat[f].unique_rows.data(),
+                                         cat[f].unique_rows.size());
   }
   static constexpr int32_t kContId[1] = {0};
   for (auto& t : cont_tables_) t->BeginPreparedScatter(kContId, 1);
 }
 
-void FeatureEmbedding::BackwardPrepared(const Tensor& d_out,
-                                        const PreparedBatch& prep) {
+void FeatureEmbedding::BackwardPrepared(
+    const Tensor& d_out, const PreparedBatch& prep,
+    const std::vector<PreparedTable>& cat) {
   OPTINTER_TRACE_SPAN("embedding_scatter");
   const size_t num_cat = cat_tables_.size();
   const size_t num_cont = cont_tables_.size();
   CHECK_EQ(d_out.rows(), prep.size);
   CHECK_EQ(d_out.cols(), output_dim());
-  // Same (table, backing-row-shard) bucket fan-out as Backward, but rows
-  // come pre-bucketed from PrepareBatch (ascending within each bucket, so
-  // the per-row accumulation order still matches the serial loop bit for
-  // bit) and gradients land in the slot-addressed prepared buffers. QR
-  // tables have a second row list (shard_rows2) for the remainder-factor
-  // rows, which live in their own backing range.
+  // One scatter bucket per (table, backing-row shard). Buckets own
+  // disjoint gradient slots, so they run concurrently without locks; rows
+  // come pre-bucketed from PrepareBatch in ascending order, so every
+  // backing row accumulates in the serial row order — bit for bit at any
+  // thread count. QR tables have a second row list (shard_rows2) for the
+  // remainder-factor rows, which live in their own backing range.
   auto scatter_bucket = [&](size_t f, size_t shard) {
     if (f < num_cat) {
       EmbeddingTable& table = *cat_tables_[f];
-      const PreparedTable& pt = prep.cat[f];
+      const PreparedTable& pt = cat[f];
       for (const int32_t k : pt.shard_rows[shard]) {
         table.AccumulatePreparedGradPrimary(
             static_cast<size_t>(pt.slots[k]), pt.ids[static_cast<size_t>(k)],
@@ -277,14 +226,9 @@ void FeatureEmbedding::StepPrepared(const AdamConfig& config) {
   for (auto& t : cont_tables_) t->SparseAdamStepPrepared(config);
 }
 
-void FeatureEmbedding::Step(const AdamConfig& config) {
-  for (auto& t : cat_tables_) t->SparseAdamStep(config);
-  for (auto& t : cont_tables_) t->SparseAdamStep(config);
-}
-
-void FeatureEmbedding::ClearGrads() {
-  for (auto& t : cat_tables_) t->ClearGrads();
-  for (auto& t : cont_tables_) t->ClearGrads();
+void FeatureEmbedding::ClearPreparedGrads() {
+  for (auto& t : cat_tables_) t->ClearPreparedGrads();
+  for (auto& t : cont_tables_) t->ClearPreparedGrads();
 }
 
 void FeatureEmbedding::CollectState(std::vector<Tensor*>* out) {

@@ -3,9 +3,9 @@
 // One embedding table per categorical field; one single-row table per
 // continuous field whose row is scaled by the normalized value (the
 // paper's Criteo treatment: min-max normalize, then multiply with the
-// corresponding embedding). Forward produces the concatenated
-// e^o = [e^o_1, ..., e^o_M] batch matrix; Backward scatters gradients
-// into the tables' sparse accumulators.
+// corresponding embedding). The forward passes produce the concatenated
+// e^o = [e^o_1, ..., e^o_M] batch matrix; BackwardPrepared scatters
+// gradients into the tables' prepared slot buffers.
 
 #pragma once
 
@@ -30,16 +30,13 @@ class FeatureEmbedding {
                    float l2, Rng* rng,
                    const EmbeddingBackendConfig& backend = {});
 
-  /// out: [B × (num_fields * dim)] with categorical fields first (in
-  /// categorical order) followed by continuous fields. Caches the batch
-  /// for Backward.
-  void Forward(const Batch& batch, Tensor* out);
-
-  /// Inference-only lookup: same output as Forward but touches no mutable
-  /// state, so concurrent calls on different batches are safe. The batch
-  /// may reference any dataset encoded with the same encoder as the
-  /// construction dataset (same field layout and vocabularies) — the
-  /// serving layer predicts from request arenas this way.
+  /// Inference-only lookup, out: [B × (num_fields * dim)] with
+  /// categorical fields first (in categorical order) followed by
+  /// continuous fields. Touches no mutable state, so concurrent calls on
+  /// different batches are safe. The batch may reference any dataset
+  /// encoded with the same encoder as the construction dataset (same field
+  /// layout and vocabularies) — the serving layer predicts from request
+  /// arenas this way.
   void Gather(const Batch& batch, Tensor* out) const;
 
   /// Single-row gather straight into `dst` (length output_dim()), the
@@ -47,32 +44,40 @@ class FeatureEmbedding {
   /// Gather, no intermediate tensor.
   void GatherRow(const EncodedDataset& data, size_t row, float* dst) const;
 
-  /// Scatters d_out (same shape as Forward's out) into table gradients.
-  void Backward(const Tensor& d_out);
+  // --- Training path (see prepared_batch.h / DESIGN.md) ----------------
+  //
+  // A model with two FeatureEmbeddings (FM-family, DeepFM) keeps each
+  // one's id lists apart: the primary layer uses prep->cat, the first-order
+  // weights prep->first_order. The continuous values in prep->cont are
+  // shared.
 
-  // --- Phase-split path (see prepared_batch.h / DESIGN.md) -------------
+  /// Fills `tables` (one per categorical field) with this layer's id, slot
+  /// and dedup lists. Reads only the dataset and row ids — never weights —
+  /// so it may run ahead of the current step's ApplyGrads.
+  void PrepareIds(const Batch& batch, IdDedupScratch* dedup,
+                  std::vector<PreparedTable>* tables) const;
 
-  /// Fills prep->cat (per-field id/slot/dedup lists) and prep->cont (the
-  /// stitched continuous values). Reads only the dataset and row ids —
-  /// never weights — so it may run ahead of the current step's ApplyGrads.
+  /// PrepareIds into prep->cat, plus the stitched continuous values into
+  /// prep->cont.
   void Prepare(const Batch& batch, PreparedBatch* prep) const;
 
-  /// Forward from a prepared batch (same output as Gather) and arms every
-  /// table's prepared scatter for BackwardPrepared.
-  void ForwardPrepared(const PreparedBatch& prep, Tensor* out);
+  /// Forward from this layer's prepared lists `cat` and prep.cont (same
+  /// output as Gather); arms every table's prepared scatter for
+  /// BackwardPrepared.
+  void ForwardPrepared(const PreparedBatch& prep,
+                       const std::vector<PreparedTable>& cat, Tensor* out);
 
-  /// Slot-addressed scatter of d_out into the prepared gradient buffers.
-  /// Bit-identical accumulation order to Backward.
-  void BackwardPrepared(const Tensor& d_out, const PreparedBatch& prep);
+  /// Slot-addressed scatter of d_out (same shape as ForwardPrepared's out)
+  /// into the prepared gradient buffers.
+  void BackwardPrepared(const Tensor& d_out, const PreparedBatch& prep,
+                        const std::vector<PreparedTable>& cat);
 
   /// Sparse-Adam over the prepared slots of every table.
   void StepPrepared(const AdamConfig& config = {});
 
-  /// Applies sparse-Adam to all tables.
-  void Step(const AdamConfig& config = {});
-
-  /// Discards pending gradients.
-  void ClearGrads();
+  /// Ends every table's prepared scatter without updating (discarded
+  /// gradients).
+  void ClearPreparedGrads();
 
   size_t ParamCount() const;
 
@@ -92,17 +97,13 @@ class FeatureEmbedding {
   EmbeddingTable& cat_table(size_t f) { return *cat_tables_[f]; }
   const EmbeddingTable& cat_table(size_t f) const { return *cat_tables_[f]; }
   /// Single-row table of continuous field `f` (serving-time conversion).
+  EmbeddingTable& cont_table(size_t f) { return *cont_tables_[f]; }
   const EmbeddingTable& cont_table(size_t f) const { return *cont_tables_[f]; }
 
  private:
-  const EncodedDataset& data_;
   size_t dim_;
   std::vector<std::unique_ptr<EmbeddingTable>> cat_tables_;
   std::vector<std::unique_ptr<EmbeddingTable>> cont_tables_;
-  // Cached batch (dataset + rows) for the backward scatter. The dataset a
-  // Forward batch references must stay valid until Backward runs.
-  const EncodedDataset* batch_data_ = nullptr;
-  std::vector<size_t> batch_rows_;
 };
 
 }  // namespace optinter

@@ -63,16 +63,16 @@ std::string FmFamilyModel::Name() const {
   return "FM?";
 }
 
-void FmFamilyModel::Forward(const Batch& batch) {
-  linear_.Forward(batch, &linear_out_);
-  latent_.Forward(batch, &latent_out_);
-  logits_.resize(batch.size);
+void FmFamilyModel::Logits(ForwardContext* ctx) const {
+  const Tensor& linear_out = ctx->first_order;
+  const Tensor& latent_out = ctx->emb_out;
+  const size_t b = latent_out.rows();
+  ctx->logits.resize(b);
   const size_t d = dim_;
   std::vector<float> tmp(d);
-  for (size_t k = 0; k < batch.size; ++k) {
-    float logit = bias_.value[0] + Sum(linear_out_.cols(),
-                                       linear_out_.row(k));
-    const float* e = latent_out_.row(k);
+  for (size_t k = 0; k < b; ++k) {
+    float logit = bias_.value[0] + Sum(linear_out.cols(), linear_out.row(k));
+    const float* e = latent_out.row(k);
     switch (variant_) {
       case FmVariant::kFm: {
         // 0.5 * Σ_t [(Σ_f e_ft)² − Σ_f e_ft²].
@@ -124,29 +124,38 @@ void FmFamilyModel::Forward(const Batch& batch) {
         break;
       }
     }
-    logits_[k] = logit;
+    ctx->logits[k] = logit;
   }
 }
 
-float FmFamilyModel::TrainStep(const Batch& batch) {
-  Forward(batch);
-  labels_.resize(batch.size);
-  dlogits_.resize(batch.size);
-  for (size_t k = 0; k < batch.size; ++k) labels_[k] = batch.label(k);
-  const float loss = BceWithLogitsLoss(logits_.data(), labels_.data(),
-                                       batch.size, dlogits_.data());
+void FmFamilyModel::PrepareBatch(const Batch& batch,
+                                 PreparedBatch* prep) const {
+  prep->BeginFill(batch);
+  latent_.Prepare(batch, prep);
+  linear_.PrepareIds(batch, &prep->dedup, &prep->first_order);
+}
+
+float FmFamilyModel::ForwardBackward(const PreparedBatch& prep) {
+  const size_t b = prep.size;
+  linear_.ForwardPrepared(prep, prep.first_order, &ctx_.first_order);
+  latent_.ForwardPrepared(prep, prep.cat, &ctx_.emb_out);
+  Logits(&ctx_);
+  dlogits_.resize(b);
+  const float loss = BceWithLogitsLoss(ctx_.logits.data(), prep.labels.data(),
+                                       b, dlogits_.data());
 
   const size_t d = dim_;
-  Tensor dlinear({batch.size, linear_out_.cols()});
-  Tensor dlatent({batch.size, latent_out_.cols()});
+  const size_t linear_cols = ctx_.first_order.cols();
+  dlinear_.Resize({b, linear_cols});
+  dlatent_.Resize({b, ctx_.emb_out.cols()});
   std::vector<float> sum_t(d);
-  for (size_t k = 0; k < batch.size; ++k) {
+  for (size_t k = 0; k < b; ++k) {
     const float g = dlogits_[k];
     bias_.grad[0] += g;
-    float* dl = dlinear.row(k);
-    for (size_t c = 0; c < linear_out_.cols(); ++c) dl[c] = g;
-    const float* e = latent_out_.row(k);
-    float* de = dlatent.row(k);
+    float* dl = dlinear_.row(k);
+    for (size_t c = 0; c < linear_cols; ++c) dl[c] = g;
+    const float* e = ctx_.emb_out.row(k);
+    float* de = dlatent_.row(k);
     switch (variant_) {
       case FmVariant::kFm: {
         for (size_t t = 0; t < d; ++t) sum_t[t] = 0.0f;
@@ -209,19 +218,25 @@ float FmFamilyModel::TrainStep(const Batch& batch) {
       }
     }
   }
-  linear_.Backward(dlinear);
-  latent_.Backward(dlatent);
-  linear_.Step();
-  latent_.Step();
-  dense_opt_.Step();
-  dense_opt_.ZeroGrad();
+  linear_.BackwardPrepared(dlinear_, prep, prep.first_order);
+  latent_.BackwardPrepared(dlatent_, prep, prep.cat);
   return loss;
 }
 
-void FmFamilyModel::Predict(const Batch& batch, std::vector<float>* probs) {
-  Forward(batch);
+void FmFamilyModel::ApplyGrads() {
+  linear_.StepPrepared();
+  latent_.StepPrepared();
+  dense_opt_.Step();
+  dense_opt_.ZeroGrad();
+}
+
+void FmFamilyModel::Predict(const Batch& batch, std::vector<float>* probs,
+                            ForwardContext* ctx) const {
+  linear_.Gather(batch, &ctx->first_order);
+  latent_.Gather(batch, &ctx->emb_out);
+  Logits(ctx);
   probs->resize(batch.size);
-  SigmoidForward(logits_.data(), batch.size, probs->data());
+  SigmoidForward(ctx->logits.data(), batch.size, probs->data());
 }
 
 void FmFamilyModel::CollectState(std::vector<Tensor*>* out) {

@@ -31,14 +31,18 @@ class FmFamilyModel : public CtrModel {
                 FmVariant variant);
 
   std::string Name() const override;
-  float TrainStep(const Batch& batch) override;
-  void Predict(const Batch& batch, std::vector<float>* probs) override;
+  void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override;
+  float ForwardBackward(const PreparedBatch& prep) override;
+  void ApplyGrads() override;
+  void Predict(const Batch& batch, std::vector<float>* probs,
+               ForwardContext* ctx) const override;
   size_t ParamCount() const override;
   void CollectState(std::vector<Tensor*>* out) override;
 
  private:
-  /// Forward pass; fills logits_ and (for training) interaction caches.
-  void Forward(const Batch& batch);
+  /// ctx->logits from the gathered first-order weights (ctx->first_order)
+  /// and latent vectors (ctx->emb_out).
+  void Logits(ForwardContext* ctx) const;
 
   FmVariant variant_;
   size_t dim_;
@@ -51,14 +55,13 @@ class FmFamilyModel : public CtrModel {
   DenseParam pair_weights_;   // FwFM: [P]
   DenseParam pair_matrices_;  // FmFM: [P × d × d] flattened
   Adam dense_opt_;
-
-  // Caches.
-  Tensor linear_out_;
-  Tensor latent_out_;
-  std::vector<float> logits_;
-  std::vector<float> labels_;
-  std::vector<float> dlogits_;
   std::vector<std::pair<size_t, size_t>> field_pairs_;
+
+  // Training-path state, reused across steps.
+  ForwardContext ctx_;
+  std::vector<float> dlogits_;
+  Tensor dlinear_;
+  Tensor dlatent_;
 };
 
 }  // namespace optinter

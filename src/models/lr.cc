@@ -14,40 +14,50 @@ LrModel::LrModel(const EncodedDataset& data, const HyperParams& hp)
   dense_opt_.AddParam(&bias_);
 }
 
-void LrModel::Logits(const Batch& batch, Tensor* features,
-                     std::vector<float>* logits) {
-  weights_.Forward(batch, features);
-  logits->resize(batch.size);
-  for (size_t k = 0; k < batch.size; ++k) {
-    (*logits)[k] = Sum(features->cols(), features->row(k)) + bias_.value[0];
+void LrModel::Logits(ForwardContext* ctx) const {
+  const Tensor& features = ctx->emb_out;
+  ctx->logits.resize(features.rows());
+  for (size_t k = 0; k < features.rows(); ++k) {
+    ctx->logits[k] = Sum(features.cols(), features.row(k)) + bias_.value[0];
   }
 }
 
-float LrModel::TrainStep(const Batch& batch) {
-  Logits(batch, &features_, &logits_);
-  labels_.resize(batch.size);
-  dlogits_.resize(batch.size);
-  for (size_t k = 0; k < batch.size; ++k) labels_[k] = batch.label(k);
-  const float loss = BceWithLogitsLoss(logits_.data(), labels_.data(),
-                                       batch.size, dlogits_.data());
+void LrModel::PrepareBatch(const Batch& batch, PreparedBatch* prep) const {
+  prep->BeginFill(batch);
+  weights_.Prepare(batch, prep);
+}
+
+float LrModel::ForwardBackward(const PreparedBatch& prep) {
+  const size_t b = prep.size;
+  weights_.ForwardPrepared(prep, prep.cat, &ctx_.emb_out);
+  Logits(&ctx_);
+  dlogits_.resize(b);
+  const float loss = BceWithLogitsLoss(ctx_.logits.data(), prep.labels.data(),
+                                       b, dlogits_.data());
   // d(logit)/d(weight column) = 1 for every embedded column.
-  Tensor dfeat({batch.size, features_.cols()});
-  for (size_t k = 0; k < batch.size; ++k) {
-    float* g = dfeat.row(k);
-    for (size_t c = 0; c < features_.cols(); ++c) g[c] = dlogits_[k];
+  const size_t cols = ctx_.emb_out.cols();
+  dfeat_.Resize({b, cols});
+  for (size_t k = 0; k < b; ++k) {
+    float* g = dfeat_.row(k);
+    for (size_t c = 0; c < cols; ++c) g[c] = dlogits_[k];
     bias_.grad[0] += dlogits_[k];
   }
-  weights_.Backward(dfeat);
-  weights_.Step();
-  dense_opt_.Step();
-  dense_opt_.ZeroGrad();
+  weights_.BackwardPrepared(dfeat_, prep, prep.cat);
   return loss;
 }
 
-void LrModel::Predict(const Batch& batch, std::vector<float>* probs) {
-  Logits(batch, &features_, &logits_);
+void LrModel::ApplyGrads() {
+  weights_.StepPrepared();
+  dense_opt_.Step();
+  dense_opt_.ZeroGrad();
+}
+
+void LrModel::Predict(const Batch& batch, std::vector<float>* probs,
+                      ForwardContext* ctx) const {
+  weights_.Gather(batch, &ctx->emb_out);
+  Logits(ctx);
   probs->resize(batch.size);
-  SigmoidForward(logits_.data(), batch.size, probs->data());
+  SigmoidForward(ctx->logits.data(), batch.size, probs->data());
 }
 
 void LrModel::CollectState(std::vector<Tensor*>* out) {

@@ -18,23 +18,27 @@ class LrModel : public CtrModel {
   LrModel(const EncodedDataset& data, const HyperParams& hp);
 
   std::string Name() const override { return "LR"; }
-  float TrainStep(const Batch& batch) override;
-  void Predict(const Batch& batch, std::vector<float>* probs) override;
+  void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override;
+  float ForwardBackward(const PreparedBatch& prep) override;
+  void ApplyGrads() override;
+  void Predict(const Batch& batch, std::vector<float>* probs,
+               ForwardContext* ctx) const override;
   size_t ParamCount() const override;
   void CollectState(std::vector<Tensor*>* out) override;
 
  private:
-  void Logits(const Batch& batch, Tensor* features,
-              std::vector<float>* logits);
+  /// ctx->logits from the gathered weights in ctx->emb_out.
+  void Logits(ForwardContext* ctx) const;
 
   Rng rng_;
   FeatureEmbedding weights_;  // dim-1 "embeddings" are the LR weights
   DenseParam bias_;
   Adam dense_opt_;
-  Tensor features_;
-  std::vector<float> logits_;
-  std::vector<float> labels_;
+
+  // Training-path state, reused across steps.
+  ForwardContext ctx_;
   std::vector<float> dlogits_;
+  Tensor dfeat_;
 };
 
 }  // namespace optinter

@@ -1,22 +1,35 @@
 // Abstract CTR model interface.
 //
-// Every baseline and every OptInter instance implements this. TrainStep
-// performs forward + loss + backward + optimizer update for one batch and
-// returns the batch loss; Predict produces click probabilities.
+// Every baseline and every OptInter instance implements one protocol.
+// Training runs in three phases per batch:
+//
+//   PrepareBatch -> ForwardBackward -> ApplyGrads
+//
+// and TrainStep is exactly those three calls on a PreparedBatch the base
+// class owns. The pipelined executor (src/train/pipeline_executor.h) runs
+// the same phases with batch t+1's PrepareBatch overlapping batch t's
+// compute, so the two loops train bit-identically.
+//
+// Protocol rule: PrepareBatch reads only the dataset and the batch's row
+// ids — never weights or optimizer state. That is what lets the executor
+// prepare the next batch while the current one is still being applied.
+//
+// Prediction is one const call whose per-call state lives in a
+// caller-owned ForwardContext; calls with distinct contexts may run
+// concurrently while the parameters are quiescent (no concurrent
+// training step). See DESIGN.md for the full contract.
 
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "data/batch.h"
 #include "models/forward_context.h"
+#include "models/prepared_batch.h"
 #include "tensor/tensor.h"
 
 namespace optinter {
-
-struct PreparedBatch;
 
 /// A trainable CTR predictor.
 class CtrModel {
@@ -27,64 +40,27 @@ class CtrModel {
   virtual std::string Name() const = 0;
 
   /// One optimization step on `batch`; returns the mean batch loss.
-  virtual float TrainStep(const Batch& batch) = 0;
-
-  // --- Phase-split training protocol (pipelined executor) --------------
-  //
-  // Models that opt in (SupportsPhasedTrainStep) decompose TrainStep into
-  //   PrepareBatch -> ForwardBackward -> ApplyGrads
-  // with the invariant that calling the three phases back to back is
-  // EXACTLY TrainStep (the model's own TrainStep must be implemented that
-  // way). PrepareBatch is const and must read only the dataset and the
-  // batch's row ids — never weights or optimizer state — unless the model
-  // overrides PrepareIsWeightIndependent() to false, in which case the
-  // executor fences each prepare behind the previous step's ApplyGrads.
-  // See src/train/pipeline_executor.h and DESIGN.md for the full contract.
-
-  /// True when the three phase methods below are implemented.
-  virtual bool SupportsPhasedTrainStep() const { return false; }
-
-  /// True (default) when PrepareBatch never reads weights, so batch t+1's
-  /// prepare may overlap batch t's compute without fencing.
-  virtual bool PrepareIsWeightIndependent() const { return true; }
-
-  /// Phase 1: weight-independent batch preparation into `prep`.
-  virtual void PrepareBatch(const Batch& batch, PreparedBatch* prep) const {
-    (void)batch;
-    (void)prep;
-    CHECK(false) << Name() << " does not support phased TrainStep";
+  float TrainStep(const Batch& batch) {
+    PrepareBatch(batch, &step_prep_);
+    const float loss = ForwardBackward(step_prep_);
+    ApplyGrads();
+    return loss;
   }
+
+  /// Phase 1: fills `prep` from the dataset and row ids of `batch`.
+  virtual void PrepareBatch(const Batch& batch, PreparedBatch* prep) const = 0;
 
   /// Phase 2: forward + loss + backward from a prepared batch; returns
   /// the mean batch loss. Gradients are left accumulated for ApplyGrads.
-  virtual float ForwardBackward(const PreparedBatch& prep) {
-    (void)prep;
-    CHECK(false) << Name() << " does not support phased TrainStep";
-    return 0.0f;
-  }
+  virtual float ForwardBackward(const PreparedBatch& prep) = 0;
 
   /// Phase 3: applies the accumulated gradients and clears them.
-  virtual void ApplyGrads() {
-    CHECK(false) << Name() << " does not support phased TrainStep";
-  }
+  virtual void ApplyGrads() = 0;
 
-  /// Predicted probabilities for the rows of `batch` (no grads).
-  virtual void Predict(const Batch& batch, std::vector<float>* probs) = 0;
-
-  /// True when the const Predict overload below is implemented, i.e.
-  /// concurrent Predict calls on different batches with distinct contexts
-  /// are safe (parameters must be quiescent — no concurrent TrainStep).
-  virtual bool SupportsReentrantPredict() const { return false; }
-
-  /// Re-entrant prediction: all per-call state lives in `ctx`. Only valid
-  /// when SupportsReentrantPredict() returns true.
+  /// Predicted probabilities for the rows of `batch` (no grads). All
+  /// per-call state lives in `ctx`.
   virtual void Predict(const Batch& batch, std::vector<float>* probs,
-                       ForwardContext* ctx) const {
-    (void)batch;
-    (void)probs;
-    (void)ctx;
-    CHECK(false) << Name() << " does not support re-entrant Predict";
-  }
+                       ForwardContext* ctx) const = 0;
 
   /// Total trainable parameters (the paper's "Param." column).
   virtual size_t ParamCount() const = 0;
@@ -93,6 +69,14 @@ class CtrModel {
   /// best-checkpoint snapshot/restore in the trainer. Models that return
   /// nothing simply don't participate in checkpointing.
   virtual void CollectState(std::vector<Tensor*>* out) { (void)out; }
+
+ protected:
+  /// The prepared batch TrainStep fills. Models with an extra serial step
+  /// (SearchModel::ArchStep) prepare into it the same way.
+  PreparedBatch* step_prep() { return &step_prep_; }
+
+ private:
+  PreparedBatch step_prep_;
 };
 
 }  // namespace optinter

@@ -24,47 +24,61 @@ Poly2Model::Poly2Model(const EncodedDataset& data, const HyperParams& hp)
   dense_opt_.AddParam(&bias_);
 }
 
-void Poly2Model::Logits(const Batch& batch, std::vector<float>* logits) {
-  weights_.Forward(batch, &features_);
-  cross_weights_.Forward(batch, &cross_features_);
-  logits->resize(batch.size);
-  for (size_t k = 0; k < batch.size; ++k) {
-    (*logits)[k] = Sum(features_.cols(), features_.row(k)) +
-                   Sum(cross_features_.cols(), cross_features_.row(k)) +
-                   bias_.value[0];
+void Poly2Model::Logits(ForwardContext* ctx) const {
+  const Tensor& features = ctx->emb_out;
+  const Tensor& cross = ctx->cross_out;
+  ctx->logits.resize(features.rows());
+  for (size_t k = 0; k < features.rows(); ++k) {
+    ctx->logits[k] = Sum(features.cols(), features.row(k)) +
+                     Sum(cross.cols(), cross.row(k)) + bias_.value[0];
   }
 }
 
-float Poly2Model::TrainStep(const Batch& batch) {
-  Logits(batch, &logits_);
-  labels_.resize(batch.size);
-  dlogits_.resize(batch.size);
-  for (size_t k = 0; k < batch.size; ++k) labels_[k] = batch.label(k);
-  const float loss = BceWithLogitsLoss(logits_.data(), labels_.data(),
-                                       batch.size, dlogits_.data());
-  Tensor dfeat({batch.size, features_.cols()});
-  Tensor dcross({batch.size, cross_features_.cols()});
-  for (size_t k = 0; k < batch.size; ++k) {
+void Poly2Model::PrepareBatch(const Batch& batch, PreparedBatch* prep) const {
+  prep->BeginFill(batch);
+  weights_.Prepare(batch, prep);
+  cross_weights_.Prepare(batch, &prep->dedup, &prep->cross);
+}
+
+float Poly2Model::ForwardBackward(const PreparedBatch& prep) {
+  const size_t b = prep.size;
+  weights_.ForwardPrepared(prep, prep.cat, &ctx_.emb_out);
+  cross_weights_.ForwardPrepared(prep.cross, b, &ctx_.cross_out);
+  Logits(&ctx_);
+  dlogits_.resize(b);
+  const float loss = BceWithLogitsLoss(ctx_.logits.data(), prep.labels.data(),
+                                       b, dlogits_.data());
+  const size_t feat_cols = ctx_.emb_out.cols();
+  const size_t cross_cols = ctx_.cross_out.cols();
+  dfeat_.Resize({b, feat_cols});
+  dcross_.Resize({b, cross_cols});
+  for (size_t k = 0; k < b; ++k) {
     const float g = dlogits_[k];
-    float* df = dfeat.row(k);
-    for (size_t c = 0; c < features_.cols(); ++c) df[c] = g;
-    float* dc = dcross.row(k);
-    for (size_t c = 0; c < cross_features_.cols(); ++c) dc[c] = g;
+    float* df = dfeat_.row(k);
+    for (size_t c = 0; c < feat_cols; ++c) df[c] = g;
+    float* dc = dcross_.row(k);
+    for (size_t c = 0; c < cross_cols; ++c) dc[c] = g;
     bias_.grad[0] += g;
   }
-  weights_.Backward(dfeat);
-  cross_weights_.Backward(dcross);
-  weights_.Step();
-  cross_weights_.Step();
-  dense_opt_.Step();
-  dense_opt_.ZeroGrad();
+  weights_.BackwardPrepared(dfeat_, prep, prep.cat);
+  cross_weights_.BackwardPrepared(dcross_, prep.cross);
   return loss;
 }
 
-void Poly2Model::Predict(const Batch& batch, std::vector<float>* probs) {
-  Logits(batch, &logits_);
+void Poly2Model::ApplyGrads() {
+  weights_.StepPrepared();
+  cross_weights_.StepPrepared();
+  dense_opt_.Step();
+  dense_opt_.ZeroGrad();
+}
+
+void Poly2Model::Predict(const Batch& batch, std::vector<float>* probs,
+                         ForwardContext* ctx) const {
+  weights_.Gather(batch, &ctx->emb_out);
+  cross_weights_.Gather(batch, &ctx->cross_out);
+  Logits(ctx);
   probs->resize(batch.size);
-  SigmoidForward(logits_.data(), batch.size, probs->data());
+  SigmoidForward(ctx->logits.data(), batch.size, probs->data());
 }
 
 void Poly2Model::CollectState(std::vector<Tensor*>* out) {

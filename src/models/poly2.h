@@ -20,24 +20,30 @@ class Poly2Model : public CtrModel {
   Poly2Model(const EncodedDataset& data, const HyperParams& hp);
 
   std::string Name() const override { return "Poly2"; }
-  float TrainStep(const Batch& batch) override;
-  void Predict(const Batch& batch, std::vector<float>* probs) override;
+  void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override;
+  float ForwardBackward(const PreparedBatch& prep) override;
+  void ApplyGrads() override;
+  void Predict(const Batch& batch, std::vector<float>* probs,
+               ForwardContext* ctx) const override;
   size_t ParamCount() const override;
   void CollectState(std::vector<Tensor*>* out) override;
 
  private:
-  void Logits(const Batch& batch, std::vector<float>* logits);
+  /// ctx->logits from the gathered weights in ctx->emb_out and
+  /// ctx->cross_out.
+  void Logits(ForwardContext* ctx) const;
 
   Rng rng_;
   FeatureEmbedding weights_;
   CrossEmbedding cross_weights_;
   DenseParam bias_;
   Adam dense_opt_;
-  Tensor features_;
-  Tensor cross_features_;
-  std::vector<float> logits_;
-  std::vector<float> labels_;
+
+  // Training-path state, reused across steps.
+  ForwardContext ctx_;
   std::vector<float> dlogits_;
+  Tensor dfeat_;
+  Tensor dcross_;
 };
 
 }  // namespace optinter

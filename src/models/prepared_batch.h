@@ -1,6 +1,6 @@
-// Weight-independent per-batch preparation for the phase-split TrainStep.
+// Weight-independent per-batch preparation: phase 1 of every training step.
 //
-// PrepareBatch (phase 1 of the pipelined training executor, DESIGN.md) does
+// PrepareBatch (CtrModel, models/model.h; DESIGN.md) does
 // everything a step needs that depends only on the dataset and the batch's
 // row ids — label gather, per-table cross-product id lookup, and per-table
 // unique-id dedup with slot assignment — so it can run on the pool for
@@ -149,32 +149,25 @@ void PrepareTableIds(const EmbeddingTable& table, size_t batch_size,
 }
 
 /// Everything PrepareBatch produces for one batch. Owned by a
-/// StepWorkspace in the pipelined executor (or by the model for plain
-/// serial TrainStep calls) and reused across steps.
+/// StepWorkspace in the pipelined executor (or by CtrModel for serial
+/// TrainStep calls) and reused across steps.
 struct PreparedBatch {
-  const EncodedDataset* data = nullptr;
   size_t size = 0;
-  std::vector<size_t> rows;    // copy of the batch's row indices
   std::vector<float> labels;   // [size]
   std::vector<PreparedTable> cat;     // per categorical field
+  // Per categorical field, for a model's second FeatureEmbedding: the
+  // first-order weights of FM-family models and DeepFM.
+  std::vector<PreparedTable> first_order;
   std::vector<float> cont;            // [size × num_cont] feature values
   std::vector<PreparedTable> cross;   // per embedded pair
   std::vector<PreparedTable> triple;  // per embedded triple
   IdDedupScratch dedup;
 
-  /// Copies the batch's identity (rows + labels). The batch's row pointer
-  /// may be invalidated afterwards (e.g. by Batcher::StartEpoch) — the
-  /// prepared copy is self-contained.
+  /// Starts a fill: the batch size and a copy of its labels. The batch's
+  /// row pointer and dataset may be invalidated afterwards (e.g. by
+  /// Batcher::StartEpoch or a recycled streaming buffer) — the prepared
+  /// copy is self-contained.
   void BeginFill(const Batch& batch);
-
-  /// Batch view over the copied rows (for code that still takes a Batch).
-  Batch AsBatch() const {
-    Batch b;
-    b.data = data;
-    b.rows = rows.data();
-    b.size = size;
-    return b;
-  }
 
   /// Total heap capacity held (workspace gauge; growth here after warmup
   /// signals an allocation regression).

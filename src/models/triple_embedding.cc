@@ -34,14 +34,6 @@ TripleEmbedding::TripleEmbedding(const EncodedDataset& data,
   }
 }
 
-void TripleEmbedding::Forward(const Batch& batch, Tensor* out) {
-  // Any compatibly-encoded dataset is accepted (Gather checks layout);
-  // it must stay valid through Backward, which re-reads ids from it.
-  Gather(batch, out);
-  batch_data_ = batch.data;
-  batch_rows_.assign(batch.rows, batch.rows + batch.size);
-}
-
 void TripleEmbedding::Gather(const Batch& batch, Tensor* out) const {
   OPTINTER_TRACE_SPAN("triple_gather");
   const EncodedDataset& data = *batch.data;
@@ -70,36 +62,6 @@ void TripleEmbedding::GatherRow(const EncodedDataset& data, size_t row,
                                 float* dst) const {
   for (size_t t = 0; t < triples_.size(); ++t) {
     tables_[t]->CopyRow(data.triple(row, triples_[t]), dst + t * dim_);
-  }
-}
-
-void TripleEmbedding::Backward(const Tensor& d_out) {
-  OPTINTER_TRACE_SPAN("triple_scatter");
-  CHECK_EQ(d_out.rows(), batch_rows_.size());
-  CHECK_EQ(d_out.cols(), output_dim());
-  const size_t rows = batch_rows_.size();
-  // Row-bucketed scatter: one bucket per (table, backing-row shard), each
-  // scanning rows in ascending order — shard contents match the serial
-  // loop bit for bit, and distinct buckets never share a gradient slot.
-  // The table routes each id's backing parts to their owning shard.
-  auto scatter_bucket = [&](size_t t, size_t shard) {
-    EmbeddingTable& table = *tables_[t];
-    for (size_t k = 0; k < rows; ++k) {
-      const int32_t id = batch_data_->triple(batch_rows_[k], triples_[t]);
-      table.AccumulateGradForShard(shard, id, d_out.row(k) + t * dim_);
-    }
-  };
-  const size_t num_buckets = triples_.size() * EmbeddingTable::kGradShards;
-  auto run_buckets = [&](size_t lo, size_t hi) {
-    for (size_t b = lo; b < hi; ++b) {
-      scatter_bucket(b / EmbeddingTable::kGradShards,
-                     b % EmbeddingTable::kGradShards);
-    }
-  };
-  if (d_out.size() >= (1u << 15) && num_buckets > 1) {
-    ParallelForChunks(0, num_buckets, run_buckets, /*min_chunk=*/1);
-  } else {
-    run_buckets(0, num_buckets);
   }
 }
 
@@ -182,14 +144,6 @@ void TripleEmbedding::BackwardPrepared(
 
 void TripleEmbedding::StepPrepared(const AdamConfig& config) {
   for (auto& t : tables_) t->SparseAdamStepPrepared(config);
-}
-
-void TripleEmbedding::Step(const AdamConfig& config) {
-  for (auto& t : tables_) t->SparseAdamStep(config);
-}
-
-void TripleEmbedding::ClearGrads() {
-  for (auto& t : tables_) t->ClearGrads();
 }
 
 size_t TripleEmbedding::ParamCount() const {

@@ -25,18 +25,16 @@ class TripleEmbedding {
                   size_t dim, float lr, float l2, Rng* rng,
                   const EmbeddingBackendConfig& backend = {});
 
-  /// out: [B × (triples.size() * dim)].
-  void Forward(const Batch& batch, Tensor* out);
-  /// Inference-only lookup: touches no mutable state, so concurrent calls
+  /// Inference-only lookup, out: [B × (triples.size() * dim)]: touches no mutable state, so concurrent calls
   /// on different batches are safe. The batch may reference any dataset
   /// with the same triple layout as the construction dataset.
   void Gather(const Batch& batch, Tensor* out) const;
   /// Single-row gather into `dst` (length output_dim()) — the fused
   /// batch-1 serving path. Same values and op order as one row of Gather.
   void GatherRow(const EncodedDataset& data, size_t row, float* dst) const;
-  void Backward(const Tensor& d_out);
-  // Phase-split path (see prepared_batch.h / DESIGN.md); mirrors
-  // Gather/Backward/Step bit for bit from prepared id lists.
+  // Training path (see prepared_batch.h / DESIGN.md): id prep reads only
+  // the dataset, ForwardPrepared gathers what Gather would and arms the
+  // slot-addressed scatter that BackwardPrepared/StepPrepared consume.
   void Prepare(const Batch& batch, IdDedupScratch* dedup,
                std::vector<PreparedTable>* tables) const;
   void ForwardPrepared(const std::vector<PreparedTable>& tables,
@@ -44,8 +42,6 @@ class TripleEmbedding {
   void BackwardPrepared(const Tensor& d_out,
                         const std::vector<PreparedTable>& tables);
   void StepPrepared(const AdamConfig& config = {});
-  void Step(const AdamConfig& config = {});
-  void ClearGrads();
 
   size_t ParamCount() const;
   void CollectState(std::vector<Tensor*>* out);
@@ -61,10 +57,6 @@ class TripleEmbedding {
   std::vector<size_t> triples_;
   size_t dim_;
   std::vector<std::unique_ptr<EmbeddingTable>> tables_;
-  // Cached batch (dataset + rows) for the backward scatter; the dataset a
-  // Forward batch references must stay valid until Backward runs.
-  const EncodedDataset* batch_data_ = nullptr;
-  std::vector<size_t> batch_rows_;
 };
 
 }  // namespace optinter

@@ -96,10 +96,10 @@ inline void AddProductRow(float* dst, const float* a, const float* b,
 }
 
 // dst += a * scale — the continuous-feature gradient. The ONE body behind
-// both the legacy shard scatter and the prepared slot scatter: a
+// both the serial shard scatter and the prepared slot scatter: a
 // header-inlined loop in one path and a separately compiled loop in the
 // other can round differently under FMA contraction, silently breaking
-// legacy/prepared bit parity.
+// serial/prepared bit parity.
 inline void AddScaledRow(float* dst, const float* a, float scale,
                          size_t dim) {
   const simd::VecF s = simd::Set1(scale);

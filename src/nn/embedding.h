@@ -228,14 +228,15 @@ class EmbeddingTable {
 
   // --- Prepared (pre-deduped) gradient scatter -------------------------
   //
-  // The phase-split TrainStep (DESIGN.md) dedupes each batch's BACKING
+  // Every model's training step (DESIGN.md) dedupes each batch's BACKING
   // rows during PrepareBatch, before any weights are read. The backward
   // pass then scatters into a flat slot-addressed buffer sized by the
   // unique-row count — no hashing, no per-new-row allocation — and the
   // optimizer walks (unique_rows, slots) directly. Buffer capacity is
   // retained across steps, so steady-state steps allocate nothing. The
-  // prepared path and the legacy AccumulateGrad path share the same Adam
-  // state and step counter and produce bit-identical updates (each
+  // prepared path and the serial AccumulateGrad path (the tests'
+  // reference) share the same Adam state and step counter and produce
+  // bit-identical updates (each
   // touched backing row is updated exactly once from its summed gradient,
   // and per-row updates are independent, so iteration order is
   // immaterial).
@@ -262,7 +263,7 @@ class EmbeddingTable {
   /// Fused scale-and-accumulate: slot += grad * scale. Used by continuous
   /// feature tables, whose gradient is d_out scaled by the feature value.
   /// Shares one out-of-line body with AccumulateScaledGradForShard so the
-  /// legacy and prepared scatters round identically (a header-inlined loop
+  /// serial and prepared scatters round identically (a header-inlined loop
   /// here and a separately compiled loop there can disagree by one ULP
   /// under FMA contraction).
   void AccumulatePreparedGradScaled(size_t slot, const float* grad,

@@ -72,17 +72,25 @@ QuantizedFixedArchModel::QuantizedFixedArchModel(
   }
 }
 
-float QuantizedFixedArchModel::TrainStep(const Batch& batch) {
+void QuantizedFixedArchModel::FailInferenceOnly() const {
+  CHECK(false) << name_ << " is inference-only; retrain the fp32 model and "
+                           "re-quantize";
+}
+
+void QuantizedFixedArchModel::PrepareBatch(const Batch& batch,
+                                           PreparedBatch* prep) const {
   (void)batch;
-  CHECK(false) << name_ << " is an inference-only quantized snapshot; "
-                           "retrain the fp32 model and re-quantize";
+  (void)prep;
+  FailInferenceOnly();
+}
+
+float QuantizedFixedArchModel::ForwardBackward(const PreparedBatch& prep) {
+  (void)prep;
+  FailInferenceOnly();
   return 0.0f;
 }
 
-void QuantizedFixedArchModel::Predict(const Batch& batch,
-                                      std::vector<float>* probs) {
-  Predict(batch, probs, &ctx_);
-}
+void QuantizedFixedArchModel::ApplyGrads() { FailInferenceOnly(); }
 
 void QuantizedFixedArchModel::GatherAssembleRow(const EncodedDataset& data,
                                                 size_t row,

@@ -17,8 +17,8 @@
 //    integer math, and the single fp32 rounding per GEMM output lives in
 //    shared non-variant code — so a quantized snapshot predicts the same
 //    bits whether dispatch picked avx512, avx2-fma, sse2 or scalar.
-//  * TrainStep CHECK-fails: quantization is one-way; retraining happens
-//    on the fp32 model and republishes through QuantizeSnapshot.
+//  * The training phases CHECK-fail: quantization is one-way; retraining
+//    happens on the fp32 model and republishes through QuantizeSnapshot.
 
 #pragma once
 
@@ -42,9 +42,9 @@ class QuantizedFixedArchModel : public CtrModel {
                           const FixedArchModel& fp32, QuantMode mode);
 
   std::string Name() const override { return name_; }
-  float TrainStep(const Batch& batch) override;
-  void Predict(const Batch& batch, std::vector<float>* probs) override;
-  bool SupportsReentrantPredict() const override { return true; }
+  void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override;
+  float ForwardBackward(const PreparedBatch& prep) override;
+  void ApplyGrads() override;
   void Predict(const Batch& batch, std::vector<float>* probs,
                ForwardContext* ctx) const override;
   size_t ParamCount() const override { return fp32_.ParamCount(); }
@@ -60,6 +60,9 @@ class QuantizedFixedArchModel : public CtrModel {
   size_t EmbeddingRows() const;
 
  private:
+  /// CHECK-fails every training phase: quantization is one-way.
+  void FailInferenceOnly() const;
+
   /// Per-output-row int8 weights of one Linear (tensor/int8.h layout).
   struct QuantLinear {
     size_t in = 0;
@@ -104,8 +107,6 @@ class QuantizedFixedArchModel : public CtrModel {
   std::vector<QuantizedTable> cross_tables_;
   std::vector<QuantizedTable> triple_tables_;
   std::vector<QuantLinear> qlinears_;  // int8 mode only
-
-  ForwardContext ctx_;  // non-re-entrant Predict overload only
 };
 
 }  // namespace serve

@@ -1,5 +1,5 @@
-// Low-latency prediction server: adaptive micro-batching over the
-// re-entrant Predict path, with lock-free model hot-swap.
+// Low-latency prediction server: adaptive micro-batching over the const
+// CtrModel::Predict, with lock-free model hot-swap.
 //
 // Two request paths share one SnapshotSlot:
 //
@@ -94,7 +94,7 @@ class PredictServer {
   PredictServer& operator=(const PredictServer&) = delete;
 
   /// Publishes `model` as the live snapshot (first deploy or hot-swap).
-  /// Rejects models without re-entrant Predict up front.
+  /// Rejects a null model.
   Status Deploy(std::shared_ptr<const CtrModel> model);
 
   /// Hot-swap: build a fresh model via `factory`, restore the checkpoint

@@ -17,25 +17,10 @@ obs::Counter* SwapCounter() {
 }
 }  // namespace
 
-Status CheckServable(const CtrModel& model) {
-  if (!model.SupportsReentrantPredict()) {
-    return Status::FailedPrecondition(
-        model.Name() +
-        " does not implement the const re-entrant Predict(batch, probs, "
-        "ctx) overload (SupportsReentrantPredict() is false); the serving "
-        "layer requires it so concurrent requests can share one immutable "
-        "snapshot. Retrain/deploy a FixedArchModel, or implement the "
-        "overload.");
-  }
-  return Status::OK();
-}
-
 Status SnapshotSlot::Publish(std::shared_ptr<const CtrModel> model) {
   if (model == nullptr) {
     return Status::Invalid("cannot publish a null model");
   }
-  Status st = CheckServable(*model);
-  if (!st.ok()) return st;
   auto snap = std::make_shared<ModelSnapshot>();
   snap->model = std::move(model);
   std::shared_ptr<const ModelSnapshot> old;
@@ -64,13 +49,11 @@ Status SwapFromCheckpoint(
   if (fresh == nullptr) {
     return Status::Invalid("model factory returned null");
   }
-  Status st = CheckServable(*fresh);
-  if (!st.ok()) return st;
   // Load into the fresh (unpublished) buffer; the live snapshot is never
   // written to. LoadModel validates the whole checkpoint before writing
   // any tensor, so a bad file cannot leave `fresh` half-initialized
   // either — it is simply discarded.
-  st = LoadModel(fresh.get(), checkpoint_path);
+  Status st = LoadModel(fresh.get(), checkpoint_path);
   if (!st.ok()) return st;
   return slot->Publish(std::move(fresh));
 }

@@ -21,10 +21,9 @@
 //    retrained checkpoint means building a FRESH model instance, loading
 //    the checkpoint into it (io/serialize validates the byte stream
 //    before touching any weight), and publishing that instance.
-//  * Only models with a const re-entrant Predict can be published;
-//    Publish rejects anything else up front with an actionable error
-//    instead of letting requests die on the CHECK inside
-//    CtrModel::Predict(batch, probs, ctx).
+//  * Every CtrModel's Predict is const and keeps its per-call state in a
+//    caller-owned ForwardContext, so any published model can serve
+//    concurrent requests.
 //  * The model's backing objects (the EncodedDataset it was constructed
 //    against) must outlive the snapshot; bundle them into the deleter or
 //    keep them process-lifetime, as the examples do.
@@ -44,10 +43,6 @@
 namespace optinter {
 namespace serve {
 
-/// Actionable up-front guard: OK iff `model` implements the const
-/// re-entrant Predict overload (CtrModel::SupportsReentrantPredict).
-Status CheckServable(const CtrModel& model);
-
 /// One immutable published model generation.
 struct ModelSnapshot {
   std::shared_ptr<const CtrModel> model;
@@ -64,8 +59,7 @@ struct ModelSnapshot {
 class SnapshotSlot {
  public:
   /// Publishes `model` as the new live snapshot, replacing any previous
-  /// one. Fails (leaving the previous snapshot live) when the model does
-  /// not support re-entrant Predict.
+  /// one. Fails (leaving the previous snapshot live) when `model` is null.
   Status Publish(std::shared_ptr<const CtrModel> model);
 
   /// The current snapshot, pinned for the caller's lifetime of the
@@ -101,10 +95,10 @@ Status SwapFromCheckpoint(
 /// One-shot conversion of a trained FixedArchModel into an inference-only
 /// quantized view (serve/quantized_model.h): int8 or bf16 embedding
 /// tables, and in int8 mode a dynamic-activation int8 MLP. The returned
-/// model supports re-entrant Predict and can be Publish()ed into a
-/// SnapshotSlot like any other generation; `model` is retained inside it
-/// so the reused fp32 layers stay alive. Fails (without touching `out`)
-/// when `model` is not a FixedArchModel.
+/// model can be Publish()ed into a SnapshotSlot like any other
+/// generation; `model` is retained inside it so the reused fp32 layers
+/// stay alive. Fails (without touching `out`) when `model` is not a
+/// FixedArchModel.
 Status QuantizeSnapshot(std::shared_ptr<const CtrModel> model,
                         QuantMode mode,
                         std::shared_ptr<const CtrModel>* out);

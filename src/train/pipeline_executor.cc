@@ -41,9 +41,6 @@ obs::Gauge* WorkspaceBytesGauge() {
 PipelinedTrainExecutor::PipelinedTrainExecutor(CtrModel* model)
     : model_(model) {
   CHECK(model != nullptr);
-  CHECK(model->SupportsPhasedTrainStep())
-      << "PipelinedTrainExecutor needs the PrepareBatch/ForwardBackward/"
-         "ApplyGrads protocol";
 }
 
 PipelinedTrainExecutor::EpochStats PipelinedTrainExecutor::RunEpoch(
@@ -53,7 +50,6 @@ PipelinedTrainExecutor::EpochStats PipelinedTrainExecutor::RunEpoch(
   if (batch.size == 0) return stats;
 
   ThreadPool& pool = ThreadPool::Global();
-  const bool fenced = !model_->PrepareIsWeightIndependent();
   StepWorkspace* cur = &ws_[0];
   StepWorkspace* nxt = &ws_[1];
 
@@ -67,22 +63,9 @@ PipelinedTrainExecutor::EpochStats PipelinedTrainExecutor::RunEpoch(
     Batch next = source->Next();
     const bool has_next = next.size != 0;
     if (has_next) {
-      // Weight-dependent prepares must observe batch t's update, so the
-      // task first blocks on the fence. Safe at any pool size: the fence
-      // is signalled by the calling thread (never a pool task), and with
-      // a single worker the compute below runs its parallel loops inline
-      // rather than queueing behind the parked prefetch.
-      const uint64_t fence_target = steps_done_ + 1;
       PreparedBatch* dst = &nxt->prep;
-      pool.Submit(
-          [this, next, dst, fenced, fence_target] {
-            if (fenced) {
-              OPTINTER_TRACE_SPAN("apply_fence_wait");
-              fence_.WaitFor(fence_target);
-            }
-            model_->PrepareBatch(next, dst);
-          },
-          &prefetch);
+      pool.Submit([this, next, dst] { model_->PrepareBatch(next, dst); },
+                  &prefetch);
     }
 
     float loss;
@@ -91,7 +74,7 @@ PipelinedTrainExecutor::EpochStats PipelinedTrainExecutor::RunEpoch(
       loss = model_->ForwardBackward(cur->prep);
       model_->ApplyGrads();
     }
-    fence_.Signal(++steps_done_);
+    ++steps_done_;
     StepsCounter()->Increment();
     stats.loss_sum += static_cast<double>(loss);
     stats.rows += cur->prep.size;

@@ -1,22 +1,18 @@
-// Pipelined training executor: overlaps batch t+1's weight-independent
-// PrepareBatch (on the thread pool) with batch t's ForwardBackward +
-// ApplyGrads (on the calling thread).
+// Pipelined training executor: overlaps batch t+1's PrepareBatch (on the
+// thread pool) with batch t's ForwardBackward + ApplyGrads (on the calling
+// thread).
 //
-// Phase protocol (CtrModel): models that SupportsPhasedTrainStep()
-// decompose TrainStep into PrepareBatch -> ForwardBackward -> ApplyGrads,
-// with TrainStep itself implemented as exactly that sequence. The executor
-// therefore cannot change the math: compute (including the search model's
-// Gumbel noise stream) runs on the calling thread in batch order, and
-// PrepareBatch is a pure function of the dataset and row ids, so the
-// pipelined loop is bit-identical to the serial loop at any thread count —
-// the same determinism contract as the parallel kernels (DESIGN.md).
-//
-// Fencing rule: when a model's PrepareIsWeightIndependent() is false, its
-// prepare for batch t+1 first waits on the ApplyFence until batch t's
-// ApplyGrads has been signalled, restoring the serial order for
-// weight-dependent reads. At most one prefetch is in flight, and the
-// executor joins it (TaskGroup) before touching the prepared buffers, so
-// the handoff is data-race-free in both directions.
+// Phase protocol (CtrModel, models/model.h): TrainStep is exactly
+// PrepareBatch -> ForwardBackward -> ApplyGrads, and PrepareBatch reads
+// only the dataset and the batch's row ids. The executor therefore cannot
+// change the math: compute (including the search models' Gumbel noise
+// stream) runs on the calling thread in batch order, and PrepareBatch is a
+// pure function of the dataset and row ids, so the pipelined loop is
+// bit-identical to the serial loop at any thread count — the same
+// determinism contract as the parallel kernels (DESIGN.md). At most one
+// prefetch is in flight, and the executor joins it (TaskGroup) before
+// touching the prepared buffers, so the handoff is data-race-free in both
+// directions.
 //
 // Workspaces: two StepWorkspaces ping-pong between "being computed" and
 // "being prefetched". All buffers retain capacity across steps and epochs,
@@ -24,16 +20,14 @@
 // "pipeline.workspace_bytes" gauge tracks held capacity and
 // "pipeline.workspace_growth_steps" counts post-warmup growth events.
 //
-// Obs: spans `train_step` (ForwardBackward + ApplyGrads), `pipeline_stall`
-// (waiting on the prefetch) and `apply_fence_wait` (inside a fenced
-// prepare task), plus the `pipeline.stall_us` counter.
+// Obs: spans `train_step` (ForwardBackward + ApplyGrads) and
+// `pipeline_stall` (waiting on the prefetch), plus the `pipeline.stall_us`
+// counter.
 
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 
 #include "data/batch.h"
 #include "models/model.h"
@@ -41,46 +35,17 @@
 
 namespace optinter {
 
-/// Monotonic grad-apply fence: the compute thread signals the number of
-/// completed ApplyGrads; fenced prepare tasks wait until their target
-/// step's update is visible.
-class ApplyFence {
- public:
-  void Signal(uint64_t applied) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      applied_ = applied;
-    }
-    cv_.notify_all();
-  }
-
-  void WaitFor(uint64_t target) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return applied_ >= target; });
-  }
-
-  uint64_t applied() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return applied_;
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  uint64_t applied_ = 0;
-};
-
 /// Reusable per-step buffers. One workspace is being computed while the
 /// other receives the prefetched next batch.
 struct StepWorkspace {
   PreparedBatch prep;
 };
 
-/// Drives one model's training epochs through the phase-split pipeline.
+/// Drives one model's training epochs through the three-phase pipeline.
 /// Reuse one executor across epochs so workspace capacity persists.
 class PipelinedTrainExecutor {
  public:
-  /// `model` must outlive the executor and SupportsPhasedTrainStep().
+  /// `model` must outlive the executor.
   explicit PipelinedTrainExecutor(CtrModel* model);
 
   struct EpochStats {
@@ -107,7 +72,6 @@ class PipelinedTrainExecutor {
 
   CtrModel* model_;
   StepWorkspace ws_[2];
-  ApplyFence fence_;
   uint64_t steps_done_ = 0;
   size_t last_capacity_bytes_ = 0;
   bool warmed_up_ = false;

@@ -1,26 +1,15 @@
 #include "train/stream_trainer.h"
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "metrics/metrics.h"
 #include "obs/registry.h"
-#include "obs/run_report.h"
 #include "obs/trace.h"
-#include "train/pipeline_executor.h"
 
 namespace optinter {
 
 namespace {
-
-obs::Counter* TrainRowsCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("train.rows");
-  return c;
-}
 
 obs::Counter* EvalRowsCounter() {
   static obs::Counter* c =
@@ -30,7 +19,7 @@ obs::Counter* EvalRowsCounter() {
 
 }  // namespace
 
-Result<EvalMetrics> EvaluateModelStreamed(CtrModel* model,
+Result<EvalMetrics> EvaluateModelStreamed(const CtrModel* model,
                                           StreamingReader* reader,
                                           size_t begin, size_t end,
                                           size_t batch_size) {
@@ -50,14 +39,15 @@ Result<EvalMetrics> EvaluateModelStreamed(CtrModel* model,
   all_probs.reserve(n);
   all_labels.reserve(n);
   std::vector<float> probs;  // per-batch scratch
+  ForwardContext ctx;
   source.StartEpoch();
   for (;;) {
     Batch b = source.Next();
     if (b.size == 0) break;
-    // Serial, in-range order: the same batch grid and prediction order as
-    // EvaluateModel's serial path over the materialized rows, so the
-    // stitched metrics are bit-identical to the in-RAM evaluation.
-    model->Predict(b, &probs);
+    // In-range order over the same batch grid as EvaluateModel over the
+    // materialized rows, so the stitched metrics are bit-identical to the
+    // in-RAM evaluation.
+    model->Predict(b, &probs, &ctx);
     all_probs.insert(all_probs.end(), probs.begin(), probs.begin() + b.size);
     for (size_t k = 0; k < b.size; ++k) all_labels.push_back(b.label(k));
   }
@@ -101,156 +91,27 @@ StreamingBatcher::Options BatcherOptions(const StreamTrainOptions& options) {
   return bo;
 }
 
-/// The shared epoch loop: TrainModel's structure over a StreamingBatcher
-/// (reader- or RAM-backed) with pluggable evaluation closures (null when
-/// the corresponding range is empty). Both public entry points route
-/// through here, so the two arms of a parity run execute the same code.
-Result<TrainSummary> RunStreamedLoop(
-    CtrModel* model, StreamingBatcher* batcher,
-    const std::function<Result<EvalMetrics>()>& eval_val,
-    const std::function<Result<EvalMetrics>()>& eval_test,
-    const StreamTrainOptions& options) {
-  Stopwatch timer;
-  TrainSummary summary;
-  TrainTelemetry& telemetry = summary.telemetry;
-  const bool has_val = static_cast<bool>(eval_val);
-  const bool has_test = static_cast<bool>(eval_test);
+/// The epoch-loop options of a streamed run.
+TrainOptions LoopOptions(const StreamTrainOptions& options) {
+  TrainOptions to;
+  to.epochs = options.epochs;
+  to.patience = options.patience;
+  to.stop_metric = options.stop_metric;
+  to.verbose = options.verbose;
+  to.pipeline = options.pipeline;
+  to.report = options.report;
+  return to;
+}
 
-  double best_val_score = -1e300;
-  size_t stale_epochs = 0;
-  std::vector<Tensor*> state;
-  model->CollectState(&state);
-  std::vector<Tensor> best_state;
-  bool have_snapshot = false;
-  const bool use_pipeline =
-      options.pipeline && model->SupportsPhasedTrainStep();
-  std::unique_ptr<PipelinedTrainExecutor> executor;
-  if (use_pipeline) executor = std::make_unique<PipelinedTrainExecutor>(model);
-  auto tick_report = [&] {
-    if (options.report != nullptr) options.report->MaybeWriteEvery();
-  };
-
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    Stopwatch epoch_timer;
-    batcher->StartEpoch();
-    double loss_sum = 0.0;
-    size_t batches = 0;
-    size_t rows_seen = 0;
-    {
-      OPTINTER_TRACE_SPAN("train_epoch");
-      if (use_pipeline) {
-        const PipelinedTrainExecutor::EpochStats stats =
-            executor->RunEpoch(batcher, tick_report);
-        loss_sum = stats.loss_sum;
-        batches = stats.batches;
-        rows_seen = stats.rows;
-      } else {
-        for (;;) {
-          Batch b = batcher->Next();
-          if (b.size == 0) break;
-          {
-            OPTINTER_TRACE_SPAN("train_step");
-            loss_sum += model->TrainStep(b);
-          }
-          rows_seen += b.size;
-          ++batches;
-          tick_report();
-        }
-      }
-    }
-    // An empty batch ends the epoch both at exhaustion and on a data
-    // error; only the status tells them apart. Fail the run rather than
-    // report metrics from a silently shortened epoch.
-    OPTINTER_RETURN_NOT_OK(batcher->status());
-    TrainRowsCounter()->Add(rows_seen);
-    const double mean_loss =
-        batches > 0 ? loss_sum / static_cast<double>(batches) : 0.0;
-    summary.epoch_train_losses.push_back(mean_loss);
-    ++summary.epochs_run;
-
-    EpochTelemetry et;
-    et.epoch = epoch;
-    et.train_seconds = epoch_timer.Elapsed();
-    et.train_rows_per_sec =
-        et.train_seconds > 0.0
-            ? static_cast<double>(rows_seen) / et.train_seconds
-            : 0.0;
-    et.mean_train_loss = mean_loss;
-    telemetry.train_seconds_total += et.train_seconds;
-
-    bool stop = false;
-    if (has_val) {
-      Stopwatch eval_timer;
-      OPTINTER_ASSIGN_OR_RETURN(const EvalMetrics val, eval_val());
-      et.eval_seconds = eval_timer.Elapsed();
-      telemetry.eval_seconds_total += et.eval_seconds;
-      summary.epoch_val_aucs.push_back(val.auc);
-      summary.final_val = val;
-      const double score = options.stop_metric == StopMetric::kAuc
-                               ? val.auc
-                               : -val.logloss;
-      if (ScoreImproved(score, best_val_score, options.stop_metric)) {
-        best_val_score = score;
-        stale_epochs = 0;
-        et.improved = true;
-        telemetry.best_epoch = epoch;
-        if (!state.empty()) {
-          best_state.resize(state.size());
-          for (size_t i = 0; i < state.size(); ++i) {
-            best_state[i] = *state[i];
-          }
-          have_snapshot = true;
-        }
-      } else if (options.patience > 0 && ++stale_epochs >= options.patience) {
-        telemetry.early_stopped = true;
-        stop = true;
-      }
-      if (options.verbose) {
-        LOG_INFO() << model->Name() << " epoch " << epoch
-                   << " loss=" << mean_loss << " val_auc=" << val.auc
-                   << " val_logloss=" << val.logloss << " train_s="
-                   << et.train_seconds << " eval_s=" << et.eval_seconds
-                   << " rows/s=" << et.train_rows_per_sec
-                   << (et.improved ? " [improved]" : " [stale]");
-        if (stop) {
-          LOG_INFO() << model->Name() << " early stop at epoch " << epoch;
-        }
-      }
-    } else if (options.verbose) {
-      LOG_INFO() << model->Name() << " epoch " << epoch
-                 << " loss=" << mean_loss << " train_s=" << et.train_seconds
-                 << " rows/s=" << et.train_rows_per_sec;
-    }
-    telemetry.epochs.push_back(et);
-    tick_report();
-    if (stop) break;
-  }
-  if (have_snapshot) {
-    for (size_t i = 0; i < state.size(); ++i) {
-      *state[i] = std::move(best_state[i]);
-    }
-    telemetry.restored_best_snapshot = true;
-    if (has_val) {
-      Stopwatch eval_timer;
-      OPTINTER_ASSIGN_OR_RETURN(summary.final_val, eval_val());
-      telemetry.eval_seconds_total += eval_timer.Elapsed();
-    }
-  }
-  if (has_test) {
-    Stopwatch eval_timer;
-    OPTINTER_ASSIGN_OR_RETURN(summary.final_test, eval_test());
-    telemetry.eval_seconds_total += eval_timer.Elapsed();
-  }
-  if (telemetry.train_seconds_total > 0.0) {
-    double rows_total = 0.0;
-    for (const EpochTelemetry& et : telemetry.epochs) {
-      rows_total += et.train_rows_per_sec * et.train_seconds;
-    }
-    telemetry.train_rows_per_sec =
-        rows_total / telemetry.train_seconds_total;
-  }
-  summary.seconds = timer.Elapsed();
-  return summary;
+/// Runs the shared epoch loop over `batcher`, failing on its data errors.
+Result<TrainSummary> RunStreamedLoop(CtrModel* model,
+                                     StreamingBatcher* batcher,
+                                     const internal::EvalFn& eval_val,
+                                     const internal::EvalFn& eval_test,
+                                     const StreamTrainOptions& options) {
+  return internal::RunEpochLoop(
+      model, batcher, [batcher] { return batcher->status(); }, eval_val,
+      eval_test, LoopOptions(options));
 }
 
 }  // namespace
@@ -261,8 +122,8 @@ Result<TrainSummary> TrainModelStreamed(CtrModel* model,
   const size_t n = reader->num_rows();
   const StreamSplits s = ComputeSplits(n, options);
   StreamingBatcher batcher(reader, 0, s.train_end, BatcherOptions(options));
-  std::function<Result<EvalMetrics>()> eval_val;
-  std::function<Result<EvalMetrics>()> eval_test;
+  internal::EvalFn eval_val;
+  internal::EvalFn eval_test;
   if (s.val_end > s.train_end) {
     eval_val = [=] {
       return EvaluateModelStreamed(model, reader, s.train_end, s.val_end,
@@ -295,8 +156,8 @@ Result<TrainSummary> TrainModelStreamed(CtrModel* model,
       return EvaluateModel(model, data, rows, eo);
     };
   };
-  std::function<Result<EvalMetrics>()> eval_val;
-  std::function<Result<EvalMetrics>()> eval_test;
+  internal::EvalFn eval_val;
+  internal::EvalFn eval_test;
   if (s.val_end > s.train_end) eval_val = eval_range(s.train_end, s.val_end);
   if (n > s.val_end) eval_test = eval_range(s.val_end, n);
   return RunStreamedLoop(model, &batcher, eval_val, eval_test, options);

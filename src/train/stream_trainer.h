@@ -1,6 +1,6 @@
-// Out-of-core training: TrainModel's epoch loop driven by streamed
-// batches from a sharded on-disk dataset (data/stream_reader.h) instead
-// of an in-RAM EncodedDataset.
+// Out-of-core training: TrainModel's epoch loop (internal::RunEpochLoop,
+// trainer.h) driven by streamed batches from a sharded on-disk dataset
+// (data/stream_reader.h) instead of an in-RAM EncodedDataset.
 //
 // Splits are contiguous row ranges of the shard directory: train =
 // [0, train_frac*N), val = the next val_frac*N rows, test = the rest.
@@ -54,8 +54,8 @@ struct StreamTrainOptions {
 /// Sequential streamed evaluation over global rows [begin, end):
 /// bit-identical metrics to EvaluateModel over the same rows of the
 /// materialized dataset with the same batch size (same batch grid, same
-/// serial prediction order).
-Result<EvalMetrics> EvaluateModelStreamed(CtrModel* model,
+/// stitching order).
+Result<EvalMetrics> EvaluateModelStreamed(const CtrModel* model,
                                           StreamingReader* reader,
                                           size_t begin, size_t end,
                                           size_t batch_size = 2048);

@@ -38,24 +38,12 @@ bool ScoreImproved(double score, double best_score, StopMetric metric) {
   return score > best_score + tol;
 }
 
-EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
+EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
                           const std::vector<size_t>& rows,
                           const EvalOptions& options) {
   OPTINTER_TRACE_SPAN("evaluate");
   CHECK(!rows.empty());
   CHECK_GT(options.batch_size, 0u);
-  // Fail at the call site, not deep inside a worker: a model without the
-  // const re-entrant Predict overload cannot be evaluated batch-parallel,
-  // and callers that opted out of the silent serial fallback want to know
-  // immediately.
-  if (options.parallel && !options.allow_serial_fallback) {
-    CHECK(model->SupportsReentrantPredict())
-        << model->Name()
-        << " does not implement the const re-entrant Predict(batch, probs, "
-           "ctx) overload, so parallel evaluation would silently fall back "
-           "to the serial path; set EvalOptions::allow_serial_fallback or "
-           "implement the overload";
-  }
   const size_t n = rows.size();
   EvalRowsCounter()->Add(n);
   std::vector<float> all_probs(n);
@@ -70,47 +58,31 @@ EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
   } else {
     gather_labels(0, n);
   }
-  // Batch-parallel prediction when the model supports re-entrant Predict:
-  // each task owns a ForwardContext and writes its slice of all_probs at a
+  // Each task owns a ForwardContext and writes its slice of all_probs at a
   // deterministic offset, so the stitched result — and therefore
   // AUC/log-loss — is bit-identical to the serial path whatever the
-  // batch-to-task assignment. Models without re-entrant Predict (layers
-  // cache activations in members) run batches in order on this thread; the
-  // kernels inside Predict still row-block across the pool on their own.
+  // batch-to-task assignment.
   const size_t num_batches = (n + options.batch_size - 1) / options.batch_size;
-  auto predict_range = [&](size_t lo, size_t hi, std::vector<float>* probs,
-                           ForwardContext* ctx) {
-    const CtrModel* cm = model;
+  auto predict_range = [&](size_t lo, size_t hi) {
+    // Task-local context and scratch, reused across the task's batches.
+    std::vector<float> probs;
+    ForwardContext ctx;
     for (size_t bi = lo; bi < hi; ++bi) {
       const size_t start = bi * options.batch_size;
       Batch b;
       b.data = &data;
       b.rows = rows.data() + start;
       b.size = std::min(options.batch_size, n - start);
-      if (ctx != nullptr) {
-        cm->Predict(b, probs, ctx);
-      } else {
-        model->Predict(b, probs);
-      }
-      std::memcpy(all_probs.data() + start, probs->data(),
+      model->Predict(b, &probs, &ctx);
+      std::memcpy(all_probs.data() + start, probs.data(),
                   b.size * sizeof(float));
     }
   };
-  if (options.parallel && model->SupportsReentrantPredict() &&
-      num_batches > 1) {
+  if (options.parallel && num_batches > 1) {
     OPTINTER_TRACE_SPAN("eval_batch_parallel");
-    ParallelForChunks(0, num_batches,
-                      [&](size_t lo, size_t hi) {
-                        // Task-local context and scratch, reused across the
-                        // task's batches.
-                        std::vector<float> probs;
-                        ForwardContext ctx;
-                        predict_range(lo, hi, &probs, &ctx);
-                      },
-                      /*min_chunk=*/1);
+    ParallelForChunks(0, num_batches, predict_range, /*min_chunk=*/1);
   } else {
-    std::vector<float> probs;  // per-batch scratch, reused across batches
-    predict_range(0, num_batches, &probs, nullptr);
+    predict_range(0, num_batches);
   }
   EvalMetrics m;
   m.auc = Auc(all_probs, all_labels);
@@ -118,7 +90,7 @@ EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
   return m;
 }
 
-EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
+EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
                           const std::vector<size_t>& rows,
                           size_t batch_size) {
   EvalOptions options;
@@ -126,30 +98,19 @@ EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
   return EvaluateModel(model, data, rows, options);
 }
 
-TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
-                        const Splits& splits, const TrainOptions& options) {
-  CHECK(!splits.train.empty());
+namespace internal {
+
+Result<TrainSummary> RunEpochLoop(CtrModel* model, BatchSource* batches,
+                                  const std::function<Status()>& batches_status,
+                                  const EvalFn& eval_val,
+                                  const EvalFn& eval_test,
+                                  const TrainOptions& options) {
   Stopwatch timer;
-  // Optional live scrape endpoint for the duration of the run. Failure to
-  // bind must never abort training.
-  std::unique_ptr<obs::HttpExporter> metrics_exporter;
-  if (options.metrics_port >= 0) {
-    obs::HttpExporterOptions exporter_options;
-    exporter_options.port = options.metrics_port;
-    metrics_exporter =
-        std::make_unique<obs::HttpExporter>(std::move(exporter_options));
-    std::string error;
-    if (!metrics_exporter->Start(&error)) {
-      LOG_WARNING() << "metrics exporter disabled: " << error;
-      metrics_exporter.reset();
-    } else if (options.verbose) {
-      LOG_INFO() << "metrics exporter on 127.0.0.1:"
-                 << metrics_exporter->port();
-    }
-  }
   TrainSummary summary;
   TrainTelemetry& telemetry = summary.telemetry;
-  Batcher batcher(&data, splits.train, options.batch_size, options.seed);
+  const bool has_val = static_cast<bool>(eval_val);
+  const bool has_test = static_cast<bool>(eval_test);
+
   // "Score" is oriented so larger is better regardless of metric.
   double best_val_score = -1e300;
   size_t stale_epochs = 0;
@@ -161,43 +122,49 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
   bool have_snapshot = false;
   // One executor for the whole run so workspace capacity persists across
   // epochs (only the first epoch's first steps may allocate).
-  const bool use_pipeline = options.pipeline && model->SupportsPhasedTrainStep();
   std::unique_ptr<PipelinedTrainExecutor> executor;
-  if (use_pipeline) executor = std::make_unique<PipelinedTrainExecutor>(model);
+  if (options.pipeline) {
+    executor = std::make_unique<PipelinedTrainExecutor>(model);
+  }
   auto tick_report = [&] {
     if (options.report != nullptr) options.report->MaybeWriteEvery();
   };
+
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
     Stopwatch epoch_timer;
-    batcher.StartEpoch();
+    batches->StartEpoch();
     double loss_sum = 0.0;
-    size_t batches = 0;
+    size_t steps = 0;
     size_t rows_seen = 0;
     {
       OPTINTER_TRACE_SPAN("train_epoch");
-      if (use_pipeline) {
+      if (executor) {
         const PipelinedTrainExecutor::EpochStats stats =
-            executor->RunEpoch(&batcher, tick_report);
+            executor->RunEpoch(batches, tick_report);
         loss_sum = stats.loss_sum;
-        batches = stats.batches;
+        steps = stats.batches;
         rows_seen = stats.rows;
       } else {
         for (;;) {
-          Batch b = batcher.Next();
+          Batch b = batches->Next();
           if (b.size == 0) break;
           {
             OPTINTER_TRACE_SPAN("train_step");
             loss_sum += model->TrainStep(b);
           }
           rows_seen += b.size;
-          ++batches;
+          ++steps;
           tick_report();
         }
       }
     }
+    // An empty batch ends the epoch both at exhaustion and on a data
+    // error; only the status tells them apart. Fail the run rather than
+    // report metrics from a silently shortened epoch.
+    if (batches_status) OPTINTER_RETURN_NOT_OK(batches_status());
     TrainRowsCounter()->Add(rows_seen);
     const double mean_loss =
-        batches > 0 ? loss_sum / static_cast<double>(batches) : 0.0;
+        steps > 0 ? loss_sum / static_cast<double>(steps) : 0.0;
     summary.epoch_train_losses.push_back(mean_loss);
     ++summary.epochs_run;
 
@@ -212,9 +179,9 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
     telemetry.train_seconds_total += et.train_seconds;
 
     bool stop = false;
-    if (!splits.val.empty()) {
+    if (has_val) {
       Stopwatch eval_timer;
-      const EvalMetrics val = EvaluateModel(model, data, splits.val);
+      OPTINTER_ASSIGN_OR_RETURN(const EvalMetrics val, eval_val());
       et.eval_seconds = eval_timer.Elapsed();
       telemetry.eval_seconds_total += et.eval_seconds;
       summary.epoch_val_aucs.push_back(val.auc);
@@ -263,15 +230,15 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
       *state[i] = std::move(best_state[i]);
     }
     telemetry.restored_best_snapshot = true;
-    if (!splits.val.empty()) {
+    if (has_val) {
       Stopwatch eval_timer;
-      summary.final_val = EvaluateModel(model, data, splits.val);
+      OPTINTER_ASSIGN_OR_RETURN(summary.final_val, eval_val());
       telemetry.eval_seconds_total += eval_timer.Elapsed();
     }
   }
-  if (!splits.test.empty()) {
+  if (has_test) {
     Stopwatch eval_timer;
-    summary.final_test = EvaluateModel(model, data, splits.test);
+    OPTINTER_ASSIGN_OR_RETURN(summary.final_test, eval_test());
     telemetry.eval_seconds_total += eval_timer.Elapsed();
   }
   if (telemetry.train_seconds_total > 0.0) {
@@ -284,6 +251,45 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
   }
   summary.seconds = timer.Elapsed();
   return summary;
+}
+
+}  // namespace internal
+
+TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
+                        const Splits& splits, const TrainOptions& options) {
+  CHECK(!splits.train.empty());
+  // Optional live scrape endpoint for the duration of the run. Failure to
+  // bind must never abort training.
+  std::unique_ptr<obs::HttpExporter> metrics_exporter;
+  if (options.metrics_port >= 0) {
+    obs::HttpExporterOptions exporter_options;
+    exporter_options.port = options.metrics_port;
+    metrics_exporter =
+        std::make_unique<obs::HttpExporter>(std::move(exporter_options));
+    std::string error;
+    if (!metrics_exporter->Start(&error)) {
+      LOG_WARNING() << "metrics exporter disabled: " << error;
+      metrics_exporter.reset();
+    } else if (options.verbose) {
+      LOG_INFO() << "metrics exporter on 127.0.0.1:"
+                 << metrics_exporter->port();
+    }
+  }
+  Batcher batcher(&data, splits.train, options.batch_size, options.seed);
+  auto eval_rows = [model, &data](const std::vector<size_t>& rows) {
+    return [model, &data, &rows]() -> Result<EvalMetrics> {
+      return EvaluateModel(model, data, rows);
+    };
+  };
+  internal::EvalFn eval_val;
+  internal::EvalFn eval_test;
+  if (!splits.val.empty()) eval_val = eval_rows(splits.val);
+  if (!splits.test.empty()) eval_test = eval_rows(splits.test);
+  // In-RAM batches never fail and EvaluateModel has no error path.
+  Result<TrainSummary> summary = internal::RunEpochLoop(
+      model, &batcher, /*batches_status=*/{}, eval_val, eval_test, options);
+  CHECK_OK(summary.status());
+  return std::move(summary).value();
 }
 
 obs::JsonValue EvalMetricsToJson(const EvalMetrics& metrics) {

@@ -1,10 +1,18 @@
 // Generic training / evaluation loop for CtrModel instances.
+//
+// Every model trains through the CtrModel phase protocol (models/model.h)
+// and predicts through its const Predict, so one epoch loop serves the
+// in-RAM TrainModel and the out-of-core TrainModelStreamed
+// (stream_trainer.h), and evaluation always predicts whole batches
+// concurrently, each with its own ForwardContext.
 
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "data/batch.h"
 #include "models/model.h"
 #include "obs/json.h"
@@ -43,10 +51,9 @@ struct TrainOptions {
   StopMetric stop_metric = StopMetric::kLogLoss;
   bool verbose = false;
   /// Run the epoch loop through the pipelined executor (batch t+1's
-  /// PrepareBatch overlaps batch t's compute) when the model supports the
-  /// phased TrainStep protocol; other models fall back to the serial loop.
-  /// Bit-identical to the serial loop at any thread count — see
-  /// src/train/pipeline_executor.h.
+  /// PrepareBatch overlaps batch t's compute) instead of a serial
+  /// TrainStep loop. Bit-identical to the serial loop at any thread
+  /// count — see src/train/pipeline_executor.h.
   bool pipeline = true;
   /// Optional: a report armed with RunReport::WriteEvery is ticked at
   /// quiescent points (after each step on the pipelined path, each batch
@@ -69,20 +76,11 @@ struct EvalMetrics {
 struct EvalOptions {
   size_t batch_size = 2048;
   /// Run evaluation batch-parallel: the label gather fans across the
-  /// thread pool, and when the model supports re-entrant Predict
-  /// (CtrModel::SupportsReentrantPredict) whole batches are predicted
-  /// concurrently, each task owning a private ForwardContext. Every batch
-  /// writes a disjoint slice of the stitched result at an offset fixed by
-  /// the batch grid, so the metrics are bit-identical to the serial path.
-  /// Models without re-entrant Predict fall back to in-order batches on
-  /// the calling thread (the kernels inside Predict still use the pool).
+  /// thread pool and whole batches are predicted concurrently, each task
+  /// owning a private ForwardContext. Every batch writes a disjoint slice
+  /// of the stitched result at an offset fixed by the batch grid, so the
+  /// metrics are bit-identical to the serial path.
   bool parallel = true;
-  /// When false, a parallel evaluation of a model WITHOUT re-entrant
-  /// Predict fails up front (CHECK with an actionable message) instead of
-  /// silently degrading to the serial path — callers that depend on
-  /// batch-parallel eval throughput (the serving layer, latency benches)
-  /// set this to make the degradation loud.
-  bool allow_serial_fallback = true;
 };
 
 /// Per-epoch wall-clock and throughput record. TrainStep fuses forward,
@@ -127,12 +125,12 @@ struct TrainSummary {
 };
 
 /// Evaluates `model` on the given rows (batched, no gradient work).
-EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
+EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
                           const std::vector<size_t>& rows,
                           const EvalOptions& options);
 
 /// Back-compat overload: batch size only, parallel path.
-EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
+EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
                           const std::vector<size_t>& rows,
                           size_t batch_size = 2048);
 
@@ -141,6 +139,27 @@ EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
 /// splits.test.
 TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
                         const Splits& splits, const TrainOptions& options);
+
+namespace internal {
+
+/// One evaluation pass of the epoch loop.
+using EvalFn = std::function<Result<EvalMetrics>()>;
+
+/// The epoch loop behind TrainModel and TrainModelStreamed. Each epoch
+/// trains over `batches` (pipelined or serial per options.pipeline), fails
+/// the run if `batches_status` (optional) reports an error, evaluates with
+/// `eval_val` (empty when there is no validation range), keeps the
+/// best-epoch snapshot and early-stops after options.patience stale
+/// epochs. At the end it restores the snapshot and evaluates `eval_test`
+/// (optional). Reads options.epochs, patience, stop_metric, verbose,
+/// pipeline and report.
+Result<TrainSummary> RunEpochLoop(CtrModel* model, BatchSource* batches,
+                                  const std::function<Status()>& batches_status,
+                                  const EvalFn& eval_val,
+                                  const EvalFn& eval_test,
+                                  const TrainOptions& options);
+
+}  // namespace internal
 
 /// JSON forms for run reports (obs/run_report.h). Field names mirror the
 /// struct members.

@@ -109,7 +109,6 @@ std::vector<Batch> SplitBatches(const testing::PreparedData& p,
 // expects bit-identical probabilities.
 void CheckConcurrentPredict(const CtrModel& model,
                             const std::vector<Batch>& batches) {
-  ASSERT_TRUE(model.SupportsReentrantPredict());
   std::vector<std::vector<float>> reference(batches.size());
   {
     ForwardContext ctx;
@@ -275,6 +274,43 @@ TEST(DeterminismTest, LinearBackwardBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Runs the prepared forward + scatter of `emb` over `batch` with upstream
+// gradient `d_out` and returns each categorical table's gradient as a
+// dense [BackingRows × dim] block (zeros for rows the batch did not
+// touch), in field order. Leaves no scatter armed.
+std::vector<std::vector<float>> PreparedScatterGrads(FeatureEmbedding* emb,
+                                                     const Batch& batch,
+                                                     const Tensor& d_out) {
+  PreparedBatch prep;
+  prep.BeginFill(batch);
+  emb->Prepare(batch, &prep);
+  Tensor out;
+  emb->ForwardPrepared(prep, prep.cat, &out);
+  emb->BackwardPrepared(d_out, prep, prep.cat);
+  std::vector<std::vector<float>> grads(emb->num_categorical());
+  for (size_t f = 0; f < grads.size(); ++f) {
+    const EmbeddingTable& t = emb->cat_table(f);
+    grads[f].assign(t.BackingRows() * t.dim(), 0.0f);
+    const std::vector<int32_t>& rows = prep.cat[f].unique_rows;
+    for (size_t slot = 0; slot < rows.size(); ++slot) {
+      std::memcpy(grads[f].data() + static_cast<size_t>(rows[slot]) * t.dim(),
+                  t.PreparedGrad(slot), t.dim() * sizeof(float));
+    }
+  }
+  emb->ClearPreparedGrads();
+  return grads;
+}
+
+// Every table's PreparedScatterGrads block, concatenated.
+std::vector<float> FlatScatterGrads(FeatureEmbedding* emb, const Batch& batch,
+                                    const Tensor& d_out) {
+  std::vector<float> flat;
+  for (const std::vector<float>& g : PreparedScatterGrads(emb, batch, d_out)) {
+    flat.insert(flat.end(), g.begin(), g.end());
+  }
+  return flat;
+}
+
 TEST(DeterminismTest, EmbeddingScatterBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
   const auto& p = SharedTinyData();
@@ -282,26 +318,9 @@ TEST(DeterminismTest, EmbeddingScatterBitIdenticalAcrossThreadCounts) {
   FeatureEmbedding emb(p.data, 8, 1e-3f, 0.0f, &rng);
   Batch batch = HeadBatch(p, 1024);  // 1024×56 floats → parallel scatter
   Tensor d_out = RandomTensor({batch.size, emb.output_dim()}, &rng);
-  auto run = [&]() {
-    emb.ClearGrads();
-    Tensor out;
-    emb.Forward(batch, &out);
-    emb.Backward(d_out);
-    // Flatten every table's accumulated sparse grads in id order.
-    std::vector<float> grads;
-    for (size_t f = 0; f < p.data.num_categorical(); ++f) {
-      const EmbeddingTable& t = emb.cat_table(f);
-      for (size_t id = 0; id < t.vocab_size(); ++id) {
-        const float* g = t.AccumulatedGrad(static_cast<int32_t>(id));
-        if (g == nullptr) {
-          grads.insert(grads.end(), t.dim(), 0.0f);
-        } else {
-          grads.insert(grads.end(), g, g + t.dim());
-        }
-      }
-    }
-    return grads;
-  };
+  // Dense tables: backing rows are ids, so this is every table's gradient
+  // in id order.
+  auto run = [&]() { return FlatScatterGrads(&emb, batch, d_out); };
   ThreadPool::SetGlobalThreads(1);
   const std::vector<float> ref = run();
   for (size_t threads : {2u, 8u}) {
@@ -323,26 +342,7 @@ void CheckBackendScatterDeterminism(const EmbeddingBackendConfig& backend) {
   FeatureEmbedding emb(p.data, 8, 1e-3f, 0.0f, &rng, backend);
   Batch batch = HeadBatch(p, 1024);
   Tensor d_out = RandomTensor({batch.size, emb.output_dim()}, &rng);
-  auto run = [&]() {
-    emb.ClearGrads();
-    Tensor out;
-    emb.Forward(batch, &out);
-    emb.Backward(d_out);
-    // Flatten accumulated grads over the BACKING rows of every table.
-    std::vector<float> grads;
-    for (size_t f = 0; f < p.data.num_categorical(); ++f) {
-      const EmbeddingTable& t = emb.cat_table(f);
-      for (size_t row = 0; row < t.BackingRows(); ++row) {
-        const float* g = t.AccumulatedGradForRow(static_cast<int32_t>(row));
-        if (g == nullptr) {
-          grads.insert(grads.end(), t.dim(), 0.0f);
-        } else {
-          grads.insert(grads.end(), g, g + t.dim());
-        }
-      }
-    }
-    return grads;
-  };
+  auto run = [&]() { return FlatScatterGrads(&emb, batch, d_out); };
   ThreadPool::SetGlobalThreads(1);
   const std::vector<float> ref = run();
   for (size_t threads : {2u, 8u}) {
@@ -387,7 +387,8 @@ std::vector<float> SnapshotModel(CtrModel* model, const Batch& batch) {
     snap.insert(snap.end(), t->data(), t->data() + t->size());
   }
   std::vector<float> probs;
-  model->Predict(batch, &probs);
+  ForwardContext ctx;
+  model->Predict(batch, &probs, &ctx);
   snap.insert(snap.end(), probs.begin(), probs.end());
   return snap;
 }
@@ -568,22 +569,8 @@ TEST(GradCheckParallelTest, EmbeddingScatterAcrossThreadCounts) {
   Batch batch = HeadBatch(p, 1024);
   Tensor c = RandomTensor({batch.size, emb.output_dim()}, &rng);
   EmbeddingTable& table = emb.cat_table(0);
-  auto compute = [&]() {
-    emb.ClearGrads();
-    Tensor out;
-    emb.Forward(batch, &out);
-    emb.Backward(c);
-    // Dense view of table 0's sparse grads, aligned with its values.
-    std::vector<float> g(table.vocab_size() * table.dim(), 0.0f);
-    for (size_t id = 0; id < table.vocab_size(); ++id) {
-      const float* ag = table.AccumulatedGrad(static_cast<int32_t>(id));
-      if (ag != nullptr) {
-        std::memcpy(g.data() + id * table.dim(), ag,
-                    table.dim() * sizeof(float));
-      }
-    }
-    return g;
-  };
+  // Dense view of table 0's grads, aligned with its values.
+  auto compute = [&]() { return PreparedScatterGrads(&emb, batch, c)[0]; };
   auto loss = [&]() {
     Tensor out;
     emb.Gather(batch, &out);
@@ -605,23 +592,9 @@ void CheckBackendScatterGradient(const EmbeddingBackendConfig& backend) {
   Batch batch = HeadBatch(p, 1024);
   Tensor c = RandomTensor({batch.size, emb.output_dim()}, &rng);
   EmbeddingTable& table = emb.cat_table(0);
-  auto compute = [&]() {
-    emb.ClearGrads();
-    Tensor out;
-    emb.Forward(batch, &out);
-    emb.Backward(c);
-    // Dense view of table 0's sparse grads in BACKING space, aligned
-    // with its values tensor.
-    std::vector<float> g(table.BackingRows() * table.dim(), 0.0f);
-    for (size_t row = 0; row < table.BackingRows(); ++row) {
-      const float* ag = table.AccumulatedGradForRow(static_cast<int32_t>(row));
-      if (ag != nullptr) {
-        std::memcpy(g.data() + row * table.dim(), ag,
-                    table.dim() * sizeof(float));
-      }
-    }
-    return g;
-  };
+  // Dense view of table 0's grads in BACKING space, aligned with its
+  // values tensor.
+  auto compute = [&]() { return PreparedScatterGrads(&emb, batch, c)[0]; };
   auto loss = [&]() {
     Tensor out;
     emb.Gather(batch, &out);

@@ -86,7 +86,8 @@ TEST(FixedArchTest, MixedArchitectureRuns) {
   }
   EXPECT_LT(last, first);
   std::vector<float> probs;
-  model.Predict(b, &probs);
+  ForwardContext ctx;
+  model.Predict(b, &probs, &ctx);
   EXPECT_EQ(probs.size(), 128u);
 }
 
@@ -104,7 +105,8 @@ TEST(FixedArchTest, NaiveArchNeedsNoCrossFeatures) {
   b.rows = p.splits.train.data();
   b.size = 32;
   std::vector<float> probs;
-  fnn->Predict(b, &probs);
+  ForwardContext ctx;
+  fnn->Predict(b, &probs, &ctx);
   EXPECT_EQ(probs.size(), 32u);
 }
 
@@ -233,7 +235,8 @@ TEST(AutoFisTest, PredictionsValid) {
   AutoFisSearchModel model(p.data, TinyHp());
   Batch b = HeadBatch(p, 64);
   std::vector<float> probs;
-  model.Predict(b, &probs);
+  ForwardContext ctx;
+  model.Predict(b, &probs, &ctx);
   for (float q : probs) {
     EXPECT_GT(q, 0.0f);
     EXPECT_LT(q, 1.0f);

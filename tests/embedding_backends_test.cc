@@ -9,7 +9,7 @@
 //  - tier-plan resolution precedence (explicit ids > dataset metadata >
 //    the 1..K fallback) and the min-vocab dense fallback,
 //  - actionable CHECK failures on bad ids / wrong-backend access,
-//  - prepared-path vs legacy-path bit parity for both backends,
+//  - prepared-scatter vs serial table-level scatter bit parity for both backends,
 //  - checkpoint -> reload -> quantize round trips with compressed
 //    cross tables.
 
@@ -252,35 +252,58 @@ TEST(EmbeddingBackendsDeathTest, OutOfRangeIdNamesTableAndVocab) {
 // Prepared-path parity
 // ---------------------------------------------------------------------------
 
-// Legacy Forward/Backward/Step and the phase-split
+// Reference step of `emb` at the table level: the serial AccumulateGrad /
+// AccumulateScaledGradForShard row loop, then SparseAdamStep.
+void SerialTableStep(FeatureEmbedding* emb, const Batch& batch,
+                     const Tensor& d_out) {
+  const EncodedDataset& data = *batch.data;
+  const size_t dim = emb->dim();
+  const size_t num_cat = emb->num_categorical();
+  for (size_t k = 0; k < batch.size; ++k) {
+    const size_t r = batch.rows[k];
+    for (size_t f = 0; f < num_cat; ++f) {
+      emb->cat_table(f).AccumulateGrad(data.cat(r, f), d_out.row(k) + f * dim);
+    }
+    for (size_t f = 0; f < emb->num_continuous(); ++f) {
+      emb->cont_table(f).AccumulateScaledGradForShard(
+          EmbeddingTable::ShardOf(0), 0, d_out.row(k) + (num_cat + f) * dim,
+          data.cont(r, f));
+    }
+  }
+  for (size_t f = 0; f < num_cat; ++f) emb->cat_table(f).SparseAdamStep();
+  for (size_t f = 0; f < emb->num_continuous(); ++f) {
+    emb->cont_table(f).SparseAdamStep();
+  }
+}
+
+// The serial table-level scatter + SparseAdamStep and the layer's
 // Prepare/ForwardPrepared/BackwardPrepared/StepPrepared must leave
 // bit-identical weights for every backend (they share Adam state and
-// accumulate per backing row in the same order).
+// accumulate per backing row in the same order), and ForwardPrepared must
+// gather what Gather does.
 void CheckPreparedParity(const EmbeddingBackendConfig& backend) {
   const auto& p = SharedTinyData();
   Rng rng1(99), rng2(99);
-  FeatureEmbedding legacy(p.data, 8, 1e-3f, 0.0f, &rng1, backend);
+  FeatureEmbedding serial(p.data, 8, 1e-3f, 0.0f, &rng1, backend);
   FeatureEmbedding prepared(p.data, 8, 1e-3f, 0.0f, &rng2, backend);
   Batch batch = HeadBatch(p, 128);
   Rng grad_rng(5);
-  Tensor d_out({batch.size, legacy.output_dim()});
+  Tensor d_out({batch.size, serial.output_dim()});
   for (size_t i = 0; i < d_out.size(); ++i) {
     d_out[i] = static_cast<float>(grad_rng.Gaussian());
   }
 
   for (int step = 0; step < 3; ++step) {
     Tensor out1;
-    legacy.Forward(batch, &out1);
-    legacy.Backward(d_out);
+    serial.Gather(batch, &out1);
+    SerialTableStep(&serial, batch, d_out);
 
     PreparedBatch prep;
     Tensor out2;
     prep.BeginFill(batch);
     prepared.Prepare(batch, &prep);
-    prepared.ForwardPrepared(prep, &out2);
-    prepared.BackwardPrepared(d_out, prep);
-
-    legacy.Step();
+    prepared.ForwardPrepared(prep, prep.cat, &out2);
+    prepared.BackwardPrepared(d_out, prep, prep.cat);
     prepared.StepPrepared();
 
     ASSERT_EQ(out1.size(), out2.size());
@@ -290,7 +313,7 @@ void CheckPreparedParity(const EmbeddingBackendConfig& backend) {
         << "forward mismatch at step " << step;
   }
   for (size_t f = 0; f < p.data.num_categorical(); ++f) {
-    const Tensor& v1 = legacy.cat_table(f).values();
+    const Tensor& v1 = serial.cat_table(f).values();
     const Tensor& v2 = prepared.cat_table(f).values();
     ASSERT_EQ(v1.size(), v2.size());
     EXPECT_EQ(std::memcmp(v1.data(), v2.data(), v1.size() * sizeof(float)),
@@ -298,9 +321,9 @@ void CheckPreparedParity(const EmbeddingBackendConfig& backend) {
         << "table " << f << " diverged";
   }
   // Continuous tables go through the scaled-accumulate path, which has
-  // its own legacy/prepared rounding contract (AddScaledRow).
+  // its own serial/prepared rounding contract (AddScaledRow).
   for (size_t f = 0; f < p.data.num_continuous(); ++f) {
-    const Tensor& v1 = legacy.cont_table(f).values();
+    const Tensor& v1 = serial.cont_table(f).values();
     const Tensor& v2 = prepared.cont_table(f).values();
     ASSERT_EQ(v1.size(), v2.size());
     EXPECT_EQ(std::memcmp(v1.data(), v2.data(), v1.size() * sizeof(float)),
@@ -401,8 +424,9 @@ void CheckCheckpointQuantizeRoundTrip(const EmbeddingBackendConfig& cross,
   const size_t params = trained->ParamCount();
 
   Batch eval = HeadBatch(p, 64);
+  ForwardContext ctx;
   std::vector<float> ref_probs;
-  trained->Predict(eval, &ref_probs);
+  trained->Predict(eval, &ref_probs, &ctx);
 
   const std::string path =
       ::testing::TempDir() + "backend_roundtrip_" + tag + ".bin";
@@ -413,7 +437,7 @@ void CheckCheckpointQuantizeRoundTrip(const EmbeddingBackendConfig& cross,
   ASSERT_TRUE(LoadModel(reloaded.get(), path).ok());
   EXPECT_EQ(reloaded->ParamCount(), params);
   std::vector<float> probs;
-  reloaded->Predict(eval, &probs);
+  reloaded->Predict(eval, &probs, &ctx);
   ASSERT_EQ(probs.size(), ref_probs.size());
   for (size_t i = 0; i < probs.size(); ++i) {
     EXPECT_EQ(probs[i], ref_probs[i]) << i;
@@ -425,7 +449,6 @@ void CheckCheckpointQuantizeRoundTrip(const EmbeddingBackendConfig& cross,
   std::shared_ptr<const CtrModel> q16;
   ASSERT_TRUE(QuantizeSnapshot(fp32, QuantMode::kBf16, &q16).ok());
   EXPECT_EQ(q16->ParamCount(), params);
-  ForwardContext ctx;
   std::vector<float> qprobs;
   q16->Predict(eval, &qprobs, &ctx);
   ASSERT_EQ(qprobs.size(), ref_probs.size());

@@ -175,12 +175,13 @@ TEST(SerializeTest, ModelCheckpointRestoresPredictions) {
   const std::string path = TempPath("model.ckpt");
   Batch b = HeadBatch(p, 64);
 
+  ForwardContext ctx;
   std::vector<float> trained_probs;
   {
     auto model = CreateBaseline("OptInter-M", p.data, TinyHp());
     ASSERT_TRUE(model.ok());
     for (int i = 0; i < 10; ++i) (*model)->TrainStep(b);
-    (*model)->Predict(b, &trained_probs);
+    (*model)->Predict(b, &trained_probs, &ctx);
     ASSERT_TRUE(SaveModel(model->get(), path).ok());
   }
   // A fresh identically-constructed model differs before load, matches
@@ -188,7 +189,7 @@ TEST(SerializeTest, ModelCheckpointRestoresPredictions) {
   auto fresh = CreateBaseline("OptInter-M", p.data, TinyHp());
   ASSERT_TRUE(fresh.ok());
   std::vector<float> fresh_probs;
-  (*fresh)->Predict(b, &fresh_probs);
+  (*fresh)->Predict(b, &fresh_probs, &ctx);
   bool differs = false;
   for (size_t i = 0; i < trained_probs.size(); ++i) {
     differs |= trained_probs[i] != fresh_probs[i];
@@ -196,7 +197,7 @@ TEST(SerializeTest, ModelCheckpointRestoresPredictions) {
   EXPECT_TRUE(differs);
   ASSERT_TRUE(LoadModel(fresh->get(), path).ok());
   std::vector<float> loaded_probs;
-  (*fresh)->Predict(b, &loaded_probs);
+  (*fresh)->Predict(b, &loaded_probs, &ctx);
   for (size_t i = 0; i < trained_probs.size(); ++i) {
     EXPECT_FLOAT_EQ(trained_probs[i], loaded_probs[i]);
   }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
+#include "common/thread_pool.h"
 #include "core/zoo.h"
 #include "models/deep_models.h"
 #include "models/interaction.h"
@@ -24,6 +27,30 @@ HyperParams TinyHp() {
   return hp;
 }
 
+struct PoolGuard {
+  size_t saved = ThreadPool::Global().num_threads();
+  ~PoolGuard() { ThreadPool::SetGlobalThreads(saved); }
+};
+
+// Every trainable value of `model`, flattened.
+std::vector<float> FlatState(CtrModel* model) {
+  std::vector<Tensor*> state;
+  model->CollectState(&state);
+  std::vector<float> flat;
+  for (const Tensor* t : state) {
+    flat.insert(flat.end(), t->data(), t->data() + t->size());
+  }
+  return flat;
+}
+
+Batch RowsBatch(const testing::PreparedData& p, size_t offset, size_t size) {
+  Batch b;
+  b.data = &p.data;
+  b.rows = p.splits.train.data() + offset;
+  b.size = size;
+  return b;
+}
+
 // ---------------------------------------------------------------------------
 // Parameterized over every zoo baseline.
 // ---------------------------------------------------------------------------
@@ -43,7 +70,8 @@ TEST_P(ZooModelTest, PredictionsAreProbabilities) {
   ASSERT_TRUE(model.ok());
   Batch b = HeadBatch(p, 64);
   std::vector<float> probs;
-  (*model)->Predict(b, &probs);
+  ForwardContext ctx;
+  (*model)->Predict(b, &probs, &ctx);
   ASSERT_EQ(probs.size(), 64u);
   for (float q : probs) {
     EXPECT_GT(q, 0.0f);
@@ -77,8 +105,9 @@ TEST_P(ZooModelTest, DeterministicGivenSeed) {
   (*m1)->TrainStep(b);
   (*m2)->TrainStep(b);
   std::vector<float> p1, p2;
-  (*m1)->Predict(b, &p1);
-  (*m2)->Predict(b, &p2);
+  ForwardContext ctx;
+  (*m1)->Predict(b, &p1, &ctx);
+  (*m2)->Predict(b, &p2, &ctx);
   for (size_t i = 0; i < p1.size(); ++i) {
     EXPECT_FLOAT_EQ(p1[i], p2[i]) << GetParam();
   }
@@ -95,6 +124,85 @@ TEST_P(ZooModelTest, LearnsAboveChanceAuc) {
   opts.patience = 0;
   TrainSummary s = TrainModel(model->get(), p.data, p.splits, opts);
   EXPECT_GT(s.final_test.auc, 0.55) << GetParam();
+}
+
+// The phase protocol: TrainModel's pipelined executor at 4 pool threads
+// (batch t+1 prepared while batch t computes) trains exactly what a serial
+// TrainStep loop over the same batch stream trains at 1 thread.
+TEST_P(ZooModelTest, PipelinedTrainModelMatchesSerialStepLoopBitwise) {
+  PoolGuard guard;
+  const auto& p = SharedTinyData();
+  constexpr size_t kEpochs = 2;
+  constexpr size_t kBatch = 256;
+  constexpr uint64_t kSeed = 13;
+
+  ThreadPool::SetGlobalThreads(1);
+  auto serial = CreateBaseline(GetParam(), p.data, TinyHp());
+  ASSERT_TRUE(serial.ok());
+  Batcher batcher(&p.data, p.splits.train, kBatch, kSeed);
+  for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
+    batcher.StartEpoch();
+    for (Batch b = batcher.Next(); b.size != 0; b = batcher.Next()) {
+      (*serial)->TrainStep(b);
+    }
+  }
+
+  ThreadPool::SetGlobalThreads(4);
+  auto piped = CreateBaseline(GetParam(), p.data, TinyHp());
+  ASSERT_TRUE(piped.ok());
+  Splits train_only;
+  train_only.train = p.splits.train;
+  TrainOptions opts;
+  opts.epochs = kEpochs;
+  opts.batch_size = kBatch;
+  opts.seed = kSeed;
+  opts.pipeline = true;
+  TrainModel(piped->get(), p.data, train_only, opts);
+
+  const std::vector<float> want = FlatState(serial->get());
+  const std::vector<float> got = FlatState(piped->get());
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << GetParam() << ": pipelined training diverged from the serial loop";
+}
+
+// Predict is const: two threads predicting at the same time, each with its
+// own ForwardContext, produce the bits of serial calls.
+TEST_P(ZooModelTest, ConcurrentConstPredictMatchesSerialBitwise) {
+  const auto& p = SharedTinyData();
+  auto model = CreateBaseline(GetParam(), p.data, TinyHp());
+  ASSERT_TRUE(model.ok());
+  for (int step = 0; step < 3; ++step) {
+    (*model)->TrainStep(RowsBatch(p, step * 256, 256));
+  }
+  const CtrModel& m = **model;
+  const Batch batches[2] = {RowsBatch(p, 0, 512), RowsBatch(p, 512, 300)};
+
+  std::vector<float> want[2];
+  ForwardContext serial_ctx;
+  for (int i = 0; i < 2; ++i) m.Predict(batches[i], &want[i], &serial_ctx);
+
+  std::vector<float> got[2];
+  std::atomic<int> ready{0};
+  auto predict = [&](int i) {
+    ForwardContext ctx;
+    ready.fetch_add(1);
+    while (ready.load() < 2) {
+    }
+    m.Predict(batches[i], &got[i], &ctx);
+  };
+  std::thread t0(predict, 0);
+  std::thread t1(predict, 1);
+  t0.join();
+  t1.join();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size());
+    EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                          got[i].size() * sizeof(float)),
+              0)
+        << GetParam() << ": concurrent Predict differs on batch " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -47,7 +47,8 @@ TEST(MultiOpSearchTest, PredictionsValid) {
   MultiOpSearchModel model(p.data, TinyHp());
   Batch b = HeadBatch(p, 64);
   std::vector<float> probs;
-  model.Predict(b, &probs);
+  ForwardContext ctx;
+  model.Predict(b, &probs, &ctx);
   for (float q : probs) {
     EXPECT_GT(q, 0.0f);
     EXPECT_LT(q, 1.0f);

@@ -408,8 +408,11 @@ TEST(QuantizeSnapshotTest, RejectsNullAndWrongModelKind) {
   class NotFixedArch : public CtrModel {
    public:
     std::string Name() const override { return "other"; }
-    float TrainStep(const Batch&) override { return 0.0f; }
-    void Predict(const Batch& b, std::vector<float>* probs) override {
+    void PrepareBatch(const Batch&, PreparedBatch*) const override {}
+    float ForwardBackward(const PreparedBatch&) override { return 0.0f; }
+    void ApplyGrads() override {}
+    void Predict(const Batch& b, std::vector<float>* probs,
+                 ForwardContext*) const override {
       probs->assign(b.size, 0.5f);
     }
     size_t ParamCount() const override { return 0; }
@@ -426,7 +429,6 @@ TEST(QuantizeSnapshotTest, QuantizedModelsTrackFp32Probabilities) {
   std::shared_ptr<const CtrModel> m8, m16;
   ASSERT_TRUE(QuantizeSnapshot(fp32, QuantMode::kInt8, &m8).ok());
   ASSERT_TRUE(QuantizeSnapshot(fp32, QuantMode::kBf16, &m16).ok());
-  EXPECT_TRUE(m8->SupportsReentrantPredict());
   EXPECT_NE(m8->Name().find("int8"), std::string::npos);
   EXPECT_NE(m16->Name().find("bf16"), std::string::npos);
 

@@ -23,7 +23,6 @@
 namespace optinter {
 namespace {
 
-using serve::CheckServable;
 using serve::ModelSnapshot;
 using serve::PredictRequest;
 using serve::PredictServer;
@@ -54,18 +53,6 @@ std::unique_ptr<FixedArchModel> TrainedModel(int steps) {
   for (int i = 0; i < steps; ++i) model->TrainStep(b);
   return model;
 }
-
-/// A CtrModel WITHOUT the re-entrant Predict overload, as every model
-/// predating the re-entrancy contract looks to the serving layer.
-class NonReentrantModel : public CtrModel {
- public:
-  std::string Name() const override { return "LegacyModel"; }
-  float TrainStep(const Batch&) override { return 0.0f; }
-  void Predict(const Batch& batch, std::vector<float>* probs) override {
-    probs->assign(batch.size, 0.5f);
-  }
-  size_t ParamCount() const override { return 0; }
-};
 
 TEST(RequestArenaTest, RoundTripsRow) {
   const auto& p = SharedTinyData();
@@ -115,18 +102,6 @@ TEST(RequestArenaTest, RejectsOutOfVocabIds) {
   req = RequestFromRow(p.data, p.splits.train[0]);
   req.cross_ids[0] = -1;
   EXPECT_EQ(arena.Append(req).code(), StatusCode::kOutOfRange);
-}
-
-TEST(SnapshotTest, RejectsNonReentrantModelUpFront) {
-  auto legacy = std::make_shared<const NonReentrantModel>();
-  Status st = CheckServable(*legacy);
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(st.message().find("re-entrant"), std::string::npos);
-
-  SnapshotSlot slot;
-  EXPECT_EQ(slot.Publish(legacy).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(slot.Acquire(), nullptr);
-  EXPECT_EQ(slot.version(), 0u);
 }
 
 TEST(SnapshotTest, PublishBumpsVersionAndPinsOldSnapshot) {
@@ -199,11 +174,11 @@ TEST(PredictServerTest, RejectsBeforeDeployAndBadRequests) {
   EXPECT_EQ(server.Submit(req).status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(PredictServerTest, DeployRejectsNonReentrantModel) {
+TEST(PredictServerTest, DeployRejectsNullModel) {
   const auto& p = SharedTinyData();
   PredictServer server(p.data);
-  Status st = server.Deploy(std::make_shared<const NonReentrantModel>());
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  Status st = server.Deploy(nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(server.DeployedVersion(), 0u);
 }
 

@@ -49,8 +49,9 @@ TEST_P(StateCompletenessTest, SnapshotRestoreIsExact) {
   auto model = CreateBaseline(GetParam(), p.data, TinyHp());
   ASSERT_TRUE(model.ok());
   Batch b = HeadBatch(p, 64);
+  ForwardContext ctx;
   std::vector<float> before;
-  (*model)->Predict(b, &before);
+  (*model)->Predict(b, &before, &ctx);
 
   std::vector<Tensor*> state;
   (*model)->CollectState(&state);
@@ -60,7 +61,7 @@ TEST_P(StateCompletenessTest, SnapshotRestoreIsExact) {
 
   for (int i = 0; i < 5; ++i) (*model)->TrainStep(b);
   std::vector<float> perturbed;
-  (*model)->Predict(b, &perturbed);
+  (*model)->Predict(b, &perturbed, &ctx);
   bool changed = false;
   for (size_t i = 0; i < before.size(); ++i) {
     changed |= before[i] != perturbed[i];
@@ -69,7 +70,7 @@ TEST_P(StateCompletenessTest, SnapshotRestoreIsExact) {
 
   for (size_t i = 0; i < state.size(); ++i) *state[i] = snapshot[i];
   std::vector<float> restored;
-  (*model)->Predict(b, &restored);
+  (*model)->Predict(b, &restored, &ctx);
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], restored[i]) << GetParam();
   }

@@ -1,7 +1,7 @@
 // Tests for the pipelined training executor (src/train/pipeline_executor.h):
-// the grad-apply fence for weight-dependent prepares, the steady-state
-// zero-allocation contract of the phase-split TrainStep, workspace reuse
-// across epochs, and RunReport::WriteEvery periodic flushing.
+// epoch coverage, the steady-state zero-allocation contract of the
+// phase-split TrainStep, workspace reuse across epochs, and
+// RunReport::WriteEvery periodic flushing.
 
 #include <gtest/gtest.h>
 
@@ -207,65 +207,10 @@ TEST(TrainPipelineTest, WorkspaceStopsGrowingAfterWarmup) {
 }
 
 // --------------------------------------------------------------------------
-// Grad-apply fencing
+// Epoch coverage
 // --------------------------------------------------------------------------
 
-// Minimal phased model whose prepare is declared weight-dependent. Each
-// PrepareBatch records how many ApplyGrads had completed when it ran; the
-// fence must make that count exactly the batch index — i.e. prepare t
-// always observes step t-1's update, never an older state.
-class FenceProbeModel : public CtrModel {
- public:
-  std::string Name() const override { return "fence-probe"; }
-  bool SupportsPhasedTrainStep() const override { return true; }
-  bool PrepareIsWeightIndependent() const override { return false; }
-
-  void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override {
-    prep->BeginFill(batch);
-    // Serialized by the executor (at most one prepare in flight, joined
-    // before the next launch), so no lock is needed.
-    prepare_applied_.push_back(applied_.load(std::memory_order_relaxed));
-  }
-  float ForwardBackward(const PreparedBatch& prep) override {
-    return prep.size > 0 ? 0.5f : 0.0f;
-  }
-  void ApplyGrads() override {
-    applied_.fetch_add(1, std::memory_order_relaxed);
-  }
-  float TrainStep(const Batch& batch) override {
-    PreparedBatch prep;
-    PrepareBatch(batch, &prep);
-    const float loss = ForwardBackward(prep);
-    ApplyGrads();
-    return loss;
-  }
-  void Predict(const Batch& batch, std::vector<float>* probs) override {
-    probs->assign(batch.size, 0.5f);
-  }
-  size_t ParamCount() const override { return 0; }
-
-  mutable std::atomic<uint64_t> applied_{0};
-  mutable std::vector<uint64_t> prepare_applied_;
-};
-
-TEST(TrainPipelineTest, FenceOrdersWeightDependentPrepares) {
-  PoolGuard guard;
-  ThreadPool::SetGlobalThreads(4);
-  const auto& p = SharedTinyData();
-  FenceProbeModel model;
-  Batcher batcher(&p.data, p.splits.train, /*batch_size=*/64, /*seed=*/11);
-  PipelinedTrainExecutor executor(&model);
-  batcher.StartEpoch();
-  const PipelinedTrainExecutor::EpochStats stats = executor.RunEpoch(&batcher);
-  ASSERT_EQ(model.prepare_applied_.size(), stats.batches);
-  ASSERT_GT(stats.batches, 4u);
-  for (size_t t = 0; t < model.prepare_applied_.size(); ++t) {
-    EXPECT_EQ(model.prepare_applied_[t], t) << "prepare " << t;
-  }
-}
-
-// Without the weight-dependence flag the executor never blocks a prepare on
-// the fence; the run still visits every row exactly once, in order.
+// The prefetching executor visits every row exactly once, in order.
 TEST(TrainPipelineTest, UnfencedEpochCoversAllRows) {
   PoolGuard guard;
   ThreadPool::SetGlobalThreads(4);
