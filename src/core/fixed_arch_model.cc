@@ -74,6 +74,27 @@ FixedArchModel::FixedArchModel(const EncodedDataset& data,
   mlp_->RegisterParams(&dense_opt_);
 }
 
+void FixedArchModel::OnFreeze() const {
+  mlp_packs_.reserve(mlp_->linears().size());
+  for (const Linear& lin : mlp_->linears()) {
+    mlp_packs_.push_back(
+        PackNT(lin.weight.value.data(), lin.in_dim(), lin.out_dim()));
+  }
+}
+
+void FixedArchModel::MlpForward(const Tensor& z, Tensor* y,
+                                MlpWorkspace* ws) const {
+  // frozen() is the acquire that makes OnFreeze's packs visible.
+  if (!frozen()) {
+    mlp_->Forward(z, y, ws);
+    return;
+  }
+  OPTINTER_TRACE_SPAN("mlp_forward");
+  mlp_->ForwardWith(z, y, ws, [&](size_t li, const Tensor& in, Tensor* out) {
+    mlp_->linears()[li].Forward(in, mlp_packs_[li], out);
+  });
+}
+
 void FixedArchModel::AssembleForward(size_t b, ForwardContext* ctx) const {
   const size_t emb_cols = ctx->emb_out.cols();
   Tensor& z = ctx->z;
@@ -116,7 +137,7 @@ void FixedArchModel::AssembleForward(size_t b, ForwardContext* ctx) const {
   } else {
     assemble(0, b);
   }
-  mlp_->Forward(z, &ctx->mlp_out, &ctx->mlp);
+  MlpForward(z, &ctx->mlp_out, &ctx->mlp);
   ctx->logits.resize(b);
   for (size_t k = 0; k < b; ++k) ctx->logits[k] = ctx->mlp_out.at(k, 0);
 }
@@ -131,6 +152,7 @@ void FixedArchModel::PrepareBatch(const Batch& batch,
 }
 
 float FixedArchModel::ForwardBackward(const PreparedBatch& prep) {
+  CheckNotFrozen("ForwardBackward");
   emb_.ForwardPrepared(prep, prep.cat, &ctx_.emb_out);
   if (cross_emb_) {
     cross_emb_->ForwardPrepared(prep.cross, prep.size, &ctx_.cross_out);
@@ -267,7 +289,7 @@ void FixedArchModel::PredictSingleRow(const EncodedDataset& data, size_t row,
           data, row, zr + emb_cols + inter_dim_ - triple_emb_->output_dim());
     }
   }
-  mlp_->Forward(z, &ctx->mlp_out, &ctx->mlp);
+  MlpForward(z, &ctx->mlp_out, &ctx->mlp);
   ctx->logits.resize(1);
   ctx->logits[0] = ctx->mlp_out.at(0, 0);
   probs->resize(1);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "models/cross_embedding.h"
 #include "models/feature_embedding.h"
@@ -22,6 +23,7 @@
 #include "models/interaction.h"
 #include "models/model.h"
 #include "nn/mlp.h"
+#include "tensor/kernels.h"
 
 namespace optinter {
 
@@ -49,9 +51,23 @@ class FixedArchModel : public CtrModel {
   float ForwardBackward(const PreparedBatch& prep) override;
   void ApplyGrads() override;
 
-  /// Batch size 1 takes the fused single-row path (bit-identical).
+  /// Batch size 1 takes the fused single-row path (bit-identical). Once
+  /// frozen, the MLP runs over weights packed at freeze (same bits).
   void Predict(const Batch& batch, std::vector<float>* probs,
                ForwardContext* ctx) const override;
+
+  /// The MLP forward Predict runs over z: over the packed weights once
+  /// frozen, the plain fp32 Linears before. The bf16 quantized view reuses
+  /// it for its MLP.
+  void MlpForward(const Tensor& z, Tensor* y, MlpWorkspace* ws) const;
+
+  /// One PackNT per MLP Linear, in Mlp::linears() order.
+  using MlpPacks = std::vector<PackedNT>;
+
+  /// The packs Freeze built; nullptr until the model is frozen.
+  const MlpPacks* mlp_packs() const {
+    return frozen() ? &mlp_packs_ : nullptr;
+  }
 
   size_t ParamCount() const override;
   void CollectState(std::vector<Tensor*>* out) override;
@@ -99,6 +115,10 @@ class FixedArchModel : public CtrModel {
   static std::unique_ptr<FixedArchModel> MakeOptInterF(
       const EncodedDataset& data, const HyperParams& hp);
 
+ protected:
+  /// Packs every MLP Linear's weight (PackNT) and publishes the set.
+  void OnFreeze() const override;
+
  private:
   /// Shared tail of the forward pass: assembles z from the gathered
   /// embeddings in `ctx`, runs the MLP, fills ctx->logits.
@@ -130,6 +150,10 @@ class FixedArchModel : public CtrModel {
   std::vector<size_t> mem_slot_;      // into cross_emb_ blocks
   size_t inter_dim_ = 0;              // total interaction columns
   bool fuse_single_row_ = true;       // batch-1 fast path (test toggle)
+
+  // Written once, by OnFreeze; read only once frozen() (whose acquire
+  // pairs with Freeze's release after OnFreeze).
+  mutable MlpPacks mlp_packs_;
 
   // Training-path caches: activations live in ctx_ so forward state has a
   // single home shared with Predict. Gradient tensors are members (not

@@ -191,6 +191,11 @@ Status SaveModel(CtrModel* model, const std::string& path) {
 
 Status LoadModel(CtrModel* model, const std::string& path) {
   CHECK(model != nullptr);
+  if (model->frozen()) {
+    return Status::FailedPrecondition(
+        "cannot load '" + path + "' into frozen model " + model->Name() +
+        ": a published model is immutable; load into a fresh instance");
+  }
   std::vector<Tensor*> state;
   model->CollectState(&state);
   if (state.empty()) {

@@ -39,7 +39,8 @@ Status LoadTensors(const std::string& path,
 Status SaveModel(CtrModel* model, const std::string& path);
 
 /// Restores a checkpoint into `model`; the model must have been
-/// constructed identically to the one that saved it.
+/// constructed identically to the one that saved it. A frozen (published)
+/// model is refused with FailedPrecondition and left untouched.
 Status LoadModel(CtrModel* model, const std::string& path);
 
 /// Saves a searched architecture as a text file: one

@@ -18,12 +18,22 @@
 // caller-owned ForwardContext; calls with distinct contexts may run
 // concurrently while the parameters are quiescent (no concurrent
 // training step). See DESIGN.md for the full contract.
+//
+// Freeze() makes a model immutable for good: serving publishes only
+// frozen models (serve::SnapshotSlot::Publish freezes), and a model may
+// lay its weights out for inference once at freeze (FixedArchModel packs
+// its MLP weights). Training a frozen model CHECK-fails, and loading a
+// checkpoint into one is refused (io/serialize.h), so nothing laid out
+// at freeze can go stale.
 
 #pragma once
 
+#include <atomic>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "data/batch.h"
 #include "models/forward_context.h"
 #include "models/prepared_batch.h"
@@ -40,7 +50,9 @@ class CtrModel {
   virtual std::string Name() const = 0;
 
   /// One optimization step on `batch`; returns the mean batch loss.
+  /// CHECK-fails on a frozen model.
   float TrainStep(const Batch& batch) {
+    CheckNotFrozen("TrainStep");
     PrepareBatch(batch, &step_prep_);
     const float loss = ForwardBackward(step_prep_);
     ApplyGrads();
@@ -70,13 +82,38 @@ class CtrModel {
   /// nothing simply don't participate in checkpointing.
   virtual void CollectState(std::vector<Tensor*>* out) { (void)out; }
 
+  /// Marks the model immutable, first running OnFreeze. Idempotent and
+  /// thread-safe: concurrent and repeated calls run OnFreeze once, and
+  /// every call returns after it has finished.
+  void Freeze() const {
+    std::call_once(freeze_once_, [this] {
+      OnFreeze();
+      frozen_.store(true, std::memory_order_release);
+    });
+  }
+
+  bool frozen() const { return frozen_.load(std::memory_order_acquire); }
+
+  /// CHECK-fails, naming `what` and the model, when the model is frozen.
+  void CheckNotFrozen(const char* what) const {
+    CHECK(!frozen()) << what << " on frozen model " << Name()
+                     << ": a published model is immutable; train a fresh "
+                        "instance and publish that";
+  }
+
  protected:
+  /// Freeze's one-time hook: lays out weights for inference. Runs before
+  /// the model reads as frozen; must leave Predict's bits unchanged.
+  virtual void OnFreeze() const {}
+
   /// The prepared batch TrainStep fills. Models with an extra serial step
   /// (SearchModel::ArchStep) prepare into it the same way.
   PreparedBatch* step_prep() { return &step_prep_; }
 
  private:
   PreparedBatch step_prep_;
+  mutable std::once_flag freeze_once_;
+  mutable std::atomic<bool> frozen_{false};
 };
 
 }  // namespace optinter

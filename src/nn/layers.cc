@@ -44,6 +44,21 @@ void Linear::Forward(const Tensor& x, Tensor* y, LinearWorkspace* ws) const {
   y->ResizeForOverwrite({x.rows(), out_dim_});
   GemmNT(x.data(), weight.value.data(), y->data(), x.rows(), in_dim_,
          out_dim_);
+  AddBias(y);
+}
+
+void Linear::Forward(const Tensor& x, const PackedNT& packed_weight,
+                     Tensor* y) const {
+  OPTINTER_TRACE_SPAN("linear_fwd");
+  CHECK_EQ(x.cols(), in_dim_);
+  CHECK_EQ(packed_weight.k(), in_dim_);
+  CHECK_EQ(packed_weight.n(), out_dim_);
+  y->ResizeForOverwrite({x.rows(), out_dim_});
+  GemmNTPacked(x.data(), packed_weight, y->data(), x.rows());
+  AddBias(y);
+}
+
+void Linear::AddBias(Tensor* y) const {
   const float* b = bias.value.data();
   const size_t out_dim = out_dim_;
   auto add_bias = [&](size_t lo, size_t hi) {

@@ -28,6 +28,7 @@
 #include "nn/optimizer.h"
 #include "nn/param.h"
 #include "nn/workspace.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 
 namespace optinter {
@@ -46,6 +47,12 @@ class Linear {
   /// Single-caller convenience using the layer's default workspace.
   void Forward(const Tensor& x, Tensor* y) { Forward(x, y, &ws_); }
 
+  /// Inference forward over `packed_weight`, a PackNT of `weight` (valid
+  /// while the weight is unchanged): same bits as Forward, without the
+  /// per-call weight pack. Records nothing for Backward.
+  void Forward(const Tensor& x, const PackedNT& packed_weight,
+               Tensor* y) const;
+
   /// Accumulates dW, db; writes dx (pass nullptr to skip input grads,
   /// e.g. for the first layer). `ws` must come from the matching Forward,
   /// whose input x must still be alive and unchanged.
@@ -63,6 +70,9 @@ class Linear {
   DenseParam bias;    // [out]
 
  private:
+  /// y += bias, row by row.
+  void AddBias(Tensor* y) const;
+
   size_t in_dim_;
   size_t out_dim_;
   LinearWorkspace ws_;

@@ -72,6 +72,13 @@ QuantizedFixedArchModel::QuantizedFixedArchModel(
   }
 }
 
+void QuantizedFixedArchModel::OnFreeze() const {
+  // bf16 runs the source's fp32 MLP, so publishing this view publishes
+  // that MLP too: freeze the source, which packs its weights. The int8
+  // MLP has its own quantized weights and packs nothing.
+  if (mode_ == QuantMode::kBf16) fp32_.Freeze();
+}
+
 void QuantizedFixedArchModel::FailInferenceOnly() const {
   CHECK(false) << name_ << " is inference-only; retrain the fp32 model and "
                            "re-quantize";
@@ -179,7 +186,7 @@ void QuantizedFixedArchModel::Predict(const Batch& batch,
   if (mode_ == QuantMode::kInt8) {
     MlpForwardInt8(z, &ctx->mlp_out, ctx);
   } else {
-    fp32_.mlp().Forward(z, &ctx->mlp_out, &ctx->mlp);
+    fp32_.MlpForward(z, &ctx->mlp_out, &ctx->mlp);
   }
   ctx->logits.resize(b);
   for (size_t k = 0; k < b; ++k) ctx->logits[k] = ctx->mlp_out.at(k, 0);

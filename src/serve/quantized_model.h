@@ -19,6 +19,9 @@
 //    bits whether dispatch picked avx512, avx2-fma, sse2 or scalar.
 //  * The training phases CHECK-fail: quantization is one-way; retraining
 //    happens on the fp32 model and republishes through QuantizeSnapshot.
+//  * Publishing a bf16 view freezes its fp32 source (CtrModel::Freeze):
+//    the view runs the source's MLP, which then uses weights packed once.
+//    Retrain a fresh fp32 instance, not a source whose view was published.
 
 #pragma once
 
@@ -58,6 +61,11 @@ class QuantizedFixedArchModel : public CtrModel {
   size_t Fp32EmbeddingBytes() const;
   /// Total embedding rows across all quantized tables.
   size_t EmbeddingRows() const;
+
+ protected:
+  /// bf16: freezes the fp32 source, whose MLP (packed at its freeze)
+  /// this view runs. int8: nothing to lay out.
+  void OnFreeze() const override;
 
  private:
   /// CHECK-fails every training phase: quantization is one-way.

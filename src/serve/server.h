@@ -22,6 +22,12 @@
 // concurrent hot-swap (Deploy / SwapFromCheckpoint on any thread) never
 // tears a prediction across two weight generations.
 //
+// Every deploy path publishes through SnapshotSlot::Publish, which
+// freezes the model first: a FixedArchModel packs its MLP weights then,
+// once per model, and both request paths run its MLP over those packs
+// with the same bits as the unfrozen model. The pack cost lands in the
+// deploy (serve.swap_ms), not in a request.
+//
 // Per-request state lives in pooled arenas (RequestArena + ForwardContext
 // + probability scratch) that keep capacity across requests: the steady
 // state allocates nothing.
@@ -93,8 +99,10 @@ class PredictServer {
   PredictServer(const PredictServer&) = delete;
   PredictServer& operator=(const PredictServer&) = delete;
 
-  /// Publishes `model` as the live snapshot (first deploy or hot-swap).
-  /// Rejects a null model.
+  /// Freezes and publishes `model` as the live snapshot (first deploy or
+  /// hot-swap); the model may not be trained or loaded into afterwards.
+  /// Re-deploying a model already published is cheap (no repack). Rejects
+  /// a null model.
   Status Deploy(std::shared_ptr<const CtrModel> model);
 
   /// Hot-swap: build a fresh model via `factory`, restore the checkpoint

@@ -21,6 +21,11 @@ Status SnapshotSlot::Publish(std::shared_ptr<const CtrModel> model) {
   if (model == nullptr) {
     return Status::Invalid("cannot publish a null model");
   }
+  // Freeze before the exchange and outside the lock: a generation is
+  // immutable from its first reader on, and its one-time inference layout
+  // (packed MLP weights) is built here instead of in a request. Re-
+  // publishing a model that is already frozen costs nothing.
+  model->Freeze();
   auto snap = std::make_shared<ModelSnapshot>();
   snap->model = std::move(model);
   std::shared_ptr<const ModelSnapshot> old;

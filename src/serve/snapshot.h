@@ -17,10 +17,15 @@
 // would mask real ones.)
 //
 // Swap safety rules:
-//  * A snapshot's model is NEVER mutated after Publish. Hot-swapping a
-//    retrained checkpoint means building a FRESH model instance, loading
-//    the checkpoint into it (io/serialize validates the byte stream
-//    before touching any weight), and publishing that instance.
+//  * A snapshot's model is NEVER mutated after Publish, and Publish
+//    enforces it: it freezes the model (CtrModel::Freeze) before the
+//    exchange, so training it CHECK-fails and LoadModel into it is
+//    refused. Freezing is also when a model lays its weights out for
+//    inference (FixedArchModel packs its MLP weights once), so that cost
+//    lands in the swap, not in a request. Hot-swapping a retrained
+//    checkpoint means building a FRESH model instance, loading the
+//    checkpoint into it (io/serialize validates the byte stream before
+//    touching any weight), and publishing that instance.
 //  * Every CtrModel's Predict is const and keeps its per-call state in a
 //    caller-owned ForwardContext, so any published model can serve
 //    concurrent requests.
@@ -58,8 +63,12 @@ struct ModelSnapshot {
 /// dropped, so destroying a model never stalls a reader.
 class SnapshotSlot {
  public:
-  /// Publishes `model` as the new live snapshot, replacing any previous
-  /// one. Fails (leaving the previous snapshot live) when `model` is null.
+  /// Freezes `model` (outside the slot's mutex; a no-op when it is
+  /// already frozen) and publishes it as the new live snapshot, replacing
+  /// any previous one. Fails (leaving the previous snapshot live) when
+  /// `model` is null. Publish is the one way a model reaches serving:
+  /// Deploy, DeployCheckpoint/SwapFromCheckpoint and quantized views all
+  /// go through it.
   Status Publish(std::shared_ptr<const CtrModel> model);
 
   /// The current snapshot, pinned for the caller's lifetime of the
@@ -97,7 +106,7 @@ Status SwapFromCheckpoint(
 /// tables, and in int8 mode a dynamic-activation int8 MLP. The returned
 /// model can be Publish()ed into a SnapshotSlot like any other
 /// generation; `model` is retained inside it so the reused fp32 layers
-/// stay alive. Fails (without touching `out`) when `model` is not a
+/// stay alive (publishing a bf16 view also freezes `model`). Fails (without touching `out`) when `model` is not a
 /// FixedArchModel.
 Status QuantizeSnapshot(std::shared_ptr<const CtrModel> model,
                         QuantMode mode,

@@ -7,11 +7,12 @@
 // hot kernels are now ALSO compiled into per-ISA variant translation
 // units (kernels_dispatch_*.cc, built from the shared gemm_body.inc under
 // `#pragma GCC target` regions) and reached through the function-pointer
-// table below. Covered kernels: the three GEMM drivers, the vectorized
-// sigmoid range, the int8 GEMM accumulator, and the quantized-row
-// dequantize gathers. Everything else (elementwise kernels, LayerNorm,
-// optimizer loops) stays on the compile-time backend — those are
-// header-inlined all over the tree and are not serving-critical.
+// table below. Covered kernels: the three GEMM drivers (and GemmNT's
+// pack-once split), the vectorized sigmoid range, the int8 GEMM
+// accumulator, and the quantized-row dequantize gathers. Everything else
+// (elementwise kernels, LayerNorm, optimizer loops) stays on the
+// compile-time backend — those are header-inlined all over the tree and
+// are not serving-critical.
 //
 // Selection:
 //   1. `OPTINTER_SIMD=<name>` env var, if set and the named variant is
@@ -60,6 +61,19 @@ struct KernelTable {
   /// C[k×n] = alpha·A^T·B + beta·C, A is [m×k], B is [m×n].
   void (*gemm_tn)(const float* a, const float* b, float* c, size_t m,
                   size_t k, size_t n, float alpha, float beta);
+
+  /// gemm_nt split in two (kernels.h PackNT / GemmNTPacked): pack_nt
+  /// writes B = b^T (b is [n×k]) into pack_nt_floats(k, n) floats in the
+  /// layout this table's GEMM driver reads — the kNR-column panels gemm_nt
+  /// packs on every call, or b's own layout for shapes gemm_nt does not
+  /// pack — and gemm_nt_packed runs gemm_nt's driver over that operand,
+  /// bit for bit. gemm_nt is pack_nt into a thread-local buffer followed
+  /// by gemm_nt_packed.
+  size_t (*pack_nt_floats)(size_t k, size_t n);
+  void (*pack_nt)(const float* b, size_t k, size_t n, float* dst);
+  void (*gemm_nt_packed)(const float* a, const float* bpack, float* c,
+                         size_t m, size_t k, size_t n, float alpha,
+                         float beta);
 
   /// out[i] = sigmoid(z[i]) for one contiguous range; every element goes
   /// through the backend's lane function (padded tail), so results are

@@ -40,6 +40,30 @@ void GemmNT(const float* a, const float* b, float* c, size_t m, size_t k,
   ActiveKernels().gemm_nt(a, b, c, m, k, n, alpha, beta);
 }
 
+PackedNT PackNT(const float* b, size_t k, size_t n) {
+  OPTINTER_TRACE_SPAN("pack_nt");
+  const KernelTable& kt = ActiveKernels();
+  PackedNT packed;
+  packed.table_ = &kt;
+  packed.k_ = k;
+  packed.n_ = n;
+  packed.data_.resize(kt.pack_nt_floats(k, n));
+  kt.pack_nt(b, k, n, packed.data_.data());
+  return packed;
+}
+
+void GemmNTPacked(const float* a, const PackedNT& b, float* c, size_t m,
+                  float alpha, float beta) {
+  OPTINTER_TRACE_SPAN("gemm_nt_packed");
+  const KernelTable& kt = ActiveKernels();
+  CHECK(b.table() != nullptr) << "GemmNTPacked on an empty PackedNT";
+  CHECK(b.table() == &kt)
+      << "GemmNTPacked: weights packed under kernel table '"
+      << b.table()->name << "' used while '" << kt.name
+      << "' is active; repack them under the active table";
+  kt.gemm_nt_packed(a, b.data(), c, m, b.k(), b.n(), alpha, beta);
+}
+
 void GemmTN(const float* a, const float* b, float* c, size_t m, size_t k,
             size_t n, float alpha, float beta) {
   OPTINTER_TRACE_SPAN("gemm_tn");

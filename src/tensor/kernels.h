@@ -9,7 +9,9 @@
 // AVX2+FMA / SSE2 / scalar, or the binary's own backend; OPTINTER_SIMD
 // overrides — dispatch.h); the other kernels here use the backend chosen
 // at compile time. Large GEMMs are split across the global thread pool
-// over a 2-D cell grid (chunked GemmTN: over B panels).
+// over a 2-D cell grid (chunked GemmTN: over B panels). GemmNT's weight
+// pack can be done once for weights that stop changing (PackNT +
+// GemmNTPacked): same panels, same driver, same bits.
 //
 // Determinism: for a given build and kernel table, every kernel is
 // bit-identical at any thread count — cell and row chunking never change
@@ -27,6 +29,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "tensor/aligned.h"
 #include "tensor/tensor.h"
 
 namespace optinter {
@@ -48,6 +51,43 @@ void GemmNN(const float* a, const float* b, float* c, size_t m, size_t k,
 /// [out×in] weight matrix.
 void GemmNT(const float* a, const float* b, float* c, size_t m, size_t k,
             size_t n, float alpha = 1.0f, float beta = 0.0f);
+
+struct KernelTable;
+
+/// GemmNT's weight operand B = b^T (b is [n×k], row-major), laid out once
+/// for GemmNTPacked: the kKC×kNR panels GemmNT otherwise packs on every
+/// call (b's own layout, copied, for shapes GemmNT does not pack). For
+/// weights that no longer change — a published model's MLP — this moves
+/// the pack out of every call. The layout belongs to the kernel table
+/// that was active at PackNT (panel width is per backend), and
+/// GemmNTPacked CHECK-fails under any other table. Immutable once built;
+/// any number of threads may share one.
+class PackedNT {
+ public:
+  size_t k() const { return k_; }
+  size_t n() const { return n_; }
+  const float* data() const { return data_.data(); }
+  /// The table that packed it; nullptr for a default-constructed pack.
+  const KernelTable* table() const { return table_; }
+
+ private:
+  friend PackedNT PackNT(const float* b, size_t k, size_t n);
+
+  AlignedVector<float> data_;
+  size_t k_ = 0;
+  size_t n_ = 0;
+  const KernelTable* table_ = nullptr;
+};
+
+/// Packs b [n×k] for GemmNTPacked under the active kernel table.
+PackedNT PackNT(const float* b, size_t k, size_t n);
+
+/// C[m×n] = alpha·A[m×k]·B^T + beta·C over a PackNT operand: GemmNT's
+/// driver without its per-call pack, so the bits equal GemmNT(a, b, c, m,
+/// k, n, alpha, beta) on the same table. CHECK-fails, naming both tables,
+/// when `b` was packed under a different kernel table than the active one.
+void GemmNTPacked(const float* a, const PackedNT& b, float* c, size_t m,
+                  float alpha = 1.0f, float beta = 0.0f);
 
 /// C[k×n] = A^T * B where A is [m×k], B is [m×n]. Weight-gradient shape.
 /// Large shapes split the reduction over m into a fixed chunk grid; each C

@@ -105,6 +105,7 @@ Result<TrainSummary> RunEpochLoop(CtrModel* model, BatchSource* batches,
                                   const EvalFn& eval_val,
                                   const EvalFn& eval_test,
                                   const TrainOptions& options) {
+  model->CheckNotFrozen("TrainModel");
   Stopwatch timer;
   TrainSummary summary;
   TrainTelemetry& telemetry = summary.telemetry;

@@ -136,7 +136,7 @@ EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
 
 /// Trains `model` on splits.train with per-epoch validation on
 /// splits.val, early stopping, and a final test evaluation on
-/// splits.test.
+/// splits.test. CHECK-fails on a frozen model (CtrModel::Freeze).
 TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
                         const Splits& splits, const TrainOptions& options);
 
@@ -152,7 +152,7 @@ using EvalFn = std::function<Result<EvalMetrics>()>;
 /// best-epoch snapshot and early-stops after options.patience stale
 /// epochs. At the end it restores the snapshot and evaluates `eval_test`
 /// (optional). Reads options.epochs, patience, stop_metric, verbose,
-/// pipeline and report.
+/// pipeline and report. CHECK-fails on a frozen model.
 Result<TrainSummary> RunEpochLoop(CtrModel* model, BatchSource* batches,
                                   const std::function<Status()>& batches_status,
                                   const EvalFn& eval_val,

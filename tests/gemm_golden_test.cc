@@ -20,6 +20,11 @@
 // chunks of four kKC blocks (m = 8192).
 // Inputs are fixed pseudo-random values, the same on every host.
 //
+// The NT sweep runs a second time through PackNT + GemmNTPacked (weights
+// packed once, as a published model's MLP runs them); it must hash to
+// the same recorded GemmNT golden, so the pack-once entry point is pinned
+// to GemmNT's bits with no constants of its own.
+//
 // A GEMM change that claims "same bits" must leave these hashes alone.
 // Goldens are keyed by (build configuration, kernel backend) like
 // golden_bits_test's; an unrecorded configuration skips and prints its
@@ -99,8 +104,14 @@ std::vector<float> FixedValues(size_t count, uint32_t seed) {
   return v;
 }
 
-// The sweep described in the file comment on the active backend.
-GemmHashes SweepHashes(size_t mr) {
+// The sweep described in the file comment on the active backend, and its
+// NT half again through PackNT + GemmNTPacked (`nt_packed`).
+struct SweepResult {
+  GemmHashes hashes;
+  uint64_t nt_packed = kFnvBasis;
+};
+
+SweepResult SweepHashes(size_t mr) {
   // Pools large enough for the biggest A (2048×1520), B and C (2048×688).
   const std::vector<float> a = FixedValues(2048 * 1520, 1);
   const std::vector<float> b = FixedValues(2048 * 688, 2);
@@ -109,7 +120,8 @@ GemmHashes SweepHashes(size_t mr) {
   const float kAlphas[] = {1.0f, 0.37f};
   const float kBetas[] = {0.0f, 0.5f, 1.0f};
 
-  GemmHashes h;
+  SweepResult result;
+  GemmHashes& h = result.hashes;
   const auto run = [&](size_t m, size_t k, size_t n, float alpha,
                        float beta) {
     // NN: C[m×n] = A[m×k]·B[k×n]; NT: B given as [n×k]; both take the
@@ -120,6 +132,10 @@ GemmHashes SweepHashes(size_t mr) {
     std::memcpy(c.data(), c0.data(), m * n * sizeof(float));
     GemmNT(a.data(), b.data(), c.data(), m, k, n, alpha, beta);
     h.nt = Fnv1a(c.data(), m * n * sizeof(float), h.nt);
+    std::memcpy(c.data(), c0.data(), m * n * sizeof(float));
+    GemmNTPacked(a.data(), PackNT(b.data(), k, n), c.data(), m, alpha, beta);
+    result.nt_packed = Fnv1a(c.data(), m * n * sizeof(float),
+                             result.nt_packed);
     std::memcpy(c.data(), c0.data(), k * n * sizeof(float));
     GemmTN(a.data(), b.data(), c.data(), m, k, n, alpha, beta);
     h.tn = Fnv1a(c.data(), k * n * sizeof(float), h.tn);
@@ -149,7 +165,7 @@ GemmHashes SweepHashes(size_t mr) {
   for (size_t m : {100, 160, 180, 200}) run(m, 257, 129, 0.37f, 0.5f);
   run(8192, 8, 64, 1.0f, 0.0f);
   run(8192, 8, 64, 0.37f, 0.5f);
-  return h;
+  return result;
 }
 
 std::string GoldenLine(const char* config, const char* backend,
@@ -191,9 +207,14 @@ TEST(GemmGoldenTest, SweepMatchesRecordedBitsOnEveryBackend) {
     if (recorded && want == nullptr) missing += std::string(" ") + table->name;
     for (size_t threads : {1, 4}) {
       ThreadPool::SetGlobalThreads(threads);
-      const GemmHashes h = SweepHashes(table->gemm_mr);
+      const SweepResult sweep = SweepHashes(table->gemm_mr);
+      const GemmHashes& h = sweep.hashes;
       const std::string line = GoldenLine(config, table->name, h);
       std::printf("gemm golden (threads=%zu): %s\n", threads, line.c_str());
+      // Unrecorded configurations still hold the packed NT to GemmNT.
+      EXPECT_EQ(sweep.nt_packed, h.nt)
+          << "PackNT + GemmNTPacked differs from GemmNT on backend "
+          << table->name << " at " << threads << " pool threads";
       if (want == nullptr) continue;
       EXPECT_TRUE(h == want->hashes)
           << "bits moved on backend " << table->name << " at " << threads
@@ -207,6 +228,24 @@ TEST(GemmGoldenTest, SweepMatchesRecordedBitsOnEveryBackend) {
   }
   EXPECT_TRUE(missing.empty())
       << "no GEMM golden recorded for backend(s):" << missing;
+}
+
+// A pack belongs to the kernel table that wrote it (its panel width is
+// the backend's kNR); GemmNTPacked under another table must refuse.
+TEST(GemmGoldenDeathTest, PackedUnderAnotherTableRefuses) {
+  const std::vector<const KernelTable*> tables = AvailableKernelBackends();
+  if (tables.size() < 2) GTEST_SKIP() << "one kernel backend on this host";
+  BackendGuard backend_guard;
+  const std::vector<float> a = FixedValues(4 * 64, 1);
+  const std::vector<float> b = FixedValues(64 * 64, 2);
+  std::vector<float> c(4 * 64);
+  ASSERT_TRUE(SelectKernelBackendForTest(tables[0]->name));
+  const PackedNT packed = PackNT(b.data(), 64, 64);
+  EXPECT_EQ(packed.table(), tables[0]);
+  ASSERT_TRUE(SelectKernelBackendForTest(tables[1]->name));
+  EXPECT_DEATH(GemmNTPacked(a.data(), packed, c.data(), 4),
+               std::string("packed under kernel table '") + tables[0]->name +
+                   "' used while '" + tables[1]->name + "' is active");
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 //    search model and of the retrained model;
 //  * the bit patterns of the retrained model's validation AUC and logloss;
 //  * FNV-1a hashes of Predict outputs at batch sizes 1 (the fused
-//    single-row path), 7 and 2048.
+//    single-row path), 7 and 2048. The retrained model is then frozen
+//    (its MLP weights packed once, as when it is published) and must
+//    reproduce the same three hashes.
 //
 // Refactors and performance work that claim "same bits" are held to this
 // test: a fingerprint may only change in a commit that sets out to change
@@ -216,6 +218,16 @@ Fingerprint RunPipeline() {
   fp.predict_b1 = predict_hash(1);
   fp.predict_b7 = predict_hash(7);
   fp.predict_b2048 = predict_hash(2048);
+
+  // Frozen, the model predicts over MLP weights packed once (the served
+  // path): the same three hashes, so the same recorded goldens.
+  model.Freeze();
+  EXPECT_NE(model.mlp_packs(), nullptr);
+  const std::string backend = ActiveKernelBackend();
+  EXPECT_EQ(predict_hash(1), fp.predict_b1) << "frozen, batch 1, " << backend;
+  EXPECT_EQ(predict_hash(7), fp.predict_b7) << "frozen, batch 7, " << backend;
+  EXPECT_EQ(predict_hash(2048), fp.predict_b2048)
+      << "frozen, batch 2048, " << backend;
   return fp;
 }
 

@@ -497,6 +497,40 @@ TEST(QuantizeSnapshotDeathTest, TrainStepRefusesToRun) {
   EXPECT_DEATH(mutable_model->TrainStep(b), "inference-only");
 }
 
+// Publishing a bf16 view freezes its fp32 source, whose MLP the view runs
+// over weights packed at that freeze: same bits as before the publish, at
+// batch 1 and batched. An int8 view packs nothing and leaves it unfrozen.
+TEST(QuantizeSnapshotTest, Bf16PublishFreezesSourceAndKeepsBits) {
+  const auto& p = SharedTinyData();
+  const auto fp32 =
+      std::static_pointer_cast<const FixedArchModel>(TrainedFp32(5));
+  std::shared_ptr<const CtrModel> m8, m16;
+  ASSERT_TRUE(QuantizeSnapshot(fp32, QuantMode::kInt8, &m8).ok());
+  ASSERT_TRUE(QuantizeSnapshot(fp32, QuantMode::kBf16, &m16).ok());
+  const auto predict = [&](const CtrModel& model, size_t size) {
+    Batch b;
+    b.data = &p.data;
+    b.rows = p.splits.test.data();
+    b.size = size;
+    ForwardContext ctx;
+    std::vector<float> probs;
+    model.Predict(b, &probs, &ctx);
+    return probs;
+  };
+  const std::vector<float> b1 = predict(*m16, 1);
+  const std::vector<float> b16 = predict(*m16, 16);
+
+  serve::SnapshotSlot slot;
+  ASSERT_TRUE(slot.Publish(m8).ok());
+  EXPECT_FALSE(fp32->frozen());
+  ASSERT_TRUE(slot.Publish(m16).ok());
+  EXPECT_TRUE(m16->frozen());
+  EXPECT_TRUE(fp32->frozen());
+  EXPECT_NE(fp32->mlp_packs(), nullptr);
+  EXPECT_EQ(predict(*m16, 1), b1);
+  EXPECT_EQ(predict(*m16, 16), b16);
+}
+
 TEST(QuantizeSnapshotTest, ServesThroughPredictServer) {
   const auto& p = SharedTinyData();
   std::shared_ptr<const CtrModel> fp32 = TrainedFp32(5);

@@ -13,12 +13,14 @@
 #include <vector>
 
 #include "core/fixed_arch_model.h"
+#include "golden_util.h"
 #include "io/serialize.h"
 #include "obs/registry.h"
 #include "serve/request.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "test_data.h"
+#include "train/trainer.h"
 
 namespace optinter {
 namespace {
@@ -231,10 +233,7 @@ TEST(PredictServerTest, SubmitCoalescesAndMatchesBatchPredict) {
   std::vector<float> direct;
   static_cast<const CtrModel*>(raw)->Predict(b, &direct, &ctx);
   for (size_t k = 0; k < kN; ++k) {
-    // Micro-batch boundaries differ from the reference batch, so equality
-    // holds only to the batching-invariance tolerance (see
-    // EvaluateBatchingInvariant in train_test).
-    EXPECT_NEAR(futures[k].get(), direct[k], 1e-6) << "row " << k;
+    EXPECT_EQ(futures[k].get(), direct[k]) << "row " << k;
   }
 }
 
@@ -467,6 +466,154 @@ TEST(PredictServerTest, ConcurrentClientsSurviveQuantizedHotSwap) {
   for (auto& t : clients) t.join();
   server.Drain();
   EXPECT_EQ(errors.load(), 0);
+}
+
+// --- Publish freezes: a published model is immutable -----------------------
+
+uint64_t StateHash(CtrModel* model) {
+  std::vector<Tensor*> state;
+  model->CollectState(&state);
+  uint64_t h = testing::kFnvBasis;
+  for (const Tensor* t : state) {
+    h = testing::Fnv1a(t->data(), t->size() * sizeof(float), h);
+  }
+  return h;
+}
+
+/// Batch-1 Predict of the first `n` test rows, straight on the model.
+std::vector<float> DirectBatch1(const CtrModel& model, size_t n) {
+  const auto& p = SharedTinyData();
+  ForwardContext ctx;
+  std::vector<float> probs, out;
+  for (size_t k = 0; k < n; ++k) {
+    Batch b;
+    b.data = &p.data;
+    b.rows = &p.splits.test[k];
+    b.size = 1;
+    model.Predict(b, &probs, &ctx);
+    out.push_back(probs[0]);
+  }
+  return out;
+}
+
+TEST(FrozenModelDeathTest, TrainStepOnPublishedModelDies) {
+  const auto& p = SharedTinyData();
+  std::shared_ptr<FixedArchModel> model = TrainedModel(1);
+  PredictServer server(p.data);
+  ASSERT_TRUE(server.Deploy(model).ok());
+  EXPECT_TRUE(model->frozen());
+  const Batch b = testing::HeadBatch(p, 16);
+  EXPECT_DEATH(model->TrainStep(b), "TrainStep on frozen model");
+}
+
+TEST(FrozenModelDeathTest, TrainModelOnPublishedModelDies) {
+  const auto& p = SharedTinyData();
+  std::shared_ptr<FixedArchModel> model = TrainedModel(1);
+  SnapshotSlot slot;
+  ASSERT_TRUE(slot.Publish(model).ok());
+  TrainOptions opts;
+  opts.epochs = 1;
+  EXPECT_DEATH(TrainModel(model.get(), p.data, p.splits, opts),
+               "TrainModel on frozen model");
+}
+
+TEST(FrozenModelTest, LoadModelIntoPublishedModelIsRefused) {
+  const auto& p = SharedTinyData();
+  const std::string ckpt = TempPath("frozen_load.ckpt");
+  ASSERT_TRUE(SaveModel(TrainedModel(12).get(), ckpt).ok());
+  std::shared_ptr<FixedArchModel> model = TrainedModel(3);
+  PredictServer server(p.data);
+  ASSERT_TRUE(server.Deploy(model).ok());
+  const uint64_t before = StateHash(model.get());
+  const std::vector<float> served = DirectBatch1(*model, 8);
+
+  const Status st = LoadModel(model.get(), ckpt);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_EQ(StateHash(model.get()), before);
+  EXPECT_EQ(DirectBatch1(*model, 8), served);
+}
+
+TEST(FrozenModelTest, PublishPacksOnceAndKeepsPredictBits) {
+  const auto& p = SharedTinyData();
+  std::shared_ptr<FixedArchModel> model = TrainedModel(5);
+  EXPECT_FALSE(model->frozen());
+  EXPECT_EQ(model->mlp_packs(), nullptr);
+  const std::vector<float> unfrozen = DirectBatch1(*model, 16);
+
+  PredictServer server(p.data);
+  ASSERT_TRUE(server.Deploy(model).ok());
+  ASSERT_NE(model->mlp_packs(), nullptr);
+  ASSERT_EQ(model->mlp_packs()->size(), model->mlp().linears().size());
+  std::vector<const float*> panels;
+  for (const PackedNT& pack : *model->mlp_packs()) {
+    panels.push_back(pack.data());
+  }
+  // Re-deploying the same model (and swapping back to it) reuses its
+  // packs: freezing is once per model, not once per publish.
+  ASSERT_TRUE(server.Deploy(model).ok());
+  ASSERT_TRUE(server.Deploy(TrainedModel(1)).ok());
+  ASSERT_TRUE(server.Deploy(model).ok());
+  EXPECT_EQ(server.DeployedVersion(), 4u);
+  for (size_t li = 0; li < panels.size(); ++li) {
+    EXPECT_EQ((*model->mlp_packs())[li].data(), panels[li]) << "layer " << li;
+  }
+
+  EXPECT_EQ(DirectBatch1(*model, 16), unfrozen);
+  for (size_t k = 0; k < 16; ++k) {
+    auto r = server.PredictNow(RequestFromRow(p.data, p.splits.test[k]));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, unfrozen[k]) << "row " << k;
+  }
+}
+
+// Freeze racing with requests: one thread re-deploys a model that is not
+// yet frozen (its first Publish packs, the rest are no-ops) while another
+// hammers PredictNow and a third predicts on that model directly. Every
+// answer must be bitwise the unfrozen one; the TSan job runs this binary,
+// so an unsynchronized pack publication shows up there.
+TEST(FrozenModelTest, PredictWhileRedeployingSameModel) {
+  const auto& p = SharedTinyData();
+  constexpr size_t kRows = 12;
+  std::shared_ptr<FixedArchModel> model = TrainedModel(4);
+  const std::vector<float> expected = DirectBatch1(*model, kRows);
+  PredictServer server(p.data);
+  // An identical generation is live first, so PredictNow answers the
+  // same bits whichever of the two it pins.
+  const std::string ckpt = TempPath("frozen_race.ckpt");
+  ASSERT_TRUE(SaveModel(model.get(), ckpt).ok());
+  ASSERT_TRUE(server
+                  .DeployCheckpoint(
+                      [&]() -> std::unique_ptr<CtrModel> {
+                        return FixedArchModel::MakeOptInterM(p.data,
+                                                             TinyHp());
+                      },
+                      ckpt)
+                  .ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> errors{0};
+  std::thread via_server([&] {
+    for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      const size_t k = i % kRows;
+      auto r = server.PredictNow(RequestFromRow(p.data, p.splits.test[k]));
+      if (!r.ok() || *r != expected[k]) errors.fetch_add(1);
+    }
+  });
+  std::thread direct([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (DirectBatch1(*model, kRows) != expected) errors.fetch_add(1);
+    }
+  });
+  for (int s = 0; s < 20; ++s) {
+    EXPECT_TRUE(server.Deploy(model).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  stop.store(true);
+  via_server.join();
+  direct.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_TRUE(model->frozen());
+  EXPECT_EQ(DirectBatch1(*model, kRows), expected);
 }
 
 TEST(ServeMetricsTest, LatencyHistogramFeedsQuantiles) {
