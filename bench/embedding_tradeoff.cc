@@ -70,7 +70,7 @@ CrossBytes MeasureCrossBytes(const FixedArchModel& model) {
   CrossBytes b;
   const CrossEmbedding* cross = model.cross_embedding();
   if (cross == nullptr) return b;
-  for (size_t k = 0; k < cross->num_pairs(); ++k) {
+  for (size_t k = 0; k < cross->num_blocks(); ++k) {
     const EmbeddingTable& t = cross->table(k);
     b.actual += t.ParamCount() * sizeof(float) + t.AuxBytes();
     b.dense_equiv += t.vocab_size() * t.dim() * sizeof(float);

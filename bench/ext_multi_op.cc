@@ -8,8 +8,8 @@
 
 #include "bench_util.h"
 #include "core/fixed_arch_model.h"
-#include "core/multi_op_search.h"
 #include "core/pipeline.h"
+#include "core/search_model.h"
 
 using namespace optinter;
 using namespace optinter::bench;
@@ -49,16 +49,12 @@ int main(int argc, char** argv) {
 
     // Extension: 4-way search with per-pair operator choice.
     {
-      MultiOpSearchModel search(p.data, hp);
+      SearchModel search(p.data, hp, UpdateMode::kJoint,
+                         {FactorizeFn::kHadamard, FactorizeFn::kInnerProduct});
       Batcher batcher(&p.data, p.splits.train, hp.batch_size, hp.seed);
       const size_t epochs = hp.search_epochs;
       for (size_t epoch = 0; epoch < epochs; ++epoch) {
-        const float frac = epochs > 1 ? static_cast<float>(epoch) /
-                                            static_cast<float>(epochs - 1)
-                                      : 1.0f;
-        search.SetTemperature(hp.gumbel_temp_start +
-                              frac * (hp.gumbel_temp_end -
-                                      hp.gumbel_temp_start));
+        search.SetTemperature(AnnealedTemperature(hp, epoch, epochs));
         batcher.StartEpoch();
         for (;;) {
           Batch b = batcher.Next();
@@ -66,22 +62,22 @@ int main(int argc, char** argv) {
           search.TrainStep(b);
         }
       }
-      MultiOpArchitecture arch = search.ExtractArchitecture();
+      const Architecture arch = search.ExtractArchitecture();
+      const std::vector<FactorizeFn> fns = search.ExtractFactorizeFns();
       size_t hadamard = 0, inner = 0;
-      for (size_t q = 0; q < arch.methods.size(); ++q) {
-        if (arch.methods[q] == InterMethod::kFactorize) {
-          (arch.fns[q] == FactorizeFn::kHadamard ? hadamard : inner)++;
+      for (size_t q = 0; q < arch.size(); ++q) {
+        if (arch[q] == InterMethod::kFactorize) {
+          (fns[q] == FactorizeFn::kHadamard ? hadamard : inner)++;
         }
       }
-      FixedArchModel model(p.data, arch.methods, hp, "OptInter-multiop",
-                           /*memorized_triples=*/{}, arch.fns);
+      FixedArchModel model(p.data, arch, hp, "OptInter-multiop",
+                           /*memorized_triples=*/{}, fns);
       TrainSummary s = TrainModel(&model, p.data, p.splits, topts);
       PrintModelRow(
           "OptInter(4way)", s.final_test.auc, s.final_test.logloss,
           model.ParamCount(),
           StrFormat("%s of which hadamard=%zu inner=%zu",
-                    ArchCountsToString(CountArchitecture(arch.methods))
-                        .c_str(),
+                    ArchCountsToString(CountArchitecture(arch)).c_str(),
                     hadamard, inner));
     }
   }

@@ -76,13 +76,7 @@ int main(int argc, char** argv) {
               p.config.name.c_str(), p.data.num_pairs(),
               hp.gumbel_temp_start, hp.gumbel_temp_end, hp.search_epochs);
   for (size_t epoch = 0; epoch < hp.search_epochs; ++epoch) {
-    const float frac = hp.search_epochs > 1
-                           ? static_cast<float>(epoch) /
-                                 static_cast<float>(hp.search_epochs - 1)
-                           : 1.0f;
-    model.SetTemperature(hp.gumbel_temp_start +
-                         frac * (hp.gumbel_temp_end -
-                                 hp.gumbel_temp_start));
+    model.SetTemperature(AnnealedTemperature(hp, epoch, hp.search_epochs));
     batcher.StartEpoch();
     double loss_sum = 0.0;
     size_t batches = 0;

@@ -53,13 +53,13 @@ FixedArchModel::FixedArchModel(const EncodedDataset& data,
   inter_dim_ = offset;
   if (!mem_pairs.empty()) {
     cross_emb_ = std::make_unique<CrossEmbedding>(
-        data, mem_pairs, s2_, hp.lr_cross, hp.l2_cross, &rng_,
-        hp.cross_backend);
+        data, CrossKind::kPair, mem_pairs, s2_, hp.lr_cross, hp.l2_cross,
+        &rng_, hp.cross_backend);
   }
   if (!memorized_triples.empty()) {
-    triple_emb_ = std::make_unique<TripleEmbedding>(
-        data, std::move(memorized_triples), s2_, hp.lr_cross, hp.l2_cross,
-        &rng_, hp.cross_backend);
+    triple_emb_ = std::make_unique<CrossEmbedding>(
+        data, CrossKind::kTriple, std::move(memorized_triples), s2_,
+        hp.lr_cross, hp.l2_cross, &rng_, hp.cross_backend);
     inter_dim_ += triple_emb_->output_dim();
   }
 

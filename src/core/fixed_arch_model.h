@@ -18,7 +18,6 @@
 
 #include "models/cross_embedding.h"
 #include "models/feature_embedding.h"
-#include "models/triple_embedding.h"
 #include "models/hyperparams.h"
 #include "models/interaction.h"
 #include "models/model.h"
@@ -84,10 +83,10 @@ class FixedArchModel : public CtrModel {
   static constexpr size_t kNoBlock = static_cast<size_t>(-1);
 
   const FeatureEmbedding& feature_embedding() const { return emb_; }
-  /// nullptr when no pair memorizes.
+  /// Memorized pairs (CrossKind::kPair); nullptr when no pair memorizes.
   const CrossEmbedding* cross_embedding() const { return cross_emb_.get(); }
-  /// nullptr when no triple is memorized.
-  const TripleEmbedding* triple_embedding() const { return triple_emb_.get(); }
+  /// Memorized triples (CrossKind::kTriple); nullptr when there are none.
+  const CrossEmbedding* triple_embedding() const { return triple_emb_.get(); }
   const Mlp& mlp() const { return *mlp_; }
   size_t s1() const { return s1_; }
   size_t s2() const { return s2_; }
@@ -137,7 +136,7 @@ class FixedArchModel : public CtrModel {
   Rng rng_;
   FeatureEmbedding emb_;
   std::unique_ptr<CrossEmbedding> cross_emb_;  // memorized pairs only
-  std::unique_ptr<TripleEmbedding> triple_emb_;  // higher-order extension
+  std::unique_ptr<CrossEmbedding> triple_emb_;  // higher-order extension
   std::unique_ptr<Mlp> mlp_;
   Adam dense_opt_;
 

@@ -24,7 +24,7 @@ obs::SearchEpochDynamics SnapshotSearchDynamics(
   d.temperature = model.temperature();
   d.alpha_entropy_per_pair.resize(num_pairs);
   for (size_t p = 0; p < num_pairs; ++p) {
-    const std::array<float, 3> probs = model.PairProbabilities(p);
+    const std::vector<float> probs = model.PairProbabilities(p);
     double h = 0.0;
     for (const float q : probs) {
       if (q > 0.0f) h -= static_cast<double>(q) * std::log(q);
@@ -110,13 +110,7 @@ SearchResult RunSearchStage(const EncodedDataset& data, const Splits& splits,
   for (size_t epoch = 0; epoch < epochs; ++epoch) {
     current_epoch = epoch;
     if (options.anneal_temperature) {
-      const float frac =
-          epochs > 1 ? static_cast<float>(epoch) /
-                           static_cast<float>(epochs - 1)
-                     : 1.0f;
-      model.SetTemperature(hp.gumbel_temp_start +
-                           frac * (hp.gumbel_temp_end -
-                                   hp.gumbel_temp_start));
+      model.SetTemperature(AnnealedTemperature(hp, epoch, epochs));
     }
     Stopwatch epoch_timer;
     train_batcher.StartEpoch();

@@ -1,15 +1,19 @@
 // OptInter search-stage model (paper §II-C, Algorithm 1).
 //
-// Every categorical pair owns architecture logits a_(i,j) ∈ R³ over
-// {memorize, factorize, naïve}. During training the discrete choice is
-// relaxed with the Gumbel-softmax trick (Eq. 16–17):
+// Every categorical pair owns architecture logits a_(i,j) ∈ R^K over the
+// candidates {memorize} ∪ F ∪ {naïve}, where F is a set of factorization
+// functions: the paper's {Hadamard} (K = 3) by default, or several
+// operators for the multi-operation search space (§II-C1: "Our framework
+// can be extended easily to taking multiple operations into account as
+// factorized methods"). During training the discrete choice is relaxed
+// with the Gumbel-softmax trick (Eq. 16–17):
 //
 //   p_k = softmax_k( (a_k + g_k) / τ ),  g_k ~ Gumbel(0,1) i.i.d.
 //
-// and the combination block outputs the p-weighted sum of the three
-// candidate embeddings (Eq. 18), zero-padded to a common width
-// d_b = max(s1, s2) so the sum is well-typed (the naïve candidate is the
-// zero vector, matching the paper's e^n).
+// and the combination block outputs the p-weighted sum of the K candidate
+// embeddings (Eq. 18), zero-padded to a common width d_b (the widest
+// candidate) so the sum is well-typed (the naïve candidate is the zero
+// vector, matching the paper's e^n).
 //
 // Model parameters Θ and architecture parameters α are optimized
 // *jointly* by default (the paper's choice); the bi-level alternative
@@ -18,8 +22,8 @@
 
 #pragma once
 
-#include <array>
 #include <memory>
+#include <vector>
 
 #include "models/cross_embedding.h"
 #include "models/feature_embedding.h"
@@ -39,15 +43,29 @@ enum class UpdateMode {
   kBilevel,
 };
 
-/// The differentiable search-stage model.
+/// Gumbel-softmax temperature for search epoch `epoch` of `epochs`: a
+/// linear anneal from hp.gumbel_temp_start (first epoch) to
+/// hp.gumbel_temp_end (last epoch; a single epoch runs at the end value).
+float AnnealedTemperature(const HyperParams& hp, size_t epoch,
+                          size_t epochs);
+
+/// The differentiable search-stage model: Gumbel-softmax search over
+/// {memorize} ∪ fns ∪ {naïve} per pair.
 class SearchModel : public CtrModel {
  public:
+  /// `fns` is the set of factorization candidates; empty means the
+  /// paper's {hp.factorize_fn}.
   SearchModel(const EncodedDataset& data, const HyperParams& hp,
-              UpdateMode mode = UpdateMode::kJoint);
+              UpdateMode mode = UpdateMode::kJoint,
+              std::vector<FactorizeFn> fns = {});
 
   std::string Name() const override {
-    return mode_ == UpdateMode::kJoint ? "OptInter-search"
-                                       : "OptInter-search-bilevel";
+    const bool joint = mode_ == UpdateMode::kJoint;
+    if (fns_.size() > 1) {
+      return joint ? "OptInter-multiop-search"
+                   : "OptInter-multiop-search-bilevel";
+    }
+    return joint ? "OptInter-search" : "OptInter-search-bilevel";
   }
 
   /// TrainStep (CtrModel) updates Θ and α in joint mode and Θ only in
@@ -76,13 +94,22 @@ class SearchModel : public CtrModel {
   }
   float temperature() const { return tau_; }
 
-  /// Selected method per pair: argmax_k α_(i,j)^k (paper Eq. 19).
+  /// Selected method per pair: argmax_k α_(i,j)^k (paper Eq. 19); any
+  /// factorization candidate selects kFactorize.
   Architecture ExtractArchitecture() const;
 
-  /// Current selection probabilities softmax(α/τ) for pair `p`.
-  std::array<float, 3> PairProbabilities(size_t p) const;
+  /// Per pair, the operator of its highest-α factorization candidate: the
+  /// chosen operator wherever ExtractArchitecture says kFactorize (the
+  /// per-pair `pair_fns` of FixedArchModel).
+  std::vector<FactorizeFn> ExtractFactorizeFns() const;
 
-  /// Raw architecture logits (tests / diagnostics).
+  /// Current selection probabilities softmax(α/τ) for pair `p`, in
+  /// candidate order {memorize, fns..., naïve}.
+  std::vector<float> PairProbabilities(size_t p) const;
+
+  size_t num_candidates() const { return fns_.size() + 2; }
+
+  /// Raw architecture logits [P × K] (tests / diagnostics).
   const DenseParam& alpha() const { return alpha_; }
   DenseParam& mutable_alpha() { return alpha_; }
 
@@ -95,20 +122,26 @@ class SearchModel : public CtrModel {
   /// Computes per-pair probabilities with fresh Gumbel noise.
   void SampleProbs(std::vector<float>* probs);
 
+  /// softmax(α_p/τ) into out[0, K).
+  void ExpectedProbs(size_t p, float* out) const;
+
+  /// Index of pair p's largest logit among candidates [lo, hi); the first
+  /// wins ties.
+  size_t ArgmaxCandidate(size_t p, size_t lo, size_t hi) const;
 
   const EncodedDataset& data_;
   UpdateMode mode_;
+  std::vector<FactorizeFn> fns_;
+  std::vector<size_t> fn_widths_;  // FactorizedWidth per fns_ entry
   size_t s1_;
   size_t s2_;
-  FactorizeFn fn_;
-  size_t fact_width_;
-  size_t db_;  // candidate width max(factorized width, s2)
+  size_t db_;  // candidate width: max(s2, widest factorized output)
   float tau_ = 1.0f;
   Rng rng_;
   FeatureEmbedding emb_;
   std::unique_ptr<CrossEmbedding> cross_emb_;  // all pairs
   std::unique_ptr<Mlp> mlp_;
-  DenseParam alpha_;  // [P × 3] logits, order {m, f, n}
+  DenseParam alpha_;  // [P × K] logits, order {m, fns..., n}
   Adam theta_opt_;
   Adam arch_opt_;
 

@@ -1,5 +1,5 @@
 // Per-table embedding-backend resolution shared by the embedding layers
-// (FeatureEmbedding / CrossEmbedding / TripleEmbedding).
+// (FeatureEmbedding / CrossEmbedding, pairs and triples).
 //
 // A layer receives ONE backend policy for all its tables; each table then
 // resolves it against its own vocab (min-vocab dense fallback, the

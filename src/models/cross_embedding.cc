@@ -8,42 +8,91 @@
 
 namespace optinter {
 
-CrossEmbedding::CrossEmbedding(const EncodedDataset& data,
-                               std::vector<size_t> pairs, size_t dim,
+namespace {
+
+// Per-kind names: table-name prefixes (error messages name tables by
+// them) and trace-span literals.
+struct KindNames {
+  const char* table_prefix;
+  const char* gather_span;
+  const char* prepare_span;
+  const char* scatter_span;
+  const char* not_built;
+};
+
+const KindNames& NamesOf(CrossKind kind) {
+  static constexpr KindNames kPair = {"cross_emb/pair", "cross_gather",
+                                      "cross_prepare", "cross_scatter",
+                                      "call BuildCrossFeatures first"};
+  static constexpr KindNames kTriple = {
+      "triple_emb/", "triple_gather", "triple_prepare", "triple_scatter",
+      "call BuildTripleCrossFeatures first"};
+  return kind == CrossKind::kPair ? kPair : kTriple;
+}
+
+}  // namespace
+
+CrossIds CrossIdsOf(const EncodedDataset& data, CrossKind kind) {
+  const bool pair = kind == CrossKind::kPair;
+  const std::vector<int32_t>& ids = pair ? data.cross_ids : data.triple_ids;
+  return {ids.empty() ? nullptr : ids.data(),
+          pair ? data.num_pairs() : data.num_triples()};
+}
+
+CrossEmbedding::CrossEmbedding(const EncodedDataset& data, CrossKind kind,
+                               std::vector<size_t> columns, size_t dim,
                                float lr, float l2, Rng* rng,
                                const EmbeddingBackendConfig& backend)
-    : data_(data), pairs_(std::move(pairs)), dim_(dim) {
+    : kind_(kind),
+      width_(CrossIdsOf(data, kind).width),
+      columns_(std::move(columns)),
+      dim_(dim) {
+  const KindNames& names = NamesOf(kind_);
+  const bool pair = kind_ == CrossKind::kPair;
+  const std::vector<size_t>& vocab_sizes =
+      pair ? data.cross_vocab_sizes : data.triple_vocab_sizes;
+  // Triples carry no frequency metadata; tiered tables use the {1..K}
+  // fallback (exact for hashed triple encodings) or explicit policy ids.
+  static const std::vector<std::vector<int32_t>> kNoHotMeta;
+  const std::vector<std::vector<int32_t>>& hot_meta =
+      pair ? data.cross_hot_ids : kNoHotMeta;
   // Metadata-only datasets (streaming: vocab sizes without row payload)
-  // are fine here; only the per-batch datasets need actual cross ids.
-  CHECK(!data.cross_vocab_sizes.empty()) << "call BuildCrossFeatures first";
+  // are fine here; only the per-batch datasets need actual ids.
+  CHECK(!vocab_sizes.empty()) << names.not_built;
   CHECK_GT(dim, 0u);
-  tables_.reserve(pairs_.size());
-  for (size_t p : pairs_) {
-    CHECK_LT(p, data.num_pairs());
+  tables_.reserve(columns_.size());
+  for (size_t c : columns_) {
+    CHECK_LT(c, width_);
     auto table = std::make_unique<EmbeddingTable>(
-        "cross_emb/pair" + std::to_string(p), data.cross_vocab_sizes[p],
-        dim, lr, l2,
-        ResolveTableBackend(backend, data.cross_vocab_sizes[p],
-                            data.cross_hot_ids, p));
+        names.table_prefix + std::to_string(c), vocab_sizes[c], dim, lr, l2,
+        ResolveTableBackend(backend, vocab_sizes[c], hot_meta, c));
     table->Init(rng);
     tables_.push_back(std::move(table));
   }
 }
 
+CrossIds CrossEmbedding::Ids(const EncodedDataset& data) const {
+  const CrossIds ids = CrossIdsOf(data, kind_);
+  CHECK(ids.ids != nullptr) << NamesOf(kind_).not_built;
+  CHECK_EQ(ids.width, width_);
+  return ids;
+}
+
+void CrossEmbedding::CopyBlocks(const CrossIds& ids, size_t row,
+                                float* dst) const {
+  for (size_t t = 0; t < columns_.size(); ++t) {
+    tables_[t]->CopyRow(ids.at(row, columns_[t]), dst + t * dim_);
+  }
+}
+
 void CrossEmbedding::Gather(const Batch& batch, Tensor* out) const {
-  OPTINTER_TRACE_SPAN("cross_gather");
-  const EncodedDataset& data = *batch.data;
-  CHECK(data.has_cross());
-  CHECK_EQ(data.num_pairs(), data_.num_pairs());
+  OPTINTER_TRACE_SPAN(NamesOf(kind_).gather_span);
+  const CrossIds ids = Ids(*batch.data);
   // CopyRow writes whole rows, so every element of out is written.
   out->ResizeForOverwrite({batch.size, output_dim()});
   auto gather = [&](size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
-      const size_t r = batch.rows[k];
-      float* dst = out->row(k);
-      for (size_t t = 0; t < pairs_.size(); ++t) {
-        tables_[t]->CopyRow(data.cross(r, pairs_[t]), dst + t * dim_);
-      }
+      CopyBlocks(ids, batch.rows[k], out->row(k));
     }
   };
   // Disjoint per-row writes: fan-out is bit-identical to the serial loop.
@@ -56,35 +105,39 @@ void CrossEmbedding::Gather(const Batch& batch, Tensor* out) const {
 
 void CrossEmbedding::CopyRow(const EncodedDataset& data, size_t row,
                              size_t t, float* dst) const {
-  tables_[t]->CopyRow(data.cross(row, pairs_[t]), dst);
+  tables_[t]->CopyRow(CrossIdsOf(data, kind_).at(row, columns_[t]), dst);
+}
+
+void CrossEmbedding::GatherRow(const EncodedDataset& data, size_t row,
+                               float* dst) const {
+  CopyBlocks(CrossIdsOf(data, kind_), row, dst);
 }
 
 void CrossEmbedding::Prepare(const Batch& batch, IdDedupScratch* dedup,
                              std::vector<PreparedTable>* tables) const {
-  OPTINTER_TRACE_SPAN("cross_prepare");
+  OPTINTER_TRACE_SPAN(NamesOf(kind_).prepare_span);
   // Copies everything downstream phases need; the batch's dataset (which
   // may be a recycled streaming buffer) is not retained.
-  const EncodedDataset& data = *batch.data;
-  CHECK(data.has_cross());
-  CHECK_EQ(data.num_pairs(), data_.num_pairs());
-  tables->resize(pairs_.size());
-  for (size_t t = 0; t < pairs_.size(); ++t) {
+  const CrossIds ids = Ids(*batch.data);
+  tables->resize(columns_.size());
+  for (size_t t = 0; t < columns_.size(); ++t) {
+    const size_t column = columns_[t];
     PrepareTableIds(
         *tables_[t], batch.size,
-        [&](size_t k) { return data.cross(batch.rows[k], pairs_[t]); },
-        dedup, &(*tables)[t]);
+        [&](size_t k) { return ids.at(batch.rows[k], column); }, dedup,
+        &(*tables)[t]);
   }
 }
 
 void CrossEmbedding::ForwardPrepared(const std::vector<PreparedTable>& tables,
                                      size_t batch_size, Tensor* out) {
-  OPTINTER_TRACE_SPAN("cross_gather");
-  CHECK_EQ(tables.size(), pairs_.size());
+  OPTINTER_TRACE_SPAN(NamesOf(kind_).gather_span);
+  CHECK_EQ(tables.size(), columns_.size());
   out->Resize({batch_size, output_dim()});
   auto gather = [&](size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       float* dst = out->row(k);
-      for (size_t t = 0; t < pairs_.size(); ++t) {
+      for (size_t t = 0; t < columns_.size(); ++t) {
         tables_[t]->CopyRow(tables[t].ids[k], dst + t * dim_);
       }
     }
@@ -94,7 +147,7 @@ void CrossEmbedding::ForwardPrepared(const std::vector<PreparedTable>& tables,
   } else {
     gather(0, batch_size);
   }
-  for (size_t t = 0; t < pairs_.size(); ++t) {
+  for (size_t t = 0; t < columns_.size(); ++t) {
     tables_[t]->BeginPreparedScatter(tables[t].unique_rows.data(),
                                      tables[t].unique_rows.size());
   }
@@ -102,8 +155,8 @@ void CrossEmbedding::ForwardPrepared(const std::vector<PreparedTable>& tables,
 
 void CrossEmbedding::BackwardPrepared(
     const Tensor& d_out, const std::vector<PreparedTable>& tables) {
-  OPTINTER_TRACE_SPAN("cross_scatter");
-  CHECK_EQ(tables.size(), pairs_.size());
+  OPTINTER_TRACE_SPAN(NamesOf(kind_).scatter_span);
+  CHECK_EQ(tables.size(), columns_.size());
   CHECK_EQ(d_out.cols(), output_dim());
   // One bucket per (table, backing-row shard). Each bucket walks its rows
   // in ascending order, so every backing row accumulates in the serial
@@ -126,7 +179,7 @@ void CrossEmbedding::BackwardPrepared(
       }
     }
   };
-  const size_t num_buckets = pairs_.size() * EmbeddingTable::kGradShards;
+  const size_t num_buckets = columns_.size() * EmbeddingTable::kGradShards;
   auto run_buckets = [&](size_t lo, size_t hi) {
     for (size_t b = lo; b < hi; ++b) {
       scatter_bucket(b / EmbeddingTable::kGradShards,

@@ -16,8 +16,8 @@ std::vector<size_t> AllPairIndices(const EncodedDataset& data) {
 Poly2Model::Poly2Model(const EncodedDataset& data, const HyperParams& hp)
     : rng_(hp.seed),
       weights_(data, /*dim=*/1, hp.lr_orig, hp.l2_orig, &rng_),
-      cross_weights_(data, AllPairIndices(data), /*dim=*/1, hp.lr_cross,
-                     hp.l2_cross, &rng_) {
+      cross_weights_(data, CrossKind::kPair, AllPairIndices(data), /*dim=*/1,
+                     hp.lr_cross, hp.l2_cross, &rng_) {
   bias_.name = "poly2/bias";
   bias_.Resize({1});
   bias_.lr = hp.lr_orig;

@@ -38,20 +38,18 @@ QuantizedFixedArchModel::QuantizedFixedArchModel(
     const float* row = emb.cont_table(f).Row(0);
     cont_rows_[f].assign(row, row + s1_);
   }
-  if (const CrossEmbedding* cross = fp32.cross_embedding()) {
-    cross_pairs_ = cross->pairs();
-    cross_tables_.reserve(cross->num_pairs());
-    for (size_t t = 0; t < cross->num_pairs(); ++t) {
-      cross_tables_.emplace_back(cross->table(t), mode_);
+  const auto quantize_cross = [&](const CrossEmbedding* layer,
+                                  std::vector<size_t>* columns,
+                                  std::vector<QuantizedTable>* tables) {
+    if (layer == nullptr) return;
+    *columns = layer->columns();
+    tables->reserve(layer->num_blocks());
+    for (size_t t = 0; t < layer->num_blocks(); ++t) {
+      tables->emplace_back(layer->table(t), mode_);
     }
-  }
-  if (const TripleEmbedding* triple = fp32.triple_embedding()) {
-    triple_idx_ = triple->triples();
-    triple_tables_.reserve(triple->num_triples());
-    for (size_t t = 0; t < triple->num_triples(); ++t) {
-      triple_tables_.emplace_back(triple->table(t), mode_);
-    }
-  }
+  };
+  quantize_cross(fp32.cross_embedding(), &cross_pairs_, &cross_tables_);
+  quantize_cross(fp32.triple_embedding(), &triple_cols_, &triple_tables_);
   if (mode_ == QuantMode::kInt8) {
     const Mlp& mlp = fp32.mlp();
     qlinears_.reserve(mlp.linears().size());
@@ -135,10 +133,11 @@ void QuantizedFixedArchModel::GatherAssembleRow(const EncodedDataset& data,
     }
   }
   if (!triple_tables_.empty()) {
+    const CrossIds ids = CrossIdsOf(data, CrossKind::kTriple);
     float* dst =
         zr + emb_cols_ + inter_dim_ - triple_tables_.size() * s2_;
     for (size_t t = 0; t < triple_tables_.size(); ++t) {
-      triple_tables_[t].DequantRow(data.triple(row, triple_idx_[t]),
+      triple_tables_[t].DequantRow(ids.at(row, triple_cols_[t]),
                                    dst + t * s2_);
     }
   }

@@ -107,7 +107,7 @@ class QuantizedFixedArchModel : public CtrModel {
   std::vector<size_t> block_offset_;
   std::vector<size_t> mem_slot_;
   std::vector<size_t> cross_pairs_;   // dataset pair index per cross block
-  std::vector<size_t> triple_idx_;    // dataset triple index per block
+  std::vector<size_t> triple_cols_;   // dataset triple index per block
 
   // Quantized parameters.
   std::vector<QuantizedTable> cat_tables_;

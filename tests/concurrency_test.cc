@@ -52,6 +52,12 @@ HyperParams TinyHp() {
   return hp;
 }
 
+// SearchModel candidate sets under test: the paper's {hp.factorize_fn}
+// (empty) and the multi-operation {Hadamard, inner product}.
+std::vector<std::vector<FactorizeFn>> SearchCandidateSets() {
+  return {{}, {FactorizeFn::kHadamard, FactorizeFn::kInnerProduct}};
+}
+
 double WeightedSum(const Tensor& y, const Tensor& c) {
   double s = 0.0;
   for (size_t i = 0; i < y.size(); ++i) {
@@ -145,10 +151,12 @@ TEST(ConcurrencyTest, ConcurrentPredictFixedArchMatchesSequential) {
 
 TEST(ConcurrencyTest, ConcurrentPredictSearchModelMatchesSequential) {
   const auto& p = SharedTinyData();
-  SearchModel model(p.data, TinyHp());
-  Batch train_b = HeadBatch(p, 256);
-  for (int i = 0; i < 5; ++i) model.TrainStep(train_b);
-  CheckConcurrentPredict(model, SplitBatches(p, 8, 64));
+  for (const std::vector<FactorizeFn>& fns : SearchCandidateSets()) {
+    SearchModel model(p.data, TinyHp(), UpdateMode::kJoint, fns);
+    Batch train_b = HeadBatch(p, 256);
+    for (int i = 0; i < 5; ++i) model.TrainStep(train_b);
+    CheckConcurrentPredict(model, SplitBatches(p, 8, 64));
+  }
 }
 
 TEST(ConcurrencyTest, EvaluateModelParallelBitwiseMatchesSerial) {
@@ -459,20 +467,22 @@ TEST(DeterminismTest, TrainModelBitIdenticalWithCompressedCrossTables) {
 TEST(DeterminismTest, SearchModelBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
   const auto& p = SharedTinyData();
-  auto run = [&](size_t threads) {
-    ThreadPool::SetGlobalThreads(threads);
-    SearchModel model(p.data, TinyHp());
-    Batch b = HeadBatch(p, 1024);
-    for (int i = 0; i < 5; ++i) model.TrainStep(b);
-    // Snapshot includes α (via CollectState) and eval-mode logits.
-    std::vector<float> snap = SnapshotModel(&model, HeadBatch(p, 256));
-    const Tensor& alpha = model.alpha().value;
-    snap.insert(snap.end(), alpha.data(), alpha.data() + alpha.size());
-    return snap;
-  };
-  const std::vector<float> ref = run(1);
-  ExpectBitIdentical(run(2), ref, 2);
-  ExpectBitIdentical(run(8), ref, 8);
+  for (const std::vector<FactorizeFn>& fns : SearchCandidateSets()) {
+    auto run = [&](size_t threads) {
+      ThreadPool::SetGlobalThreads(threads);
+      SearchModel model(p.data, TinyHp(), UpdateMode::kJoint, fns);
+      Batch b = HeadBatch(p, 1024);
+      for (int i = 0; i < 5; ++i) model.TrainStep(b);
+      // Snapshot includes α (via CollectState) and eval-mode logits.
+      std::vector<float> snap = SnapshotModel(&model, HeadBatch(p, 256));
+      const Tensor& alpha = model.alpha().value;
+      snap.insert(snap.end(), alpha.data(), alpha.data() + alpha.size());
+      return snap;
+    };
+    const std::vector<float> ref = run(1);
+    ExpectBitIdentical(run(2), ref, 2);
+    ExpectBitIdentical(run(8), ref, 8);
+  }
 }
 
 TEST(DeterminismTest, RunSearchStageBitIdenticalAcrossThreadCounts) {
@@ -688,14 +698,18 @@ TEST(ConcurrencyTest, PipelinedSearchEpochRunsUnderThreads) {
   PoolGuard guard;
   ThreadPool::SetGlobalThreads(4);
   const auto& p = SharedTinyData();
-  SearchModel model(p.data, TinyHp());
-  Batcher batcher(&p.data, p.splits.train, /*batch_size=*/512, /*seed=*/9);
-  PipelinedTrainExecutor executor(&model);
-  batcher.StartEpoch();
-  const PipelinedTrainExecutor::EpochStats stats = executor.RunEpoch(&batcher);
-  EXPECT_EQ(stats.rows, p.splits.train.size());
-  EXPECT_GT(stats.batches, 1u);
-  EXPECT_EQ(executor.steps_done(), stats.batches);
+  for (const std::vector<FactorizeFn>& fns : SearchCandidateSets()) {
+    SearchModel model(p.data, TinyHp(), UpdateMode::kJoint, fns);
+    Batcher batcher(&p.data, p.splits.train, /*batch_size=*/512,
+                    /*seed=*/9);
+    PipelinedTrainExecutor executor(&model);
+    batcher.StartEpoch();
+    const PipelinedTrainExecutor::EpochStats stats =
+        executor.RunEpoch(&batcher);
+    EXPECT_EQ(stats.rows, p.splits.train.size());
+    EXPECT_GT(stats.batches, 1u);
+    EXPECT_EQ(executor.steps_done(), stats.batches);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -211,6 +211,94 @@ TEST(SearchModelTest, ParamCountIncludesAlpha) {
   EXPECT_GT(model.ParamCount(), p.data.num_pairs() * 3);
 }
 
+// Multi-operation search space (§II-C1): candidates {memorize, Hadamard,
+// inner product, naïve}.
+const std::vector<FactorizeFn> kMultiOpFns = {FactorizeFn::kHadamard,
+                                              FactorizeFn::kInnerProduct};
+
+HyperParams MultiOpHp() {
+  HyperParams hp = TinyHp();
+  hp.seed = 55;
+  return hp;
+}
+
+TEST(SearchModelTest, MultiOpHasFourCandidates) {
+  const auto& p = SharedTinyData();
+  SearchModel model(p.data, MultiOpHp(), UpdateMode::kJoint, kMultiOpFns);
+  EXPECT_EQ(model.num_candidates(), 4u);
+  EXPECT_EQ(model.Name(), "OptInter-multiop-search");
+  EXPECT_EQ(model.PairProbabilities(0).size(), 4u);
+}
+
+TEST(SearchModelTest, MultiOpTrainsAndExtracts) {
+  const auto& p = SharedTinyData();
+  SearchModel model(p.data, MultiOpHp(), UpdateMode::kJoint, kMultiOpFns);
+  Batch b = HeadBatch(p, 256);
+  float first = 0.0f, last = 0.0f;
+  for (int i = 0; i < 20; ++i) {
+    const float loss = model.TrainStep(b);
+    ASSERT_TRUE(std::isfinite(loss));
+    if (i == 0) first = loss;
+    last = loss;
+  }
+  EXPECT_LT(last, first);
+  EXPECT_EQ(model.ExtractArchitecture().size(), p.data.num_pairs());
+  EXPECT_EQ(model.ExtractFactorizeFns().size(), p.data.num_pairs());
+}
+
+TEST(SearchModelTest, MultiOpPredictionsValid) {
+  const auto& p = SharedTinyData();
+  SearchModel model(p.data, MultiOpHp(), UpdateMode::kJoint, kMultiOpFns);
+  Batch b = HeadBatch(p, 64);
+  std::vector<float> probs;
+  ForwardContext ctx;
+  model.Predict(b, &probs, &ctx);
+  for (float q : probs) {
+    EXPECT_GT(q, 0.0f);
+    EXPECT_LT(q, 1.0f);
+  }
+}
+
+TEST(SearchModelTest, MultiOpStateCoversEveryParameter) {
+  const auto& p = SharedTinyData();
+  SearchModel model(p.data, MultiOpHp(), UpdateMode::kJoint, kMultiOpFns);
+  std::vector<Tensor*> state;
+  model.CollectState(&state);
+  size_t total = 0;
+  for (Tensor* t : state) total += t->size();
+  EXPECT_EQ(total, model.ParamCount());
+}
+
+TEST(SearchModelTest, MultiOpSingleFnReducesToThreeWay) {
+  const auto& p = SharedTinyData();
+  SearchModel model(p.data, MultiOpHp(), UpdateMode::kJoint,
+                    {FactorizeFn::kHadamard});
+  EXPECT_EQ(model.num_candidates(), 3u);
+  EXPECT_EQ(model.Name(), "OptInter-search");
+  for (FactorizeFn fn : model.ExtractFactorizeFns()) {
+    EXPECT_EQ(fn, FactorizeFn::kHadamard);
+  }
+}
+
+TEST(SearchModelTest, MultiOpSearchedArchRetrainsWithPerPairFns) {
+  const auto& p = SharedTinyData();
+  HyperParams hp = MultiOpHp();
+  SearchModel search(p.data, hp, UpdateMode::kJoint, kMultiOpFns);
+  Batch b = HeadBatch(p, 256);
+  for (int i = 0; i < 30; ++i) search.TrainStep(b);
+
+  FixedArchModel model(p.data, search.ExtractArchitecture(), hp, "multi",
+                       /*memorized_triples=*/{},
+                       search.ExtractFactorizeFns());
+  TrainOptions topts;
+  topts.epochs = 2;
+  topts.batch_size = 256;
+  topts.seed = hp.seed;
+  topts.patience = 0;
+  TrainSummary s = TrainModel(&model, p.data, p.splits, topts);
+  EXPECT_GT(s.final_test.auc, 0.55);
+}
+
 // ---------------------------------------------------------------------------
 // AutoFIS
 // ---------------------------------------------------------------------------

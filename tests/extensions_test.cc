@@ -1,5 +1,7 @@
 // Tests for the paper's teased extensions implemented here: alternative
-// factorization functions and third-order (triple) interactions.
+// factorization functions (one per pair, too) and third-order (triple)
+// interactions. The multi-operation search itself is tested with
+// SearchModel (core_test.cc).
 
 #include <gtest/gtest.h>
 
@@ -135,6 +137,35 @@ TEST(FactorizeFnTest, InnerProductShrinksModel) {
   auto big = FixedArchModel::MakeOptInterF(p.data, hadamard);
   auto small = FixedArchModel::MakeOptInterF(p.data, inner);
   EXPECT_LT(small->ParamCount(), big->ParamCount());
+}
+
+TEST(FixedArchPerPairFnTest, MixedFnsChangeLayoutAndWidth) {
+  const auto& p = SharedTinyData();
+  HyperParams hp = DefaultHyperParams("tiny");
+  hp.seed = 55;
+  Architecture arch = AllFactorize(p.data.num_pairs());
+  std::vector<FactorizeFn> fns(p.data.num_pairs(),
+                               FactorizeFn::kInnerProduct);
+  fns[0] = FactorizeFn::kHadamard;
+  FixedArchModel mixed(p.data, arch, hp, "mixed", {}, fns);
+  FixedArchModel all_inner(
+      p.data, arch, hp, "inner", {},
+      std::vector<FactorizeFn>(p.data.num_pairs(),
+                               FactorizeFn::kInnerProduct));
+  // One Hadamard pair widens the MLP input by (s1 - 1) columns.
+  const size_t first_hidden = hp.mlp_hidden.front();
+  EXPECT_EQ(mixed.ParamCount() - all_inner.ParamCount(),
+            (hp.embed_dim - 1) * first_hidden);
+
+  Batch b = HeadBatch(p, 128);
+  float first = 0.0f, last = 0.0f;
+  for (int i = 0; i < 20; ++i) {
+    const float loss = mixed.TrainStep(b);
+    ASSERT_TRUE(std::isfinite(loss));
+    if (i == 0) first = loss;
+    last = loss;
+  }
+  EXPECT_LT(last, first);
 }
 
 // ---------------------------------------------------------------------------

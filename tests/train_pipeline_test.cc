@@ -130,10 +130,16 @@ TEST(TrainPipelineTest, SearchModelTrainStepSteadyStateZeroAlloc) {
   PoolGuard guard;
   ThreadPool::SetGlobalThreads(1);
   const auto& p = SharedTinyData();
-  SearchModel model(p.data, TinyHp());
   const Batch batch = HeadBatch(p, 256);
-  EXPECT_EQ(CountSteadyStateAllocs(&model, batch, /*warmup=*/3, /*steps=*/5),
-            0u);
+  // The paper's {hp.factorize_fn} (empty) and the multi-operation set.
+  const std::vector<std::vector<FactorizeFn>> candidate_sets = {
+      {}, {FactorizeFn::kHadamard, FactorizeFn::kInnerProduct}};
+  for (const std::vector<FactorizeFn>& fns : candidate_sets) {
+    SearchModel model(p.data, TinyHp(), UpdateMode::kJoint, fns);
+    EXPECT_EQ(
+        CountSteadyStateAllocs(&model, batch, /*warmup=*/3, /*steps=*/5), 0u)
+        << fns.size() + 2 << " candidates";
+  }
 }
 
 // The tiny models above never reach the MLP-scale GEMM paths. A
