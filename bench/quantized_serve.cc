@@ -2,7 +2,7 @@
 // int8 and bf16 quantized snapshots via QuantizeSnapshot, and measures
 // what quantization costs (AUC, with a paired significance test over
 // disjoint test folds) and what it buys (embedding bytes/row, batch-1
-// PredictNow throughput and tail latency against the fp32 fused path).
+// PredictNow throughput and tail latency against the fp32 model).
 // Writes the rows as a JSON run report with --report=PATH so
 // tools/bench_compare can gate regressions against BENCH_quantized.json.
 //

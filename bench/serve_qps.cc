@@ -1,9 +1,9 @@
 // Serving latency/throughput harness: trains a small model, deploys it
 // behind PredictServer, and drives concurrent clients against the
-// micro-batcher (Submit) and the fused batch-1 path (PredictNow) while a
-// background thread hot-swaps checkpoints. Reports p50/p99 latency and
-// QPS from the serve.* histograms, plus flush/batch-size stats, and
-// writes them as a JSON run report with --report=PATH.
+// micro-batcher (Submit) and synchronous batch-1 scoring (PredictNow)
+// while a background thread hot-swaps checkpoints. Reports p50/p99
+// latency and QPS from the serve.* histograms, plus flush/batch-size
+// stats, and writes them as a JSON run report with --report=PATH.
 //
 // NOTE: inside a single-core container the clients, the flusher, and the
 // kernel thread pool all share one core, so absolute QPS here is a smoke

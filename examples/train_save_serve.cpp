@@ -113,8 +113,8 @@ int main(int argc, char** argv) {
 
   // 5. Serve: reload all three artifacts and stand up a PredictServer.
   // Requests arrive as encoded PredictRequests and flow through either
-  // the adaptive micro-batcher (Submit → future) or the synchronous
-  // fused batch-1 path (PredictNow); both pin the live model snapshot.
+  // the adaptive micro-batcher (Submit → future) or synchronous batch-1
+  // scoring (PredictNow); both pin the live model snapshot.
   auto served_encoder = FittedEncoder::Load(enc_path);
   CHECK(served_encoder.ok()) << served_encoder.status().ToString();
   auto served_data = served_encoder->Transform(*raw);

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/interaction_layout.h"
 #include "models/cross_embedding.h"
 #include "models/feature_embedding.h"
 #include "models/hyperparams.h"
@@ -50,8 +51,9 @@ class FixedArchModel : public CtrModel {
   float ForwardBackward(const PreparedBatch& prep) override;
   void ApplyGrads() override;
 
-  /// Batch size 1 takes the fused single-row path (bit-identical). Once
-  /// frozen, the MLP runs over weights packed at freeze (same bits).
+  /// Every batch size assembles z with the one row assembler
+  /// (interaction_layout.h) straight from the tables. Once frozen, the MLP
+  /// runs over weights packed at freeze (same bits).
   void Predict(const Batch& batch, std::vector<float>* probs,
                ForwardContext* ctx) const override;
 
@@ -75,36 +77,17 @@ class FixedArchModel : public CtrModel {
 
   // --- Read-only structure access ---------------------------------------
   //
-  // The serving-time quantizer (serve/quantized_model.h) rebuilds this
-  // model's forward pass over quantized weights; these accessors expose
-  // the frozen layout and the fp32 layers it converts or reuses.
+  // The serving-time quantizer (serve/quantized_model.h) runs this model's
+  // layout over quantized weights; these accessors expose the layout and
+  // the fp32 layers it converts or reuses.
 
-  /// block_offsets()/mem_slots() value for pairs without a block.
-  static constexpr size_t kNoBlock = static_cast<size_t>(-1);
-
+  const InteractionLayout& layout() const { return layout_; }
   const FeatureEmbedding& feature_embedding() const { return emb_; }
   /// Memorized pairs (CrossKind::kPair); nullptr when no pair memorizes.
   const CrossEmbedding* cross_embedding() const { return cross_emb_.get(); }
   /// Memorized triples (CrossKind::kTriple); nullptr when there are none.
   const CrossEmbedding* triple_embedding() const { return triple_emb_.get(); }
   const Mlp& mlp() const { return *mlp_; }
-  size_t s1() const { return s1_; }
-  size_t s2() const { return s2_; }
-  size_t inter_dim() const { return inter_dim_; }
-  const std::vector<FactorizeFn>& pair_fns() const { return pair_fns_; }
-  const std::vector<std::pair<size_t, size_t>>& cat_pairs() const {
-    return cat_pairs_;
-  }
-  /// Per-pair MLP-input column offset of the interaction block (kNoBlock
-  /// for naïve pairs).
-  const std::vector<size_t>& block_offsets() const { return block_offset_; }
-  /// Per-pair block index within cross_embedding() (kNoBlock unless the
-  /// pair memorizes).
-  const std::vector<size_t>& mem_slots() const { return mem_slot_; }
-
-  /// Test hook: disable the fused batch-1 predict path so tests can
-  /// compare it against the generic path. On by default.
-  void set_fuse_single_row(bool on) { fuse_single_row_ = on; }
 
   /// Instances of the framework with uniform methods (paper Table III).
   static std::unique_ptr<FixedArchModel> MakeFnn(const EncodedDataset& data,
@@ -119,36 +102,18 @@ class FixedArchModel : public CtrModel {
   void OnFreeze() const override;
 
  private:
-  /// Shared tail of the forward pass: assembles z from the gathered
-  /// embeddings in `ctx`, runs the MLP, fills ctx->logits.
-  void AssembleForward(size_t b, ForwardContext* ctx) const;
-
-  /// Fused batch-1 predict: gathers embeddings straight into the z row and
-  /// computes interactions in place. Bit-identical to the generic path.
-  void PredictSingleRow(const EncodedDataset& data, size_t row,
-                        std::vector<float>* probs, ForwardContext* ctx) const;
+  /// MLP over ctx->z into ctx->mlp_out, then ctx->logits.
+  void MlpLogits(ForwardContext* ctx) const;
 
   std::string name_;
   Architecture arch_;
-  size_t s1_;
-  size_t s2_;
-  std::vector<FactorizeFn> pair_fns_;  // one per pair
   Rng rng_;
   FeatureEmbedding emb_;
+  const InteractionLayout layout_;
   std::unique_ptr<CrossEmbedding> cross_emb_;  // memorized pairs only
   std::unique_ptr<CrossEmbedding> triple_emb_;  // higher-order extension
   std::unique_ptr<Mlp> mlp_;
   Adam dense_opt_;
-
-  // Categorical-pair bookkeeping: for each pair, the MLP-input column
-  // offset of its interaction block (or kNone for naïve pairs), and for
-  // memorized pairs the block index within cross_emb_.
-  static constexpr size_t kNone = kNoBlock;
-  std::vector<std::pair<size_t, size_t>> cat_pairs_;
-  std::vector<size_t> block_offset_;  // into z_ columns
-  std::vector<size_t> mem_slot_;      // into cross_emb_ blocks
-  size_t inter_dim_ = 0;              // total interaction columns
-  bool fuse_single_row_ = true;       // batch-1 fast path (test toggle)
 
   // Written once, by OnFreeze; read only once frozen() (whose acquire
   // pairs with Freeze's release after OnFreeze).

@@ -44,8 +44,7 @@ void FeatureEmbedding::Gather(const Batch& batch, Tensor* out) const {
   // layer's request arenas), not just the one the layer was built from;
   // ids must come from the same encoder so the vocabularies line up.
   const EncodedDataset& data = *batch.data;
-  CHECK_EQ(data.num_categorical(), cat_tables_.size());
-  CHECK_EQ(data.num_continuous(), cont_tables_.size());
+  CheckSchema(data);
   const size_t num_cat = cat_tables_.size();
   const size_t num_cont = cont_tables_.size();
   // Each row gets every categorical and continuous block in full, so
@@ -59,10 +58,7 @@ void FeatureEmbedding::Gather(const Batch& batch, Tensor* out) const {
         cat_tables_[f]->CopyRow(data.cat(r, f), dst + f * dim_);
       }
       for (size_t f = 0; f < num_cont; ++f) {
-        const float v = data.cont(r, f);
-        const float* src = cont_tables_[f]->Row(0);
-        float* d = dst + (num_cat + f) * dim_;
-        for (size_t t = 0; t < dim_; ++t) d[t] = src[t] * v;
+        ContinuousRow(f, data.cont(r, f), dst + (num_cat + f) * dim_);
       }
     }
   };
@@ -75,21 +71,9 @@ void FeatureEmbedding::Gather(const Batch& batch, Tensor* out) const {
   }
 }
 
-void FeatureEmbedding::GatherRow(const EncodedDataset& data, size_t row,
-                                 float* dst) const {
-  const size_t num_cat = cat_tables_.size();
-  const size_t num_cont = cont_tables_.size();
-  CHECK_EQ(data.num_categorical(), num_cat);
-  CHECK_EQ(data.num_continuous(), num_cont);
-  for (size_t f = 0; f < num_cat; ++f) {
-    cat_tables_[f]->CopyRow(data.cat(row, f), dst + f * dim_);
-  }
-  for (size_t f = 0; f < num_cont; ++f) {
-    const float v = data.cont(row, f);
-    const float* src = cont_tables_[f]->Row(0);
-    float* d = dst + (num_cat + f) * dim_;
-    for (size_t t = 0; t < dim_; ++t) d[t] = src[t] * v;
-  }
+void FeatureEmbedding::CheckSchema(const EncodedDataset& data) const {
+  CHECK_EQ(data.num_categorical(), cat_tables_.size());
+  CHECK_EQ(data.num_continuous(), cont_tables_.size());
 }
 
 void FeatureEmbedding::PrepareIds(const Batch& batch, IdDedupScratch* dedup,
@@ -99,8 +83,7 @@ void FeatureEmbedding::PrepareIds(const Batch& batch, IdDedupScratch* dedup,
   // batcher's reusable buffer that is recycled right after this call.
   const EncodedDataset& data = *batch.data;
   const size_t num_cat = cat_tables_.size();
-  CHECK_EQ(data.num_categorical(), num_cat);
-  CHECK_EQ(data.num_continuous(), cont_tables_.size());
+  CheckSchema(data);
   tables->resize(num_cat);
   for (size_t f = 0; f < num_cat; ++f) {
     PrepareTableIds(
@@ -143,10 +126,8 @@ void FeatureEmbedding::ForwardPrepared(const PreparedBatch& prep,
         cat_tables_[f]->CopyRow(cat[f].ids[k], dst + f * dim_);
       }
       for (size_t f = 0; f < num_cont; ++f) {
-        const float v = prep.cont[k * num_cont + f];
-        const float* src = cont_tables_[f]->Row(0);
-        float* d = dst + (num_cat + f) * dim_;
-        for (size_t t = 0; t < dim_; ++t) d[t] = src[t] * v;
+        ContinuousRow(f, prep.cont[k * num_cont + f],
+                      dst + (num_cat + f) * dim_);
       }
     }
   };

@@ -39,10 +39,15 @@ class FeatureEmbedding {
   /// arenas this way.
   void Gather(const Batch& batch, Tensor* out) const;
 
-  /// Single-row gather straight into `dst` (length output_dim()), the
-  /// fused batch-1 serving path: same values and op order as one row of
-  /// Gather, no intermediate tensor.
-  void GatherRow(const EncodedDataset& data, size_t row, float* dst) const;
+  /// CHECKs that a batch's dataset has this layer's field counts.
+  void CheckSchema(const EncodedDataset& data) const;
+
+  /// Continuous field `f`'s embedding at normalized value `v`: its single
+  /// row scaled by v, into `dst` (length dim()).
+  void ContinuousRow(size_t f, float v, float* dst) const {
+    const float* src = cont_tables_[f]->Row(0);
+    for (size_t t = 0; t < dim_; ++t) dst[t] = src[t] * v;
+  }
 
   // --- Training path (see prepared_batch.h / DESIGN.md) ----------------
   //

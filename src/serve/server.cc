@@ -33,7 +33,7 @@ obs::Counter* FlushCounter() {
 }
 
 obs::Histogram* LatencyHistogram() {
-  // Microsecond buckets from sub-10us (fused batch-1 on warm caches) to
+  // Microsecond buckets from sub-10us (batch-1 on warm caches) to
   // 100ms (deep queues / cold swaps); the overflow bucket catches worse.
   static obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram(
       "serve.latency_us",

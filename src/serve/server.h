@@ -12,9 +12,9 @@
 //    so an idle server stays at one-request latency while a loaded one
 //    converges to full batches (the adaptive policy; DESIGN.md §8).
 //
-//  * PredictNow(request) scores synchronously on the calling thread via
-//    the batch-1 fused path (FixedArchModel fuses gather → interaction →
-//    MLP for single rows), bypassing the queue entirely. This is the
+//  * PredictNow(request) scores synchronously on the calling thread as a
+//    batch of one (gather and interactions land straight in the MLP
+//    input row), bypassing the queue entirely. This is the
 //    lowest-latency path; use it when the caller cannot tolerate
 //    coalescing delay.
 //
@@ -120,8 +120,8 @@ class PredictServer {
   /// by the flusher thread.
   Result<std::future<float>> Submit(PredictRequest request);
 
-  /// Synchronous batch-1 scoring on the calling thread (fused single-row
-  /// path). Concurrent calls are safe.
+  /// Synchronous batch-1 scoring on the calling thread. Concurrent calls
+  /// are safe.
   Result<float> PredictNow(const PredictRequest& request);
 
   /// Blocks until every request submitted before the call has been

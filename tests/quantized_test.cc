@@ -497,6 +497,28 @@ TEST(QuantizeSnapshotDeathTest, TrainStepRefusesToRun) {
   EXPECT_DEATH(mutable_model->TrainStep(b), "inference-only");
 }
 
+// A batch whose dataset lacks the cross ids a memorizing model reads must
+// die with the builder's name on every Predict path, never read out of
+// bounds: fp32 and int8, batch 1 and batched.
+TEST(QuantizeSnapshotDeathTest, PredictWithoutCrossIdsDiesOnEveryPath) {
+  std::shared_ptr<const CtrModel> fp32 = TrainedFp32(1);
+  std::shared_ptr<const CtrModel> m8;
+  ASSERT_TRUE(QuantizeSnapshot(fp32, QuantMode::kInt8, &m8).ok());
+  const auto& p = SharedTinyData();
+  EncodedDataset no_cross = p.data;
+  no_cross.cross_ids.clear();
+  ForwardContext ctx;
+  std::vector<float> probs;
+  for (const CtrModel* model : {fp32.get(), m8.get()}) {
+    for (size_t size : {1u, 7u}) {
+      const Batch b{&no_cross, p.splits.train.data(), size};
+      EXPECT_DEATH(model->Predict(b, &probs, &ctx),
+                   "call BuildCrossFeatures first")
+          << model->Name() << " at batch " << size;
+    }
+  }
+}
+
 // Publishing a bf16 view freezes its fp32 source, whose MLP the view runs
 // over weights packed at that freeze: same bits as before the publish, at
 // batch 1 and batched. An int8 view packs nothing and leaves it unfrozen.
