@@ -8,6 +8,7 @@
 
 #include "data/batch.h"
 #include "data/encoder.h"
+#include "models/interaction.h"
 #include "synth/profiles.h"
 
 namespace optinter {
@@ -47,6 +48,31 @@ inline Batch HeadBatch(const PreparedData& p, size_t n) {
   b.rows = p.splits.train.data();
   b.size = std::min(n, p.splits.train.size());
   return b;
+}
+
+/// SharedTinyData() with two field triples built, {0, 1, 2} and
+/// {1, 2, 3}: the memorized-triple golden's dataset.
+inline EncodedDataset TinyDataWithTriples() {
+  const PreparedData& p = SharedTinyData();
+  EncodedDataset data = p.data;
+  data.triple_ids.clear();
+  data.triple_fields.clear();
+  EncoderOptions enc;
+  enc.cross_min_count = 2;
+  CHECK_OK(BuildTripleCrossFeatures(&data, p.splits.train, enc,
+                                    {{0, 1, 2}, {1, 2, 3}}));
+  return data;
+}
+
+/// Pair q memorizes, factorizes or stays naïve by q mod 3.
+inline Architecture MixedArchitecture(size_t num_pairs) {
+  Architecture arch(num_pairs);
+  for (size_t q = 0; q < num_pairs; ++q) {
+    arch[q] = q % 3 == 0   ? InterMethod::kMemorize
+              : q % 3 == 1 ? InterMethod::kFactorize
+                           : InterMethod::kNaive;
+  }
+  return arch;
 }
 
 }  // namespace testing
