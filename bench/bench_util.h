@@ -97,19 +97,6 @@ inline void PrintModelRow(const std::string& model, double auc,
               extra.c_str());
 }
 
-/// Row with training throughput from TrainTelemetry.
-inline void PrintModelRowWithThroughput(const std::string& model, double auc,
-                                        double logloss, size_t params,
-                                        const TrainTelemetry& telemetry,
-                                        const std::string& extra = "") {
-  std::printf(
-      "%-14s  AUC %.4f  logloss %.4f  params %8s  train %6.1fs  eval "
-      "%5.1fs  %8.0f rows/s  %s\n",
-      model.c_str(), auc, logloss, HumanCount(params).c_str(),
-      telemetry.train_seconds_total, telemetry.eval_seconds_total,
-      telemetry.train_rows_per_sec, extra.c_str());
-}
-
 /// Prints table rows like the Print* helpers above while also recording
 /// them as JSON, and writes a run report when --report was given. One
 /// instance per harness:
@@ -143,8 +130,12 @@ class BenchReport {
   void AddRow(const std::string& model, double auc, double logloss,
               size_t params, const TrainTelemetry& telemetry,
               const std::string& extra = "") {
-    PrintModelRowWithThroughput(model, auc, logloss, params, telemetry,
-                                extra);
+    std::printf(
+        "%-14s  AUC %.4f  logloss %.4f  params %8s  train %6.1fs  eval "
+        "%5.1fs  %8.0f rows/s  %s\n",
+        model.c_str(), auc, logloss, HumanCount(params).c_str(),
+        telemetry.train_seconds_total, telemetry.eval_seconds_total,
+        telemetry.train_rows_per_sec, extra.c_str());
     Record(model, auc, logloss, params, &telemetry, extra);
   }
 

@@ -151,9 +151,7 @@ Result<TrainSummary> TrainModelStreamed(CtrModel* model,
     return [=, &data]() -> Result<EvalMetrics> {
       std::vector<size_t> rows(end - begin);
       for (size_t i = 0; i < rows.size(); ++i) rows[i] = begin + i;
-      EvalOptions eo;
-      eo.batch_size = options.eval_batch_size;
-      return EvaluateModel(model, data, rows, eo);
+      return EvaluateModel(model, data, rows, options.eval_batch_size);
     };
   };
   internal::EvalFn eval_val;

@@ -73,7 +73,7 @@ Result<TrainSummary> TrainModelStreamed(CtrModel* model,
 /// options.block_rows to the shard dir's rows_per_shard — this is
 /// bitwise-identical to TrainModelStreamed over the shard directory,
 /// which isolates the streaming data path in parity runs
-/// (bench/stream_train.cc).
+/// (DeterminismTest.WindowShuffleStreamedMatchesRamControlArm).
 Result<TrainSummary> TrainModelStreamed(CtrModel* model,
                                         const EncodedDataset& data,
                                         const StreamTrainOptions& options);

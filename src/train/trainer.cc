@@ -40,10 +40,10 @@ bool ScoreImproved(double score, double best_score, StopMetric metric) {
 
 EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
                           const std::vector<size_t>& rows,
-                          const EvalOptions& options) {
+                          size_t batch_size) {
   OPTINTER_TRACE_SPAN("evaluate");
   CHECK(!rows.empty());
-  CHECK_GT(options.batch_size, 0u);
+  CHECK_GT(batch_size, 0u);
   const size_t n = rows.size();
   EvalRowsCounter()->Add(n);
   std::vector<float> all_probs(n);
@@ -53,32 +53,27 @@ EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
   auto gather_labels = [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) all_labels[i] = data.label(rows[i]);
   };
-  if (options.parallel) {
-    ParallelForChunks(0, n, gather_labels, /*min_chunk=*/1024);
-  } else {
-    gather_labels(0, n);
-  }
+  ParallelForChunks(0, n, gather_labels, /*min_chunk=*/1024);
   // Each task owns a ForwardContext and writes its slice of all_probs at a
   // deterministic offset, so the stitched result — and therefore
-  // AUC/log-loss — is bit-identical to the serial path whatever the
-  // batch-to-task assignment.
-  const size_t num_batches = (n + options.batch_size - 1) / options.batch_size;
+  // AUC/log-loss — is bit-identical whatever the batch-to-task assignment.
+  const size_t num_batches = (n + batch_size - 1) / batch_size;
   auto predict_range = [&](size_t lo, size_t hi) {
     // Task-local context and scratch, reused across the task's batches.
     std::vector<float> probs;
     ForwardContext ctx;
     for (size_t bi = lo; bi < hi; ++bi) {
-      const size_t start = bi * options.batch_size;
+      const size_t start = bi * batch_size;
       Batch b;
       b.data = &data;
       b.rows = rows.data() + start;
-      b.size = std::min(options.batch_size, n - start);
+      b.size = std::min(batch_size, n - start);
       model->Predict(b, &probs, &ctx);
       std::memcpy(all_probs.data() + start, probs.data(),
                   b.size * sizeof(float));
     }
   };
-  if (options.parallel && num_batches > 1) {
+  if (num_batches > 1) {
     OPTINTER_TRACE_SPAN("eval_batch_parallel");
     ParallelForChunks(0, num_batches, predict_range, /*min_chunk=*/1);
   } else {
@@ -88,14 +83,6 @@ EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
   m.auc = Auc(all_probs, all_labels);
   m.logloss = LogLoss(all_probs, all_labels);
   return m;
-}
-
-EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
-                          const std::vector<size_t>& rows,
-                          size_t batch_size) {
-  EvalOptions options;
-  options.batch_size = batch_size;
-  return EvaluateModel(model, data, rows, options);
 }
 
 namespace internal {

@@ -72,17 +72,6 @@ struct EvalMetrics {
   double logloss = 0.0;
 };
 
-/// Options for EvaluateModel.
-struct EvalOptions {
-  size_t batch_size = 2048;
-  /// Run evaluation batch-parallel: the label gather fans across the
-  /// thread pool and whole batches are predicted concurrently, each task
-  /// owning a private ForwardContext. Every batch writes a disjoint slice
-  /// of the stitched result at an offset fixed by the batch grid, so the
-  /// metrics are bit-identical to the serial path.
-  bool parallel = true;
-};
-
 /// Per-epoch wall-clock and throughput record. TrainStep fuses forward,
 /// backward and the optimizer update, so train_seconds covers all three;
 /// eval_seconds is the validation pass.
@@ -124,12 +113,12 @@ struct TrainSummary {
   TrainTelemetry telemetry;
 };
 
-/// Evaluates `model` on the given rows (batched, no gradient work).
-EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
-                          const std::vector<size_t>& rows,
-                          const EvalOptions& options);
-
-/// Back-compat overload: batch size only, parallel path.
+/// Evaluates `model` on the given rows in batches of `batch_size` (no
+/// gradient work). The label gather fans across the thread pool and whole
+/// batches are predicted concurrently, each task owning a private
+/// ForwardContext. Every batch writes a disjoint slice of the stitched
+/// result at an offset fixed by the batch grid, so the metrics are
+/// bit-identical at any pool size (a pool of 1 runs the batches in order).
 EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
                           const std::vector<size_t>& rows,
                           size_t batch_size = 2048);

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -31,8 +32,10 @@
 #include <filesystem>
 
 #include "data/shard_format.h"
+#include "data/stream_encode.h"
 #include "data/stream_reader.h"
 #include "nn/optimizer.h"
+#include "synth/stream_source.h"
 #include "tensor/kernels.h"
 #include "test_data.h"
 #include "train/pipeline_executor.h"
@@ -44,6 +47,7 @@ namespace {
 
 using testing::CheckGradientAcrossThreadCounts;
 using testing::HeadBatch;
+using testing::PoolGuard;
 using testing::SharedTinyData;
 
 HyperParams TinyHp() {
@@ -73,13 +77,6 @@ Tensor RandomTensor(std::vector<size_t> shape, Rng* rng, double scale = 1.0) {
   }
   return t;
 }
-
-// Restores the global pool size when a test returns (tests resize it to
-// exercise specific thread counts).
-struct PoolGuard {
-  size_t saved = ThreadPool::Global().num_threads();
-  ~PoolGuard() { ThreadPool::SetGlobalThreads(saved); }
-};
 
 // A mixed architecture covering all three interaction methods.
 Architecture MixedArch(size_t num_pairs) {
@@ -161,22 +158,22 @@ TEST(ConcurrencyTest, ConcurrentPredictSearchModelMatchesSequential) {
 
 TEST(ConcurrencyTest, EvaluateModelParallelBitwiseMatchesSerial) {
   PoolGuard guard;
-  ThreadPool::SetGlobalThreads(4);
   const auto& p = SharedTinyData();
   FixedArchModel model(p.data, MixedArch(p.data.num_pairs()), TinyHp(),
                        "eval");
   Batch train_b = HeadBatch(p, 256);
   for (int i = 0; i < 10; ++i) model.TrainStep(train_b);
-  EvalOptions serial;
-  serial.parallel = false;
-  serial.batch_size = 64;  // many batches → the parallel path has work
-  EvalOptions parallel = serial;
-  parallel.parallel = true;
-  const EvalMetrics ref = EvaluateModel(&model, p.data, p.splits.val, serial);
-  const EvalMetrics par =
-      EvaluateModel(&model, p.data, p.splits.val, parallel);
-  EXPECT_EQ(ref.auc, par.auc);
-  EXPECT_EQ(ref.logloss, par.logloss);
+  constexpr size_t kBatch = 64;  // many batches → the parallel path has work
+  ThreadPool::SetGlobalThreads(1);
+  const EvalMetrics ref =
+      testing::SerialEvaluate(model, p.data, p.splits.val, kBatch);
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    const EvalMetrics got =
+        EvaluateModel(&model, p.data, p.splits.val, kBatch);
+    EXPECT_EQ(got.auc, ref.auc) << threads << " threads";
+    EXPECT_EQ(got.logloss, ref.logloss) << threads << " threads";
+  }
 }
 
 // Distinct layer objects may run their (internally chunked) backward
@@ -950,19 +947,34 @@ TEST(DeterminismTest, LinearForwardBiasAddBitIdenticalAcrossThreadCounts) {
 // identical to in-RAM training at every thread count and prefetch depth.
 // ---------------------------------------------------------------------------
 
+// A shard directory under TempDir, filled by `write` once per process and
+// removed at exit. Per-process path: ctest runs each TEST as its own
+// process, and a shared directory would let one process remove_all()
+// shards another has mmapped.
+class ProcessShardDir {
+ public:
+  ProcessShardDir(const std::string& name,
+                  const std::function<Status(const std::string&)>& write)
+      : path_(::testing::TempDir() + "/" + name + "." +
+              std::to_string(::getpid())) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+    CHECK_OK(write(path_));
+  }
+  ~ProcessShardDir() { std::filesystem::remove_all(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 // The shared tiny dataset written once as a shard directory.
 const std::string& TinyShardDir() {
-  // Per-process path: ctest runs each TEST as its own process, and a shared
-  // directory would let one process remove_all() shards another has mmapped.
-  static const std::string* dir = [] {
-    auto* d = new std::string(::testing::TempDir() + "/concurrency_shards." +
-                              std::to_string(::getpid()));
-    std::filesystem::remove_all(*d);
-    std::filesystem::create_directories(*d);
-    CHECK_OK(WriteShardedDataset(SharedTinyData().data, *d, 512));
-    return d;
-  }();
-  return *dir;
+  static const ProcessShardDir dir(
+      "concurrency_shards", [](const std::string& d) {
+        return WriteShardedDataset(SharedTinyData().data, d, 512);
+      });
+  return dir.path();
 }
 
 // Contiguous 0.7/0.15/0.15 splits — the streaming trainer's convention.
@@ -989,45 +1001,77 @@ void ExpectSummariesBitIdentical(const TrainSummary& got,
   EXPECT_EQ(got.final_test.logloss, ref.final_test.logloss);
 }
 
+// The tiny profile hash-encoded by StreamEncodeToShards, written once.
+// Cross features are hashed too; 256 buckets are few enough that cross
+// ids collide (2524 of the 29019 bucketed cross values).
+const std::string& HashedTinyShardDir() {
+  static const ProcessShardDir dir(
+      "concurrency_hashed", [](const std::string& d) {
+        StreamEncodeOptions opts;
+        opts.hashed = true;
+        opts.build_cross = true;
+        opts.hash_hot_values = 16;
+        opts.hash_buckets = 256;
+        opts.rows_per_shard = 1024;
+        SynthRowSource rows(TinyConfig());
+        return StreamEncodeToShards(&rows, d, opts).status();
+      });
+  return dir.path();
+}
+
 // Streamed training with kGlobalShuffle vs the ordinary in-RAM TrainModel
 // over the same contiguous splits: identical epoch order, identical
-// metrics and weights, at 1/2/8 threads and every prefetch depth.
+// metrics and weights, at 1/2/8 threads and every prefetch depth. Two
+// inputs: the shared tiny dataset written as shards, and hash-encoded
+// shards whose in-RAM twin is the reader's Materialize() (the encode →
+// materialize path end to end).
 TEST(DeterminismTest, StreamedTrainMatchesInRamTrainModelAcrossThreads) {
   PoolGuard guard;
-  const auto& p = SharedTinyData();
-  const Architecture arch = MixedArch(p.data.num_pairs());
+  auto hashed_reader = StreamingReader::Open(HashedTinyShardDir());
+  ASSERT_TRUE(hashed_reader.ok()) << hashed_reader.status().ToString();
+  auto hashed = (*hashed_reader)->Materialize();
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  const std::vector<std::pair<const EncodedDataset*, std::string>> inputs = {
+      {&SharedTinyData().data, TinyShardDir()},
+      {&*hashed, HashedTinyShardDir()}};
 
-  ThreadPool::SetGlobalThreads(1);
-  FixedArchModel ref_model(p.data, arch, TinyHp(), "ref");
-  TrainOptions topts;
-  topts.epochs = 2;
-  topts.batch_size = 512;
-  topts.seed = 123;
-  topts.patience = 1;
-  const TrainSummary ref = TrainModel(&ref_model, p.data,
-                                      ContiguousSplits(p.data.num_rows),
-                                      topts);
-  const std::vector<float> ref_snap =
-      SnapshotModel(&ref_model, HeadBatch(p, 256));
+  for (const auto& [in_ram, dir] : inputs) {
+    SCOPED_TRACE(dir);
+    const Architecture arch = MixedArch(in_ram->num_pairs());
+    const Splits splits = ContiguousSplits(in_ram->num_rows);
+    Batch head;
+    head.data = in_ram;
+    head.rows = splits.train.data();
+    head.size = 256;
 
-  auto reader = StreamingReader::Open(TinyShardDir());
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  for (const size_t threads : {1u, 2u, 8u}) {
-    for (const size_t prefetch : {1u, 2u, 4u}) {
-      ThreadPool::SetGlobalThreads(threads);
-      FixedArchModel model((*reader)->meta(), arch, TinyHp(), "streamed");
-      StreamTrainOptions so;
-      so.epochs = 2;
-      so.batch_size = 512;
-      so.seed = 123;
-      so.patience = 1;
-      so.order = StreamingBatcher::Order::kGlobalShuffle;
-      so.prefetch_batches = prefetch;
-      auto got = TrainModelStreamed(&model, reader->get(), so);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSummariesBitIdentical(*got, ref);
-      ExpectBitIdentical(SnapshotModel(&model, HeadBatch(p, 256)), ref_snap,
-                         threads);
+    ThreadPool::SetGlobalThreads(1);
+    FixedArchModel ref_model(*in_ram, arch, TinyHp(), "ref");
+    TrainOptions topts;
+    topts.epochs = 2;
+    topts.batch_size = 512;
+    topts.seed = 123;
+    topts.patience = 1;
+    const TrainSummary ref = TrainModel(&ref_model, *in_ram, splits, topts);
+    const std::vector<float> ref_snap = SnapshotModel(&ref_model, head);
+
+    auto reader = StreamingReader::Open(dir);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    for (const size_t threads : {1u, 2u, 8u}) {
+      for (const size_t prefetch : {1u, 2u, 4u}) {
+        ThreadPool::SetGlobalThreads(threads);
+        FixedArchModel model((*reader)->meta(), arch, TinyHp(), "streamed");
+        StreamTrainOptions so;
+        so.epochs = 2;
+        so.batch_size = 512;
+        so.seed = 123;
+        so.patience = 1;
+        so.order = StreamingBatcher::Order::kGlobalShuffle;
+        so.prefetch_batches = prefetch;
+        auto got = TrainModelStreamed(&model, reader->get(), so);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectSummariesBitIdentical(*got, ref);
+        ExpectBitIdentical(SnapshotModel(&model, head), ref_snap, threads);
+      }
     }
   }
 }

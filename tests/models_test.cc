@@ -19,6 +19,7 @@ namespace optinter {
 namespace {
 
 using testing::HeadBatch;
+using testing::PoolGuard;
 using testing::SharedTinyData;
 
 HyperParams TinyHp() {
@@ -26,11 +27,6 @@ HyperParams TinyHp() {
   hp.seed = 99;
   return hp;
 }
-
-struct PoolGuard {
-  size_t saved = ThreadPool::Global().num_threads();
-  ~PoolGuard() { ThreadPool::SetGlobalThreads(saved); }
-};
 
 // Every trainable value of `model`, flattened.
 std::vector<float> FlatState(CtrModel* model) {

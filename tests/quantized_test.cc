@@ -47,13 +47,8 @@ namespace {
 
 using serve::QuantizedFixedArchModel;
 using serve::QuantizeSnapshot;
+using testing::PoolGuard;
 using testing::SharedTinyData;
-
-// Restores the global pool size when a test returns.
-struct PoolGuard {
-  size_t saved = ThreadPool::Global().num_threads();
-  ~PoolGuard() { ThreadPool::SetGlobalThreads(saved); }
-};
 
 // Restores auto dispatch selection when a test returns.
 struct BackendGuard {

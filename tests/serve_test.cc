@@ -9,6 +9,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <thread>
@@ -16,6 +17,7 @@
 
 #include "core/fixed_arch_model.h"
 #include "golden_util.h"
+#include "http_get.h"
 #include "io/serialize.h"
 #include "obs/registry.h"
 #include "serve/request.h"
@@ -651,6 +653,70 @@ TEST(ServeMetricsTest, LatencyHistogramFeedsQuantiles) {
   const double p99 = h->Quantile(0.99);
   EXPECT_GT(p50, 0.0);
   EXPECT_GE(p99, p50);
+}
+
+/// Value of the unlabeled Prometheus sample `name` ("name <value>" at the
+/// start of a line) in `text`, or -1 when absent.
+double SampleValue(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(text.c_str() + at + key.size(), nullptr);
+}
+
+// The live exporter of a serving process: several clients Submit while
+// /metrics and /healthz are fetched over the loopback socket. The
+// exposition must carry the request counter and the cumulative latency
+// histogram, /healthz must answer ok, and no request may be rejected.
+TEST(ServeMetricsTest, LiveServerExportsMetricsWhileClientsSubmit) {
+  const auto& p = SharedTinyData();
+  ServeOptions opts;
+  opts.metrics_port = 0;
+  PredictServer server(p.data, opts);
+  const int port = server.metrics_port();
+  ASSERT_GT(port, 0);
+  ASSERT_TRUE(server.Deploy(TrainedModel(1)).ok());
+  obs::Counter* rejected =
+      obs::MetricsRegistry::Global().GetCounter("serve.rejected");
+  const uint64_t rejected_before = rejected->Value();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failed{0};
+  auto client = [&](size_t id) {
+    for (size_t i = id; !stop.load(std::memory_order_relaxed); ++i) {
+      const size_t row = p.splits.test[i % p.splits.test.size()];
+      auto fut = server.Submit(RequestFromRow(p.data, row));
+      if (!fut.ok()) {
+        failed.fetch_add(1);
+        continue;
+      }
+      fut->get();
+    }
+  };
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 4; ++c) clients.emplace_back(client, c);
+  // Scrape until the first answered requests show up in the exposition.
+  std::string metrics;
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    metrics = testing::HttpGet(port, "/metrics");
+    if (SampleValue(metrics, "serve_requests") > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const std::string health = testing::HttpGet(port, "/healthz");
+  stop.store(true);
+  for (auto& t : clients) t.join();
+  server.Drain();
+
+  EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
+  EXPECT_GT(SampleValue(metrics, "serve_requests"), 0.0) << metrics;
+  EXPECT_NE(metrics.find("\nserve_latency_us_bucket{le=\"+Inf\"} "),
+            std::string::npos)
+      << metrics;
+  EXPECT_GT(SampleValue(metrics, "serve_latency_us_count"), 0.0) << metrics;
+  EXPECT_NE(health.find("200 OK"), std::string::npos) << health;
+  EXPECT_NE(health.find("ok"), std::string::npos) << health;
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(rejected->Value(), rejected_before);
 }
 
 }  // namespace

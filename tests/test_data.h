@@ -1,15 +1,23 @@
 // Shared test fixtures: a small planted synthetic dataset, encoded with
-// cross features, built once per test binary.
+// cross features, built once per test binary; a guard for the global pool
+// size; and a serial reference for EvaluateModel.
 
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "data/batch.h"
 #include "data/encoder.h"
+#include "metrics/metrics.h"
+#include "models/forward_context.h"
 #include "models/interaction.h"
+#include "models/model.h"
 #include "synth/profiles.h"
+#include "train/trainer.h"
 
 namespace optinter {
 namespace testing {
@@ -73,6 +81,33 @@ inline Architecture MixedArchitecture(size_t num_pairs) {
                            : InterMethod::kNaive;
   }
   return arch;
+}
+
+/// Restores the global pool size when a test returns (tests resize it to
+/// exercise specific thread counts).
+struct PoolGuard {
+  size_t saved = ThreadPool::Global().num_threads();
+  ~PoolGuard() { ThreadPool::SetGlobalThreads(saved); }
+};
+
+/// EvaluateModel's reference: one ForwardContext predicts `rows` batch by
+/// batch over the same batch grid, in order, then Auc/LogLoss.
+inline EvalMetrics SerialEvaluate(const CtrModel& model,
+                                  const EncodedDataset& data,
+                                  const std::vector<size_t>& rows,
+                                  size_t batch_size) {
+  std::vector<float> probs, labels, batch_probs;
+  ForwardContext ctx;
+  for (size_t start = 0; start < rows.size(); start += batch_size) {
+    Batch b;
+    b.data = &data;
+    b.rows = rows.data() + start;
+    b.size = std::min(batch_size, rows.size() - start);
+    model.Predict(b, &batch_probs, &ctx);
+    probs.insert(probs.end(), batch_probs.begin(), batch_probs.end());
+  }
+  for (const size_t r : rows) labels.push_back(data.label(r));
+  return {Auc(probs, labels), LogLoss(probs, labels)};
 }
 
 }  // namespace testing

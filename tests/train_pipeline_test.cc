@@ -74,6 +74,7 @@ namespace optinter {
 namespace {
 
 using testing::HeadBatch;
+using testing::PoolGuard;
 using testing::SharedTinyData;
 
 HyperParams TinyHp() {
@@ -88,11 +89,6 @@ Architecture MixedArch(size_t num_pairs) {
   arch[1] = InterMethod::kFactorize;
   return arch;
 }
-
-struct PoolGuard {
-  size_t saved = ThreadPool::Global().num_threads();
-  ~PoolGuard() { ThreadPool::SetGlobalThreads(saved); }
-};
 
 // Allocation events across `steps` repetitions of model->TrainStep(batch)
 // after `warmup` untracked repetitions.

@@ -9,6 +9,7 @@
 namespace optinter {
 namespace {
 
+using testing::PoolGuard;
 using testing::SharedTinyData;
 
 HyperParams TinyHp() {
@@ -93,24 +94,25 @@ TEST(TrainerTest, EvaluateBatchingInvariant) {
 
 TEST(TrainerTest, EvaluateParallelBitIdenticalToSerial) {
   // The parallel path (pool-fanned label gather + preallocated stitching,
-  // row-parallel kernels inside Predict) must be bit-identical to the
-  // serial reference: disjoint writes, no float reassociation.
+  // row-parallel kernels inside Predict) must be bit-identical to a serial
+  // Predict loop over the same batch grid at every pool size: disjoint
+  // writes, no float reassociation.
+  PoolGuard guard;
   const auto& p = SharedTinyData();
   auto model = CreateBaseline("OptInter-M", p.data, TinyHp());
   ASSERT_TRUE(model.ok());
   TrainOptions topts;
   topts.epochs = 1;
   TrainModel(model->get(), p.data, p.splits, topts);
-  EvalOptions serial;
-  serial.parallel = false;
-  EvalOptions parallel;
-  parallel.parallel = true;
-  const EvalMetrics a =
-      EvaluateModel(model->get(), p.data, p.splits.test, serial);
-  const EvalMetrics b =
-      EvaluateModel(model->get(), p.data, p.splits.test, parallel);
-  EXPECT_EQ(a.auc, b.auc);
-  EXPECT_EQ(a.logloss, b.logloss);
+  ThreadPool::SetGlobalThreads(1);
+  const EvalMetrics ref =
+      testing::SerialEvaluate(**model, p.data, p.splits.test, 2048);
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    const EvalMetrics got = EvaluateModel(model->get(), p.data, p.splits.test);
+    EXPECT_EQ(got.auc, ref.auc) << threads << " threads";
+    EXPECT_EQ(got.logloss, ref.logloss) << threads << " threads";
+  }
 }
 
 TEST(TrainerTest, ScoreImprovedToleranceIsMetricAware) {

@@ -16,8 +16,9 @@
 //      carrying a "results" object of {benchmark: {metric: number}};
 //      select with --baseline_section / --current_section (default:
 //      "after" when present, else the first section with results).
-//   3. RunReport output (bench_serve_qps --report etc.): the "results"
-//      section, rows either objects of numbers or keyed row objects.
+//   3. RunReport output (bench_quantized_serve --report, the
+//      table/figure benches' --report): the "results" section, rows
+//      either objects of numbers or keyed row objects.
 //
 // Direction is inferred per metric: names mentioning time / latency /
 // seconds / loss count as lower-is-better, everything else (throughput)
