@@ -58,8 +58,8 @@ class FixedArchModel : public CtrModel {
                ForwardContext* ctx) const override;
 
   /// The MLP forward Predict runs over z: over the packed weights once
-  /// frozen, the plain fp32 Linears before. The bf16 quantized view reuses
-  /// it for its MLP.
+  /// frozen, the plain fp32 Linears before. The quantized views (int8 and
+  /// bf16) reuse it for their MLP.
   void MlpForward(const Tensor& z, Tensor* y, MlpWorkspace* ws) const;
 
   /// One PackNT per MLP Linear, in Mlp::linears() order.
@@ -78,8 +78,8 @@ class FixedArchModel : public CtrModel {
   // --- Read-only structure access ---------------------------------------
   //
   // The serving-time quantizer (serve/quantized_model.h) runs this model's
-  // layout over quantized weights; these accessors expose the layout and
-  // the fp32 layers it converts or reuses.
+  // layout and MLP over quantized tables; these accessors expose the
+  // layout and the fp32 layers it converts or reuses.
 
   const InteractionLayout& layout() const { return layout_; }
   const FeatureEmbedding& feature_embedding() const { return emb_; }

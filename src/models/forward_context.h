@@ -10,23 +10,12 @@
 
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "nn/workspace.h"
-#include "tensor/aligned.h"
 #include "tensor/tensor.h"
 
 namespace optinter {
-
-/// Scratch for the int8 MLP forward of a quantized serving model
-/// (serve/quantized_model.h): per-row quantized activations with their
-/// dynamic scales/zero points. Empty (and cost-free) for fp32 models.
-struct QuantScratch {
-  AlignedVector<uint8_t> qa;    // [B × k] quantized activation rows
-  std::vector<float> a_scale;   // [B]
-  std::vector<int32_t> a_zp;    // [B]
-};
 
 /// Scratch for one forward pass of a model. Buffers are resized by the
 /// model and keep their capacity across calls, so reusing one context per
@@ -40,7 +29,6 @@ struct ForwardContext {
   Tensor z;           // [B × mlp_in] assembled classifier input
   Tensor mlp_out;     // [B × 1] classifier output
   MlpWorkspace mlp;   // per-layer activation caches of the MLP tower
-  QuantScratch quant;  // int8-MLP scratch (quantized serving models only)
   // PIN: per-pair sub-network inputs [B × 3·s1], outputs and workspaces.
   std::vector<Tensor> subnet_in;
   std::vector<Tensor> subnet_out;

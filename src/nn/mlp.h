@@ -42,10 +42,10 @@ class Mlp {
   /// The tower's one layer loop with a caller-supplied affine step:
   /// `linear_step(li, in, out)` maps layer li's input to its output (li =
   /// hidden.size() is the output layer); this Mlp's ReLUs and LayerNorms
-  /// run between the steps. Forward passes its fp32 Linears; the int8
-  /// serving model passes its quantized GEMMs. Activations live in
-  /// `ws->acts`, whose slot layout (and so its buffer capacity) is shared
-  /// by every caller.
+  /// run between the steps. Forward passes its fp32 Linears; a frozen
+  /// FixedArchModel passes the same Linears over weights it packed once.
+  /// Activations live in `ws->acts`, whose slot layout (and so its buffer
+  /// capacity) is shared by every caller.
   template <typename LinearStep>
   void ForwardWith(const Tensor& x, Tensor* y, MlpWorkspace* ws,
                    LinearStep&& linear_step) const;
@@ -61,11 +61,10 @@ class Mlp {
   size_t in_dim() const { return in_dim_; }
   size_t out_dim() const { return config_.out_dim; }
 
-  // Read-only layer access (serving-time quantization): the converter
-  // quantizes each Linear's weights and reuses the LayerNorms in place.
+  // Read-only layer access: a frozen FixedArchModel packs each Linear's
+  // weights once.
   const MlpConfig& config() const { return config_; }
   const std::vector<Linear>& linears() const { return linears_; }
-  const std::vector<LayerNorm>& norms() const { return norms_; }
 
  private:
   size_t in_dim_;

@@ -11,6 +11,12 @@ namespace optinter {
 uint16_t FloatToBf16(float x) {
   uint32_t bits;
   std::memcpy(&bits, &x, sizeof(bits));
+  // A NaN stays a NaN: rounding could carry its payload into the sign bit
+  // or truncate it to an infinity, so keep the top half and set the quiet
+  // bit instead.
+  if ((bits & 0x7fffffffu) > 0x7f800000u) {
+    return static_cast<uint16_t>((bits >> 16) | 0x0040u);
+  }
   // Round-to-nearest-even on the truncated 16 bits.
   const uint32_t rounding = ((bits >> 16) & 1u) + 0x7fffu;
   return static_cast<uint16_t>((bits + rounding) >> 16);

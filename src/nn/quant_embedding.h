@@ -131,7 +131,8 @@ class QuantizedTable {
   AlignedVector<uint16_t> b_;
 };
 
-/// Round-to-nearest-even fp32 → bf16 (exposed for tests).
+/// Round-to-nearest-even fp32 → bf16; a NaN maps to a quiet NaN of the
+/// same sign (exposed for tests).
 uint16_t FloatToBf16(float x);
 
 }  // namespace optinter

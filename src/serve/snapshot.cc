@@ -1,5 +1,7 @@
 #include "serve/snapshot.h"
 
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "io/serialize.h"
@@ -15,6 +17,25 @@ obs::Counter* SwapCounter() {
       obs::MetricsRegistry::Global().GetCounter("serve.swaps");
   return c;
 }
+
+// Refuses a table holding a NaN or Inf: quantizing it would hand the
+// view finite garbage (int8 scales) or silently changed values.
+Status RequireFinite(const EmbeddingTable& table) {
+  const float* values = table.values().data();
+  for (size_t r = 0; r < table.BackingRows(); ++r) {
+    for (size_t t = 0; t < table.dim(); ++t) {
+      const float v = values[r * table.dim() + t];
+      if (!std::isfinite(v)) {
+        return Status::Invalid("cannot quantize embedding table '" +
+                               table.name() + "': backing row " +
+                               std::to_string(r) + " holds " +
+                               std::to_string(v));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status SnapshotSlot::Publish(std::shared_ptr<const CtrModel> model) {
@@ -76,6 +97,9 @@ Status QuantizeSnapshot(std::shared_ptr<const CtrModel> model,
         model->Name() +
         " cannot be quantized: QuantizeSnapshot supports FixedArchModel "
         "(the re-train-stage / serving model family) only");
+  }
+  for (const EmbeddingTable* table : QuantizedSourceTables(*fixed)) {
+    OPTINTER_RETURN_NOT_OK(RequireFinite(*table));
   }
   *out = std::make_shared<QuantizedFixedArchModel>(std::move(model), *fixed,
                                                    mode);

@@ -103,11 +103,13 @@ Status SwapFromCheckpoint(
 
 /// One-shot conversion of a trained FixedArchModel into an inference-only
 /// quantized view (serve/quantized_model.h): int8 or bf16 embedding
-/// tables, and in int8 mode a dynamic-activation int8 MLP. The returned
-/// model can be Publish()ed into a SnapshotSlot like any other
-/// generation; `model` is retained inside it so the reused fp32 layers
-/// stay alive (publishing a bf16 view also freezes `model`). Fails (without touching `out`) when `model` is not a
-/// FixedArchModel.
+/// tables in front of `model`'s own fp32 MLP. The returned model can be
+/// Publish()ed into a SnapshotSlot like any other generation; `model` is
+/// retained inside it so the reused fp32 layers stay alive, and
+/// publishing the view also freezes `model`. Fails, without touching
+/// `out`, when `model` is not a FixedArchModel or when any value of a
+/// table it would quantize is non-finite (the status names the table and
+/// its backing row).
 Status QuantizeSnapshot(std::shared_ptr<const CtrModel> model,
                         QuantMode mode,
                         std::shared_ptr<const CtrModel>* out);

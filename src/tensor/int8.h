@@ -1,4 +1,9 @@
-// int8 quantized GEMM for the inference-only serving path.
+// int8 quantized GEMM (dynamic-activation, per-row weights).
+//
+// No serving path calls it any more: a quantized snapshot keeps int8
+// tables and runs its source's packed fp32 MLP (serve/quantized_model.h).
+// It stays for the perfbench probe tensor.int8_gemm_b1_gops and the
+// Int8GemmTest cases, and goes together with that probe.
 //
 // Scheme (chosen so the OUTPUT of the quantized GEMM is bitwise identical
 // under every dispatch backend):
@@ -18,8 +23,6 @@
 //    the ONLY float rounding happens here in shared non-variant code:
 //        c[i,j] = sa[i]·sw[j]·float(acc − zp[i]·rowsum[j]) + bias[j].
 //    Identical machine code for every backend ⇒ identical output bits.
-//
-// Training never touches any of this; see DESIGN.md §11.
 
 #pragma once
 
@@ -47,11 +50,10 @@ void QuantizeActivationRows(const float* x, size_t m, size_t k, uint8_t* q,
 void QuantizeWeightsPerRow(const float* w, size_t n, size_t k, int8_t* q,
                            float* scale, int32_t* rowsum);
 
-/// C[m×n] = dequant(Qa[m×k] · Qw[n×k]^T) + bias — the inference Linear
+/// C[m×n] = dequant(Qa[m×k] · Qw[n×k]^T) + bias — an int8 Linear
 /// forward. `bias` may be null. Integer accumulation goes through the
 /// active dispatch table; the fp32 epilogue is shared code (see file
-/// comment). Serial: serving shapes are small and the serving layer
-/// provides its own request-level parallelism.
+/// comment). Serial.
 void Int8GemmNT(const uint8_t* a, const float* a_scale, const int32_t* a_zp,
                 const int8_t* b, const float* b_scale,
                 const int32_t* b_rowsum, const float* bias, float* c,

@@ -186,7 +186,8 @@ TEST(ConcurrencyTest, ConcurrentBackwardOnDistinctLayers) {
   std::vector<Linear> layers;
   std::vector<Tensor> xs, cs;
   for (size_t l = 0; l < kLayers; ++l) {
-    layers.emplace_back("l" + std::to_string(l), 32, 8, 1e-3f, 0.0f, &rng);
+    layers.emplace_back(std::string("l") + std::to_string(l), 32, 8, 1e-3f,
+                        0.0f, &rng);
     xs.push_back(RandomTensor({2048, 32}, &rng));
     cs.push_back(RandomTensor({2048, 8}, &rng));
   }

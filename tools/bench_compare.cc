@@ -16,7 +16,7 @@
 //      carrying a "results" object of {benchmark: {metric: number}};
 //      select with --baseline_section / --current_section (default:
 //      "after" when present, else the first section with results).
-//   3. RunReport output (bench_quantized_serve --report, the
+//   3. RunReport output (bench_embedding_tradeoff --report, the
 //      table/figure benches' --report): the "results" section, rows
 //      either objects of numbers or keyed row objects.
 //
