@@ -688,28 +688,30 @@ struct TripleGolden {
 // Recorded with GCC 12 on x86-64 before CrossEmbedding absorbed the triple
 // layer, which they pin as bit-neutral; the batch-2048 quantized hashes
 // were added before the quantized views moved onto the shared row
-// assembler. RelWithDebInfo was recorded in a plain RelWithDebInfo build
-// (the TSan build's configuration).
+// assembler. The int8 columns were re-recorded when the int8 view dropped
+// its int8 MLP for the source's fp32 one; no other column moved then.
+// RelWithDebInfo was recorded in a plain RelWithDebInfo build (the TSan
+// build's configuration); the int8 re-record used the TSan build itself.
 const std::vector<TripleGolden> kTripleGoldens = {
     {"avx2/Release", "dense",
      {{0x415ff0bad2704355ull, 0x3fe8772d1a095076ull, 0x3fe0d28f50e431e6ull,
        0xc969855a551246c0ull, 0x9b9c514faabb3e9dull, 0x0cc48165ad4bd336ull},
-      0x01eebb1c0e4e50dcull, 0x002a49ce302f43acull, 0x92ef63928ee3ab67ull,
+      0x6dabff30eb8231f5ull, 0xa9f054838f2b65f3ull, 0x1b6f1a388a619b60ull,
       0xa35dd690de157f77ull, 0x73e88eb69c97cabaull, 0xfbff547644f7b7a3ull}},
     {"avx2/Release", "qr",
      {{0x7c9be354b911cdd4ull, 0x3fe8292b05bee420ull, 0x3fe143fa63adbe7dull,
        0x16caf9d3b0ef6aa9ull, 0xafc81e65a65e6ddfull, 0x9a77ee88ad693459ull},
-      0x5ef485b3e1df80afull, 0x03a44a7cf9dee912ull, 0x22128e7dfb7a5aecull,
+      0x9b84ff8aeeb2d6b0ull, 0x37f229d5fa306e66ull, 0x704b5e6f61449121ull,
       0x358501408f0f7cedull, 0x7661a1d7a8a18d54ull, 0x4465eb52c153da32ull}},
     {"avx2/RelWithDebInfo", "dense",
      {{0x415ff0bad2704355ull, 0x3fe8772d1a095076ull, 0x3fe0d28f50e431e6ull,
        0xc969855a551246c0ull, 0x9b9c514faabb3e9dull, 0x0cc48165ad4bd336ull},
-      0x01eebb1c0e4e50dcull, 0x977f8ec146d8e887ull, 0xf729116a57bb205full,
+      0x6dabff30eb8231f5ull, 0xa9f054838f2b65f3ull, 0x1b6f1a388a619b60ull,
       0xa35dd690de157f77ull, 0x73e88eb69c97cabaull, 0xfbff547644f7b7a3ull}},
     {"avx2/RelWithDebInfo", "qr",
      {{0x7c9be354b911cdd4ull, 0x3fe8292b05bee420ull, 0x3fe143fa63adbe7dull,
        0x16caf9d3b0ef6aa9ull, 0xafc81e65a65e6ddfull, 0x9a77ee88ad693459ull},
-      0x5ef485b3e1df80afull, 0x65fd4a3723630803ull, 0x11b50f642bf62d99ull,
+      0x9b84ff8aeeb2d6b0ull, 0x37f229d5fa306e66ull, 0x704b5e6f61449121ull,
       0x358501408f0f7cedull, 0x7661a1d7a8a18d54ull, 0x4465eb52c153da32ull}},
 };
 
