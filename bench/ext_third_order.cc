@@ -1,10 +1,10 @@
 // Higher-order extension ablation (paper §II-B1: "our methods could
 // easily be extended to higher-order"). On a criteo_like dataset with
 // *planted third-order* effects:
-//   1. run the standard second-order OptInter pipeline;
-//   2. build third-order cross-product features, rank all C(M,3) triples
-//      by MI lift over their best constituent pair, and memorize the
-//      top-K alongside the searched pairwise architecture;
+//   1. encode with third-order cross-product features for all C(M,3)
+//      triples, and run the standard second-order OptInter pipeline;
+//   2. rank the triples by MI lift over their best constituent pair, and
+//      memorize the top-K alongside the searched pairwise architecture;
 //   3. compare AUC / log loss / parameters.
 // The selector should surface the planted triples, and memorizing them
 // should beat the second-order model.
@@ -26,8 +26,12 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   if (!ParseOrExit(&flags, argc, argv, &exit_code)) return exit_code;
 
+  auto profile = GetProfile("criteo3_like");
+  CHECK(profile.ok()) << profile.status().ToString();
   PrepareOptions popts;
   popts.rows_scale = flags.GetDouble("rows_scale");
+  popts.encoder.triples =
+      EnumerateTriples(profile->cardinalities.size());
   auto prepared = PrepareProfile("criteo3_like", popts);
   CHECK(prepared.ok()) << prepared.status().ToString();
   PreparedDataset p = std::move(prepared).value();
@@ -50,10 +54,7 @@ int main(int argc, char** argv) {
                 second.summary.final_test.logloss, second.param_count,
                 ArchCountsToString(CountArchitecture(search.arch)));
 
-  // Build all triples and select by MI lift.
-  CHECK_OK(BuildTripleCrossFeatures(&p.data, p.splits.train, popts.encoder,
-                                    EnumerateTriples(
-                                        p.data.num_categorical())));
+  // Select triples by MI lift.
   const size_t k = static_cast<size_t>(flags.GetInt("top_triples"));
   auto selected = SelectTopTriplesByMiLift(p.data, p.splits.train, k);
 

@@ -33,10 +33,11 @@ int main(int argc, char** argv) {
               raw.num_rows, raw.schema.num_categorical(),
               raw.schema.num_continuous(), raw.schema.num_pairs());
 
-  // 2. Encode: split, fit vocabs on train, build cross-product features.
+  // 2. Encode: split, fit vocabs (cross-product ones included) on the
+  // train rows, encode every row.
   Rng rng(cfg.seed);
   Splits splits = MakeSplits(raw.num_rows, 0.7, 0.1, &rng);
-  EncoderOptions enc_opts;
+  EncoderOptions enc_opts;  // build_cross is on by default
   auto encoded = EncodeDataset(raw, splits.train, enc_opts);
   if (!encoded.ok()) {
     std::fprintf(stderr, "encode failed: %s\n",
@@ -44,7 +45,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   EncodedDataset data = std::move(encoded).value();
-  CHECK_OK(BuildCrossFeatures(&data, splits.train, enc_opts));
   std::printf("encoded: %zu orig values, %zu cross values, pos ratio %.3f\n",
               data.TotalOrigVocab(), data.TotalCrossVocab(),
               data.PositiveRatio());

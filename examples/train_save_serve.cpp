@@ -71,13 +71,16 @@ int main(int argc, char** argv) {
   CHECK(raw.ok()) << raw.status().ToString();
   std::printf("loaded %zu rows from %s\n", raw->num_rows, csv.c_str());
 
-  // 2. Fit a reusable encoder on the train rows and transform the log.
+  // 2. Fit a reusable encoder on the train rows (read through a row
+  // source restricted to them) and transform the whole log.
   Rng rng(7);
   Splits splits = MakeSplits(raw->num_rows, 0.7, 0.1, &rng);
   EncoderOptions eopts;
   eopts.cat_min_count = 2;
   eopts.cross_min_count = 2;
-  auto encoder = FittedEncoder::Fit(*raw, splits.train, eopts);
+  MaterializedRowSource train_rows(&*raw, &splits.train);
+  auto encoder =
+      FittedEncoder::Fit(&train_rows, splits.train.size(), eopts);
   CHECK(encoder.ok()) << encoder.status().ToString();
   auto enc = encoder->Transform(*raw);
   CHECK(enc.ok()) << enc.status().ToString();

@@ -13,7 +13,8 @@ Result<std::unique_ptr<CtrModel>> CreateBaseline(const std::string& name,
                                                  const HyperParams& hp) {
   if (BaselineNeedsCross(name) && !data.has_cross()) {
     return Status::FailedPrecondition(
-        name + " requires cross-product features; call BuildCrossFeatures");
+        name + " requires cross-product features; fit the encoder with "
+        "build_cross");
   }
   // Shallow models take larger steps (the paper's Table IV also trains
   // LR/FM with their own learning rates): with no MLP to adapt, the raw

@@ -1,43 +1,45 @@
 #include "data/dataset.h"
 
-#include <algorithm>
+#include <cstring>
 
 namespace optinter {
 
-std::vector<int32_t> TopIdsByFrequency(const std::vector<int32_t>& ids,
-                                       size_t stride, size_t column,
-                                       size_t vocab, size_t k,
-                                       const std::vector<size_t>& rows) {
-  std::vector<size_t> counts(vocab, 0);
-  auto count = [&](size_t i) {
-    const int32_t id = ids[i];
-    if (id >= 0 && static_cast<size_t>(id) < vocab) {
-      ++counts[static_cast<size_t>(id)];
-    }
-  };
-  if (rows.empty()) {
-    for (size_t i = column; i < ids.size(); i += stride) count(i);
-  } else {
-    for (size_t r : rows) count(r * stride + column);
+Status RawDataset::Validate() const {
+  if (cat_values.size() != num_rows * schema.num_categorical() ||
+      cont_values.size() != num_rows * schema.num_continuous()) {
+    return Status::Invalid("value count does not match num_rows");
   }
-  return RankTopIdsFromCounts(counts, k);
+  if (labels.size() != num_rows) {
+    return Status::Invalid("label count does not match num_rows");
+  }
+  return Status::OK();
 }
 
-std::vector<int32_t> RankTopIdsFromCounts(const std::vector<size_t>& counts,
-                                          size_t k) {
-  std::vector<int32_t> ranked;
-  ranked.reserve(counts.size());
-  for (size_t id = 0; id < counts.size(); ++id) {
-    if (counts[id] > 0) ranked.push_back(static_cast<int32_t>(id));
+Status MaterializedRowSource::Restart() {
+  next_ = 0;
+  return raw_->Validate();
+}
+
+Status MaterializedRowSource::NextRow(int64_t* cat, float* cont,
+                                      float* label) {
+  if (next_ >= num_rows()) {
+    return Status::OutOfRange("row source exhausted");
   }
-  std::sort(ranked.begin(), ranked.end(), [&](int32_t a, int32_t b) {
-    const size_t ca = counts[static_cast<size_t>(a)];
-    const size_t cb = counts[static_cast<size_t>(b)];
-    if (ca != cb) return ca > cb;
-    return a < b;
-  });
-  if (ranked.size() > k) ranked.resize(k);
-  return ranked;
+  const size_t row = rows_ != nullptr ? (*rows_)[next_] : next_;
+  if (row >= raw_->num_rows) {
+    return Status::OutOfRange("row index out of range");
+  }
+  const size_t num_cat = raw_->schema.num_categorical();
+  const size_t num_cont = raw_->schema.num_continuous();
+  std::memcpy(cat, raw_->cat_values.data() + row * num_cat,
+              num_cat * sizeof(int64_t));
+  if (num_cont > 0) {
+    std::memcpy(cont, raw_->cont_values.data() + row * num_cont,
+                num_cont * sizeof(float));
+  }
+  *label = raw_->labels[row];
+  ++next_;
+  return Status::OK();
 }
 
 size_t EncodedDataset::TotalOrigVocab() const {

@@ -1,11 +1,15 @@
-// Raw and encoded dataset containers.
+// Raw and encoded dataset containers, and the row-source interface the
+// encoder fits on.
 //
 // RawDataset holds generator/loader output: per-row raw categorical values
 // (64-bit, in each field's natural domain), raw continuous values, and
 // labels. EncodedDataset is what models consume: dense per-field ids
-// (0 = OOV), min-max-normalized continuous values, and — once
-// BuildCrossFeatures has run — encoded cross-product transformed feature
-// ids for every categorical field pair (paper Eq. 4 / §II-B1).
+// (0 = OOV), min-max-normalized continuous values, and — when the encoder
+// was fitted with crosses — encoded cross-product transformed feature ids
+// for every categorical field pair (paper Eq. 4 / §II-B1) and for any
+// requested field triples. RowSource is a restartable stream of raw rows;
+// FittedEncoder::Fit (fitted_encoder.h) reads every row it fits on
+// through one.
 
 #pragma once
 
@@ -14,6 +18,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/status.h"
 #include "data/schema.h"
 
 namespace optinter {
@@ -34,6 +39,53 @@ struct RawDataset {
   float cont(size_t row, size_t cont_field) const {
     return cont_values[row * schema.num_continuous() + cont_field];
   }
+
+  /// Checks that the value and label arrays hold num_rows rows.
+  Status Validate() const;
+};
+
+/// A restartable, sequential producer of raw rows. Implementations:
+/// MaterializedRowSource (below) over an in-RAM RawDataset, and
+/// SynthRowSource (synth/stream_source.h) which regenerates rows from the
+/// generator's RNG stream without materializing them.
+class RowSource {
+ public:
+  virtual ~RowSource() = default;
+
+  virtual const DatasetSchema& schema() const = 0;
+  virtual size_t num_rows() const = 0;
+
+  /// Rewinds to row 0. Rows must replay identically across passes.
+  virtual Status Restart() = 0;
+
+  /// Produces the next row: `cat` receives num_categorical() raw values,
+  /// `cont` num_continuous() raw values, `label` the 0/1 label.
+  virtual Status NextRow(int64_t* cat, float* cont, float* label) = 0;
+};
+
+/// RowSource view of a materialized RawDataset (CSV / libsvm loads): all
+/// of its rows, or with `rows` just those rows, in that order (the
+/// in-RAM encoder fits on the train split this way).
+class MaterializedRowSource : public RowSource {
+ public:
+  /// `raw` and `rows` must outlive the source.
+  explicit MaterializedRowSource(const RawDataset* raw,
+                                 const std::vector<size_t>* rows = nullptr)
+      : raw_(raw), rows_(rows) {}
+
+  const DatasetSchema& schema() const override { return raw_->schema; }
+  size_t num_rows() const override {
+    return rows_ != nullptr ? rows_->size() : raw_->num_rows;
+  }
+  /// Also validates the dataset's shape, so a short label or value array
+  /// fails here instead of being read past its end.
+  Status Restart() override;
+  Status NextRow(int64_t* cat, float* cont, float* label) override;
+
+ private:
+  const RawDataset* raw_;
+  const std::vector<size_t>* rows_;
+  size_t next_ = 0;
 };
 
 /// Fully encoded dataset ready for model consumption.
@@ -53,7 +105,7 @@ class EncodedDataset {
   std::vector<float> labels;
 
   /// Row-major [num_rows × num_pairs] encoded cross ids (0 = OOV).
-  /// Empty until the cross transform has been applied.
+  /// Empty when the encoder was fitted without crosses.
   std::vector<int32_t> cross_ids;
   /// Vocab size (including OOV) per pair, in canonical pair order.
   std::vector<size_t> cross_vocab_sizes;
@@ -67,13 +119,13 @@ class EncodedDataset {
   std::vector<size_t> triple_vocab_sizes;
 
   /// Optional per-field frequency-ranked id lists (most frequent first),
-  /// attached by the encoder: exact ranked counts over the fit rows for
-  /// in-RAM encoding, Misra-Gries streaming stats carried through the
-  /// shard MANIFEST. Tier plans for frequency-tiered embedding backends
-  /// read ONLY this metadata (never the rows), so a model built from a
-  /// metadata-only streaming dataset resolves the same plan as one built
-  /// from the same data in RAM. Empty (or shorter than the field count)
-  /// when no stats exist.
+  /// fitted by FittedEncoder::Fit — exact ranked counts over the fit
+  /// rows, or the Misra-Gries hot ids of a hashed encode — and attached
+  /// by Transform or carried through the shard MANIFEST. Tier plans for
+  /// frequency-tiered embedding backends read ONLY this metadata (never
+  /// the rows), so a model built from a metadata-only streaming dataset
+  /// resolves the same plan as one built from the same data in RAM.
+  /// Empty (or shorter than the field count) when no stats exist.
   std::vector<std::vector<int32_t>> cat_hot_ids;
   std::vector<std::vector<int32_t>> cross_hot_ids;
 
@@ -107,24 +159,5 @@ class EncodedDataset {
   /// Fraction of positive labels (Table II "pos ratio").
   double PositiveRatio() const;
 };
-
-/// Exact frequency ranking of one id column of a row-major [N × stride]
-/// id matrix: the ids of column `column` sorted by (count desc, id asc),
-/// zero-count ids omitted, truncated to `k`. Counts only the rows in
-/// `rows` when non-empty (stat fitting on train rows), all rows
-/// otherwise. O(vocab) memory — used by the encoder to attach
-/// frequency-stats metadata (EncodedDataset::cat_hot_ids).
-std::vector<int32_t> TopIdsByFrequency(const std::vector<int32_t>& ids,
-                                       size_t stride, size_t column,
-                                       size_t vocab, size_t k,
-                                       const std::vector<size_t>& rows = {});
-
-/// The ranking step of TopIdsByFrequency on a prebuilt per-id count
-/// array: ids sorted by (count desc, id asc), zero-count ids omitted,
-/// truncated to `k`. The streaming encoder accumulates counts on the fly
-/// and ranks with this, so in-RAM and streamed encodes of the same rows
-/// produce identical stats.
-std::vector<int32_t> RankTopIdsFromCounts(const std::vector<size_t>& counts,
-                                          size_t k);
 
 }  // namespace optinter

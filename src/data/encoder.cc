@@ -1,7 +1,6 @@
 #include "data/encoder.h"
 
-#include <algorithm>
-#include <limits>
+#include "data/fitted_encoder.h"
 
 namespace optinter {
 
@@ -14,188 +13,11 @@ Result<EncodedDataset> EncodeDataset(const RawDataset& raw,
   if (fit_rows.empty()) {
     return Status::Invalid("fit_rows must be non-empty");
   }
-  for (size_t r : fit_rows) {
-    if (r >= raw.num_rows) {
-      return Status::OutOfRange("fit row index out of range");
-    }
-  }
-  if (raw.labels.size() != raw.num_rows) {
-    return Status::Invalid("label count does not match num_rows");
-  }
-
-  const size_t num_cat = raw.schema.num_categorical();
-  const size_t num_cont = raw.schema.num_continuous();
-
-  EncodedDataset out;
-  out.schema = raw.schema;
-  out.num_rows = raw.num_rows;
-  out.labels = raw.labels;
-
-  // --- Categorical fields: fit vocabs on fit_rows, encode everything.
-  std::vector<Vocab> vocabs(num_cat);
-  for (size_t r : fit_rows) {
-    for (size_t f = 0; f < num_cat; ++f) {
-      vocabs[f].Add(raw.cat(r, f));
-    }
-  }
-  out.cat_vocab_sizes.resize(num_cat);
-  for (size_t f = 0; f < num_cat; ++f) {
-    vocabs[f].Finalize(options.cat_min_count);
-    out.cat_vocab_sizes[f] = vocabs[f].size();
-  }
-  out.cat_ids.resize(raw.num_rows * num_cat);
-  for (size_t r = 0; r < raw.num_rows; ++r) {
-    for (size_t f = 0; f < num_cat; ++f) {
-      out.cat_ids[r * num_cat + f] = vocabs[f].Encode(raw.cat(r, f));
-    }
-  }
-  // Frequency-stats metadata for tiered embedding backends, fitted on the
-  // fit rows like every other statistic.
-  if (options.freq_stats_topk > 0) {
-    out.cat_hot_ids.resize(num_cat);
-    for (size_t f = 0; f < num_cat; ++f) {
-      out.cat_hot_ids[f] =
-          TopIdsByFrequency(out.cat_ids, num_cat, f, out.cat_vocab_sizes[f],
-                            options.freq_stats_topk, fit_rows);
-    }
-  }
-
-  // --- Continuous fields: min-max fit on fit_rows (paper Eq. 20), clamp
-  // out-of-range transform values into [0, 1].
-  if (num_cont > 0) {
-    std::vector<float> mins(num_cont, std::numeric_limits<float>::max());
-    std::vector<float> maxs(num_cont, std::numeric_limits<float>::lowest());
-    for (size_t r : fit_rows) {
-      for (size_t f = 0; f < num_cont; ++f) {
-        const float v = raw.cont(r, f);
-        mins[f] = std::min(mins[f], v);
-        maxs[f] = std::max(maxs[f], v);
-      }
-    }
-    out.cont_values.resize(raw.num_rows * num_cont);
-    for (size_t r = 0; r < raw.num_rows; ++r) {
-      for (size_t f = 0; f < num_cont; ++f) {
-        const float range = maxs[f] - mins[f];
-        float v = range > 0.0f ? (raw.cont(r, f) - mins[f]) / range : 0.0f;
-        out.cont_values[r * num_cont + f] = std::clamp(v, 0.0f, 1.0f);
-      }
-    }
-  }
-
-  return out;
-}
-
-Status BuildCrossFeatures(EncodedDataset* data,
-                          const std::vector<size_t>& fit_rows,
-                          const EncoderOptions& options) {
-  CHECK(data != nullptr);
-  if (data->has_cross()) {
-    return Status::FailedPrecondition("cross features already built");
-  }
-  const size_t num_cat = data->num_categorical();
-  if (num_cat < 2) {
-    return Status::Invalid("need at least two categorical fields");
-  }
-  const auto pairs = EnumeratePairs(num_cat);
-  const size_t num_pairs = pairs.size();
-
-  // Key for a cross value: (id_i << 32) | id_j on already-encoded ids, so
-  // an OOV original feature yields OOV-involving cross keys, as in the
-  // paper's pipeline where transforms run after original-feature OOV.
-  auto key = [](int32_t a, int32_t b) {
-    return (static_cast<int64_t>(a) << 32) |
-           static_cast<int64_t>(static_cast<uint32_t>(b));
-  };
-
-  std::vector<Vocab> vocabs(num_pairs);
-  for (size_t r : fit_rows) {
-    if (r >= data->num_rows) {
-      return Status::OutOfRange("fit row index out of range");
-    }
-    for (size_t p = 0; p < num_pairs; ++p) {
-      const auto [i, j] = pairs[p];
-      vocabs[p].Add(key(data->cat(r, i), data->cat(r, j)));
-    }
-  }
-  data->cross_vocab_sizes.resize(num_pairs);
-  for (size_t p = 0; p < num_pairs; ++p) {
-    vocabs[p].Finalize(options.cross_min_count);
-    data->cross_vocab_sizes[p] = vocabs[p].size();
-  }
-  data->cross_ids.resize(data->num_rows * num_pairs);
-  for (size_t r = 0; r < data->num_rows; ++r) {
-    for (size_t p = 0; p < num_pairs; ++p) {
-      const auto [i, j] = pairs[p];
-      data->cross_ids[r * num_pairs + p] =
-          vocabs[p].Encode(key(data->cat(r, i), data->cat(r, j)));
-    }
-  }
-  if (options.freq_stats_topk > 0) {
-    data->cross_hot_ids.resize(num_pairs);
-    for (size_t p = 0; p < num_pairs; ++p) {
-      data->cross_hot_ids[p] = TopIdsByFrequency(
-          data->cross_ids, num_pairs, p, data->cross_vocab_sizes[p],
-          options.freq_stats_topk, fit_rows);
-    }
-  }
-  return Status::OK();
-}
-
-Status BuildTripleCrossFeatures(
-    EncodedDataset* data, const std::vector<size_t>& fit_rows,
-    const EncoderOptions& options,
-    const std::vector<std::array<size_t, 3>>& triples) {
-  CHECK(data != nullptr);
-  if (data->has_triples()) {
-    return Status::FailedPrecondition("triple features already built");
-  }
-  if (triples.empty()) {
-    return Status::Invalid("no triples requested");
-  }
-  const size_t num_cat = data->num_categorical();
-  for (const auto& t : triples) {
-    if (!(t[0] < t[1] && t[1] < t[2] && t[2] < num_cat)) {
-      return Status::Invalid("triples must satisfy i < j < k < #cate");
-    }
-  }
-
-  // Encoded per-field ids stay well below 2^21 at this substrate's scale,
-  // so three ids pack into one 64-bit key.
-  auto key = [](int32_t a, int32_t b, int32_t c) -> int64_t {
-    CHECK_LT(a, 1 << 21);
-    CHECK_LT(b, 1 << 21);
-    CHECK_LT(c, 1 << 21);
-    return (static_cast<int64_t>(a) << 42) |
-           (static_cast<int64_t>(b) << 21) | static_cast<int64_t>(c);
-  };
-
-  std::vector<Vocab> vocabs(triples.size());
-  for (size_t r : fit_rows) {
-    if (r >= data->num_rows) {
-      return Status::OutOfRange("fit row index out of range");
-    }
-    for (size_t t = 0; t < triples.size(); ++t) {
-      const auto& tr = triples[t];
-      vocabs[t].Add(key(data->cat(r, tr[0]), data->cat(r, tr[1]),
-                        data->cat(r, tr[2])));
-    }
-  }
-  data->triple_fields = triples;
-  data->triple_vocab_sizes.resize(triples.size());
-  for (size_t t = 0; t < triples.size(); ++t) {
-    vocabs[t].Finalize(options.cross_min_count);
-    data->triple_vocab_sizes[t] = vocabs[t].size();
-  }
-  data->triple_ids.resize(data->num_rows * triples.size());
-  for (size_t r = 0; r < data->num_rows; ++r) {
-    for (size_t t = 0; t < triples.size(); ++t) {
-      const auto& tr = triples[t];
-      data->triple_ids[r * triples.size() + t] =
-          vocabs[t].Encode(key(data->cat(r, tr[0]), data->cat(r, tr[1]),
-                               data->cat(r, tr[2])));
-    }
-  }
-  return Status::OK();
+  MaterializedRowSource source(&raw, &fit_rows);
+  OPTINTER_ASSIGN_OR_RETURN(
+      const FittedEncoder encoder,
+      FittedEncoder::Fit(&source, fit_rows.size(), options));
+  return encoder.Transform(raw);
 }
 
 }  // namespace optinter

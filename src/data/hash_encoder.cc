@@ -76,6 +76,34 @@ int32_t HashedVocab::Encode(uint64_t value) const {
                               h % options_.num_buckets);
 }
 
+std::vector<uint64_t> HashedVocab::HotValues() const {
+  CHECK(finalized_);
+  std::vector<uint64_t> hot(hot_ids_.size());
+  for (const auto& [value, id] : hot_ids_) {
+    hot[static_cast<size_t>(id - 1)] = value;
+  }
+  return hot;
+}
+
+Result<HashedVocab> HashedVocab::FromHotValues(
+    const HashEncoderOptions& options, const std::vector<uint64_t>& hot) {
+  if (options.num_buckets == 0) {
+    return Status::Invalid("hashed vocabulary needs at least one bucket");
+  }
+  if (hot.size() > options.hot_values) {
+    return Status::Invalid("more hot values than the hot-set size");
+  }
+  HashedVocab v(options);
+  v.finalized_ = true;
+  v.hot_ids_.reserve(hot.size());
+  for (size_t i = 0; i < hot.size(); ++i) {
+    if (!v.hot_ids_.emplace(hot[i], static_cast<int32_t>(i + 1)).second) {
+      return Status::Invalid("repeated hot value");
+    }
+  }
+  return v;
+}
+
 BucketCollisionTracker::BucketCollisionTracker(const HashedVocab& vocab)
     : first_bucket_id_(1 + vocab.num_hot()),
       claimant_(vocab.vocab_size() - first_bucket_id_),

@@ -88,6 +88,15 @@ class HashedVocab {
     return hot_ids_.find(value) != hot_ids_.end();
   }
 
+  /// The hot values of a finalized vocabulary in id order (element i has
+  /// id i + 1). For serialization.
+  std::vector<uint64_t> HotValues() const;
+
+  /// Rebuilds a finalized vocabulary from HotValues() output. Refuses
+  /// zero buckets, more hot values than options.hot_values, and repeats.
+  static Result<HashedVocab> FromHotValues(const HashEncoderOptions& options,
+                                           const std::vector<uint64_t>& hot);
+
  private:
   HashEncoderOptions options_;
   bool finalized_ = false;

@@ -344,27 +344,6 @@ Status ShardWriter::FlushShard() {
   return Status::OK();
 }
 
-Status ShardWriter::SetFreqStats(
-    std::vector<std::vector<int32_t>> cat_hot_ids,
-    std::vector<std::vector<int32_t>> cross_hot_ids) {
-  CHECK(!finished_);
-  if (!cat_hot_ids.empty() &&
-      cat_hot_ids.size() != meta_.schema.num_categorical()) {
-    return Status::Invalid(StrFormat(
-        "%zu categorical hot-id lists, schema implies 0 or %zu",
-        cat_hot_ids.size(), meta_.schema.num_categorical()));
-  }
-  if (!cross_hot_ids.empty() &&
-      cross_hot_ids.size() != meta_.cross_vocab_sizes.size()) {
-    return Status::Invalid(StrFormat(
-        "%zu cross hot-id lists, expected 0 or %zu", cross_hot_ids.size(),
-        meta_.cross_vocab_sizes.size()));
-  }
-  meta_.cat_hot_ids = std::move(cat_hot_ids);
-  meta_.cross_hot_ids = std::move(cross_hot_ids);
-  return Status::OK();
-}
-
 Status ShardWriter::Finish() {
   CHECK(!finished_);
   finished_ = true;

@@ -136,13 +136,6 @@ class ShardWriter {
   Status Append(const int32_t* cat, const int32_t* cross,
                 const int32_t* triple, const float* cont, float label);
 
-  /// Attaches frequency-stats metadata (per-field hot-id lists, most
-  /// frequent first) to be written as the manifest's optional stats
-  /// section. Call before Finish(); each list vector must be empty or
-  /// match the field/pair count.
-  Status SetFreqStats(std::vector<std::vector<int32_t>> cat_hot_ids,
-                      std::vector<std::vector<int32_t>> cross_hot_ids);
-
   /// Flushes the tail shard and writes the manifest. Must be called
   /// exactly once; no Append after.
   Status Finish();

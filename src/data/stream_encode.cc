@@ -1,44 +1,13 @@
 #include "data/stream_encode.h"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
+#include <optional>
 
 #include "common/string_util.h"
-#include "data/dataset.h"
 #include "data/shard_format.h"
-#include "data/vocab.h"
 #include "obs/registry.h"
 
 namespace optinter {
-
-Status MaterializedRowSource::NextRow(int64_t* cat, float* cont,
-                                      float* label) {
-  if (next_ >= raw_->num_rows) {
-    return Status::OutOfRange("row source exhausted");
-  }
-  const size_t num_cat = raw_->schema.num_categorical();
-  const size_t num_cont = raw_->schema.num_continuous();
-  std::memcpy(cat, raw_->cat_values.data() + next_ * num_cat,
-              num_cat * sizeof(int64_t));
-  if (num_cont > 0) {
-    std::memcpy(cont, raw_->cont_values.data() + next_ * num_cont,
-                num_cont * sizeof(float));
-  }
-  *label = raw_->labels[next_];
-  ++next_;
-  return Status::OK();
-}
-
-namespace {
-
-int64_t CrossKey(int32_t a, int32_t b) {
-  // Same key as BuildCrossFeatures: encoded pair ids packed into 64 bits.
-  return (static_cast<int64_t>(a) << 32) |
-         static_cast<int64_t>(static_cast<uint32_t>(b));
-}
-
-}  // namespace
 
 Result<StreamEncodeStats> StreamEncodeToShards(
     RowSource* source, const std::string& dir,
@@ -58,227 +27,53 @@ Result<StreamEncodeStats> StreamEncodeToShards(
     return Status::Invalid(StrFormat(
         "fit_fraction %.3f outside (0, 1]", options.fit_fraction));
   }
-  if (options.build_cross && num_cat < 2) {
-    return Status::Invalid("need at least two categorical fields to cross");
-  }
-  const size_t fit_count = std::max<size_t>(
-      1, static_cast<size_t>(static_cast<double>(num_rows) *
-                             options.fit_fraction));
-
   StreamEncodeStats stats;
   stats.rows = num_rows;
-  stats.fit_rows = fit_count;
+  stats.fit_rows = std::max<size_t>(
+      1, static_cast<size_t>(static_cast<double>(num_rows) *
+                             options.fit_fraction));
+  OPTINTER_ASSIGN_OR_RETURN(
+      const FittedEncoder encoder,
+      FittedEncoder::Fit(source, stats.fit_rows, options));
 
+  const EncodedDataset fitted = encoder.Metadata();
+  ShardDatasetMeta meta{fitted.schema,        fitted.cat_vocab_sizes,
+                        fitted.cross_vocab_sizes, fitted.triple_fields,
+                        fitted.triple_vocab_sizes, fitted.cat_hot_ids,
+                        fitted.cross_hot_ids};
+  const size_t num_pairs = meta.cross_vocab_sizes.size();
+  const size_t num_triples = meta.triple_fields.size();
+  OPTINTER_ASSIGN_OR_RETURN(
+      auto writer, ShardWriter::Open(dir, std::move(meta),
+                                     options.rows_per_shard));
+
+  // One pass over every row: encode + append, tracking collisions.
+  std::optional<FittedEncoder::HashCollisions> collisions;
+  if (encoder.hashed()) collisions.emplace(encoder);
   std::vector<int64_t> cat_row(num_cat);
   std::vector<float> cont_row(std::max<size_t>(num_cont, 1));
-  float label = 0.0f;
-
-  // --- Pass 1 (fit prefix): categorical vocabularies + continuous min-max.
-  std::vector<Vocab> vocabs;
-  std::vector<HashedVocab> hashed;
-  if (options.hashed) {
-    hashed.reserve(num_cat);
-    for (size_t f = 0; f < num_cat; ++f) {
-      HashEncoderOptions ho;
-      ho.hot_values = options.hash_hot_values;
-      ho.num_buckets = options.hash_buckets;
-      ho.salt = f;  // per-field salt decorrelates identical raw values
-      hashed.emplace_back(ho);
-    }
-  } else {
-    vocabs.resize(num_cat);
-  }
-  std::vector<float> mins(num_cont, std::numeric_limits<float>::max());
-  std::vector<float> maxs(num_cont, std::numeric_limits<float>::lowest());
-
-  OPTINTER_RETURN_NOT_OK(source->Restart());
-  for (size_t r = 0; r < fit_count; ++r) {
-    OPTINTER_RETURN_NOT_OK(
-        source->NextRow(cat_row.data(), cont_row.data(), &label));
-    for (size_t f = 0; f < num_cat; ++f) {
-      if (options.hashed) {
-        hashed[f].Observe(static_cast<uint64_t>(cat_row[f]));
-      } else {
-        vocabs[f].Add(cat_row[f]);
-      }
-    }
-    for (size_t f = 0; f < num_cont; ++f) {
-      mins[f] = std::min(mins[f], cont_row[f]);
-      maxs[f] = std::max(maxs[f], cont_row[f]);
-    }
-  }
-
-  ShardDatasetMeta meta;
-  meta.schema = schema;
-  meta.cat_vocab_sizes.resize(num_cat);
-  for (size_t f = 0; f < num_cat; ++f) {
-    if (options.hashed) {
-      hashed[f].Finalize();
-      meta.cat_vocab_sizes[f] = hashed[f].vocab_size();
-    } else {
-      vocabs[f].Finalize(options.encoder.cat_min_count);
-      meta.cat_vocab_sizes[f] = vocabs[f].size();
-    }
-  }
-  auto encode_cat = [&](size_t f, int64_t value) -> int32_t {
-    return options.hashed
-               ? hashed[f].Encode(static_cast<uint64_t>(value))
-               : vocabs[f].Encode(value);
-  };
-
-  // --- Pass 2 (fit prefix, optional): cross vocabularies over encoded ids.
-  const auto pairs = EnumeratePairs(num_cat);
-  std::vector<Vocab> cross_vocabs;
-  std::vector<HashedVocab> cross_hashed;
   std::vector<int32_t> ids_row(num_cat);
-  if (options.build_cross) {
-    if (options.hashed) {
-      cross_hashed.reserve(pairs.size());
-      for (size_t p = 0; p < pairs.size(); ++p) {
-        HashEncoderOptions ho;
-        ho.hot_values = options.hash_hot_values;
-        ho.num_buckets = options.hash_buckets;
-        ho.salt = num_cat + p;
-        cross_hashed.emplace_back(ho);
-      }
-    } else {
-      cross_vocabs.resize(pairs.size());
-    }
-    OPTINTER_RETURN_NOT_OK(source->Restart());
-    for (size_t r = 0; r < fit_count; ++r) {
-      OPTINTER_RETURN_NOT_OK(
-          source->NextRow(cat_row.data(), cont_row.data(), &label));
-      for (size_t f = 0; f < num_cat; ++f) {
-        ids_row[f] = encode_cat(f, cat_row[f]);
-      }
-      for (size_t p = 0; p < pairs.size(); ++p) {
-        const int64_t key = CrossKey(ids_row[pairs[p].first],
-                                     ids_row[pairs[p].second]);
-        if (options.hashed) {
-          cross_hashed[p].Observe(static_cast<uint64_t>(key));
-        } else {
-          cross_vocabs[p].Add(key);
-        }
-      }
-    }
-    meta.cross_vocab_sizes.resize(pairs.size());
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      if (options.hashed) {
-        cross_hashed[p].Finalize();
-        meta.cross_vocab_sizes[p] = cross_hashed[p].vocab_size();
-      } else {
-        cross_vocabs[p].Finalize(options.encoder.cross_min_count);
-        meta.cross_vocab_sizes[p] = cross_vocabs[p].size();
-      }
-    }
-  }
-
-  // Frequency-stats metadata for tiered embedding backends. Hashed
-  // vocabularies place the Misra-Gries top-K at ids 1..K (most frequent
-  // first), so their hot lists need no counting; exact vocabularies
-  // count encoded ids over the fit prefix during the final pass and rank
-  // afterwards — the same counts EncodeDataset's in-RAM stats rank, so
-  // both paths attach identical metadata for the same rows.
-  const size_t freq_topk = options.encoder.freq_stats_topk;
-  const bool count_freq = freq_topk > 0 && !options.hashed;
-  std::vector<std::vector<size_t>> cat_counts;
-  std::vector<std::vector<size_t>> cross_counts;
-  if (count_freq) {
-    cat_counts.resize(num_cat);
-    for (size_t f = 0; f < num_cat; ++f) {
-      cat_counts[f].assign(meta.cat_vocab_sizes[f], 0);
-    }
-    cross_counts.resize(meta.cross_vocab_sizes.size());
-    for (size_t p = 0; p < cross_counts.size(); ++p) {
-      cross_counts[p].assign(meta.cross_vocab_sizes[p], 0);
-    }
-  }
-
-  // --- Final pass (all rows): encode + write shards, tracking collisions.
-  OPTINTER_ASSIGN_OR_RETURN(
-      auto writer, ShardWriter::Open(dir, meta, options.rows_per_shard));
-  std::vector<BucketCollisionTracker> cat_trackers;
-  std::vector<BucketCollisionTracker> cross_trackers;
-  if (options.hashed) {
-    cat_trackers.reserve(num_cat);
-    for (size_t f = 0; f < num_cat; ++f) cat_trackers.emplace_back(hashed[f]);
-    cross_trackers.reserve(cross_hashed.size());
-    for (const auto& hv : cross_hashed) cross_trackers.emplace_back(hv);
-  }
-  std::vector<int32_t> cross_row(options.build_cross ? pairs.size() : 0);
+  std::vector<int32_t> cross_row(num_pairs);
+  std::vector<int32_t> triple_row(num_triples);
   std::vector<float> norm_row(std::max<size_t>(num_cont, 1));
+  float label = 0.0f;
   OPTINTER_RETURN_NOT_OK(source->Restart());
   for (size_t r = 0; r < num_rows; ++r) {
     OPTINTER_RETURN_NOT_OK(
         source->NextRow(cat_row.data(), cont_row.data(), &label));
-    for (size_t f = 0; f < num_cat; ++f) {
-      ids_row[f] = encode_cat(f, cat_row[f]);
-      if (options.hashed) {
-        cat_trackers[f].Record(ids_row[f],
-                               static_cast<uint64_t>(cat_row[f]),
-                               &stats.cat_hash);
-      }
-    }
-    for (size_t p = 0; p < cross_row.size(); ++p) {
-      const int64_t key =
-          CrossKey(ids_row[pairs[p].first], ids_row[pairs[p].second]);
-      if (options.hashed) {
-        cross_row[p] = cross_hashed[p].Encode(static_cast<uint64_t>(key));
-        cross_trackers[p].Record(cross_row[p], static_cast<uint64_t>(key),
-                                 &stats.cross_hash);
-      } else {
-        cross_row[p] = cross_vocabs[p].Encode(key);
-      }
-    }
-    if (count_freq && r < fit_count) {
-      for (size_t f = 0; f < num_cat; ++f) {
-        ++cat_counts[f][static_cast<size_t>(ids_row[f])];
-      }
-      for (size_t p = 0; p < cross_row.size(); ++p) {
-        ++cross_counts[p][static_cast<size_t>(cross_row[p])];
-      }
-    }
-    for (size_t f = 0; f < num_cont; ++f) {
-      // Same float math as EncodeDataset, for bit parity with the in-RAM
-      // pipeline.
-      const float range = maxs[f] - mins[f];
-      const float v =
-          range > 0.0f ? (cont_row[f] - mins[f]) / range : 0.0f;
-      norm_row[f] = std::clamp(v, 0.0f, 1.0f);
-    }
+    encoder.EncodeRow(cat_row.data(), cont_row.data(), ids_row.data(),
+                      cross_row.data(), triple_row.data(), norm_row.data(),
+                      collisions ? &*collisions : nullptr);
     OPTINTER_RETURN_NOT_OK(writer->Append(
-        ids_row.data(), options.build_cross ? cross_row.data() : nullptr,
-        nullptr, num_cont > 0 ? norm_row.data() : nullptr, label));
-  }
-  if (freq_topk > 0) {
-    std::vector<std::vector<int32_t>> cat_hot(num_cat);
-    std::vector<std::vector<int32_t>> cross_hot(meta.cross_vocab_sizes.size());
-    if (options.hashed) {
-      auto mg_hot = [&](const HashedVocab& hv) {
-        std::vector<int32_t> ids(std::min(freq_topk, hv.num_hot()));
-        for (size_t i = 0; i < ids.size(); ++i) {
-          ids[i] = static_cast<int32_t>(i + 1);
-        }
-        return ids;
-      };
-      for (size_t f = 0; f < num_cat; ++f) cat_hot[f] = mg_hot(hashed[f]);
-      for (size_t p = 0; p < cross_hot.size(); ++p) {
-        cross_hot[p] = mg_hot(cross_hashed[p]);
-      }
-    } else {
-      for (size_t f = 0; f < num_cat; ++f) {
-        cat_hot[f] = RankTopIdsFromCounts(cat_counts[f], freq_topk);
-      }
-      for (size_t p = 0; p < cross_hot.size(); ++p) {
-        cross_hot[p] = RankTopIdsFromCounts(cross_counts[p], freq_topk);
-      }
-    }
-    OPTINTER_RETURN_NOT_OK(
-        writer->SetFreqStats(std::move(cat_hot), std::move(cross_hot)));
+        ids_row.data(), num_pairs > 0 ? cross_row.data() : nullptr,
+        num_triples > 0 ? triple_row.data() : nullptr,
+        num_cont > 0 ? norm_row.data() : nullptr, label));
   }
   OPTINTER_RETURN_NOT_OK(writer->Finish());
 
-  if (options.hashed) {
+  if (collisions) {
+    stats.cat_hash = collisions->cat;
+    stats.cross_hash = collisions->cross;
     auto& reg = obs::MetricsRegistry::Global();
     reg.GetCounter("encode.hash_rows")
         ->Add(stats.cat_hash.hashed_rows + stats.cross_hash.hashed_rows);

@@ -1,23 +1,19 @@
-// Out-of-core encoding: RowSource -> fitted vocabularies -> shard dir.
+// Out-of-core encoding: RowSource -> FittedEncoder -> shard dir.
 //
-// The in-RAM pipeline (EncodeDataset + BuildCrossFeatures) needs the whole
-// RawDataset resident. StreamEncodeToShards only ever holds one row plus
-// the fitting state: it makes multiple sequential passes over a restartable
-// RowSource (fit categorical vocabs + continuous min-max on the fit
-// prefix; optionally fit cross vocabs on the encoded prefix; then encode
-// and append every row to a ShardWriter).
+// StreamEncodeToShards only ever holds one row plus the fitted state. It
+// fits a FittedEncoder (fitted_encoder.h) on the stream prefix — one pass
+// for the categorical vocabularies and continuous min-max, one more for
+// the cross vocabularies when crosses or triples are requested — and then
+// makes one pass that encodes every row with FittedEncoder::EncodeRow and
+// appends it to a ShardWriter. Its output is therefore the in-RAM
+// encoder's output for the same fit rows, hot ids included.
 //
-// Exact mode reproduces EncodeDataset bit-for-bit — same Vocab semantics
-// (min-count thresholding, sorted dense ids), same float min-max
-// normalization — when its fit rows are the same prefix, which the
-// round-trip test in shard_format_test.cc pins. Memory is O(distinct
-// values), so it suits bounded vocabularies.
-//
-// Hashed mode (`hashed = true`) bounds memory for unbounded vocabularies
-// with frequency-capped hashing (hash_encoder.h): the top `hash_hot_values`
-// values per field get collision-free ids, the tail shares
-// `hash_buckets` slots. Collision statistics are accumulated per encode
-// and published to the obs counters encode.hash_rows /
+// Exact vocabularies take O(distinct values) memory, so they suit bounded
+// vocabularies. Hashed mode (`hashed = true`) bounds memory for unbounded
+// ones with frequency-capped hashing (hash_encoder.h): the top
+// `hash_hot_values` values per field get collision-free ids, the tail
+// shares `hash_buckets` slots. Collision statistics are accumulated per
+// encode and published to the obs counters encode.hash_rows /
 // encode.hash_hot_rows / encode.hash_collision_rows, so the run report
 // shows how much signal the trick destroyed.
 //
@@ -34,65 +30,17 @@
 
 #include "common/status.h"
 #include "data/encoder.h"
+#include "data/fitted_encoder.h"
 #include "data/hash_encoder.h"
-#include "data/schema.h"
 
 namespace optinter {
 
-/// A restartable, sequential producer of raw rows. Implementations:
-/// MaterializedRowSource (below) over an in-RAM RawDataset, and
-/// SynthRowSource (synth/stream_source.h) which regenerates rows from the
-/// generator's RNG stream without materializing them.
-class RowSource {
- public:
-  virtual ~RowSource() = default;
-
-  virtual const DatasetSchema& schema() const = 0;
-  virtual size_t num_rows() const = 0;
-
-  /// Rewinds to row 0. Rows must replay identically across passes.
-  virtual Status Restart() = 0;
-
-  /// Produces the next row: `cat` receives num_categorical() raw values,
-  /// `cont` num_continuous() raw values, `label` the 0/1 label.
-  virtual Status NextRow(int64_t* cat, float* cont, float* label) = 0;
-};
-
-/// RowSource view of a materialized RawDataset (CSV / libsvm loads).
-class MaterializedRowSource : public RowSource {
- public:
-  /// `raw` must outlive the source.
-  explicit MaterializedRowSource(const RawDataset* raw) : raw_(raw) {}
-
-  const DatasetSchema& schema() const override { return raw_->schema; }
-  size_t num_rows() const override { return raw_->num_rows; }
-  Status Restart() override {
-    next_ = 0;
-    return Status::OK();
-  }
-  Status NextRow(int64_t* cat, float* cont, float* label) override;
-
- private:
-  const RawDataset* raw_;
-  size_t next_ = 0;
-};
-
-struct StreamEncodeOptions {
-  /// Exact-mode min-count thresholds (mirrors the in-RAM pipeline).
-  EncoderOptions encoder;
+/// The fit settings plus where the fit stops and how rows are sharded.
+struct StreamEncodeOptions : EncoderOptions {
   /// Prefix fraction of the stream used for fitting; must match the
   /// training split fraction used later.
   double fit_fraction = 0.7;
-  /// Also fit + materialize cross-product features (one extra fit pass).
-  bool build_cross = false;
   size_t rows_per_shard = 1 << 17;
-
-  /// Hash-trick mode for unbounded vocabularies.
-  bool hashed = false;
-  /// Per-field dedicated ids for the most frequent values (hashed mode).
-  size_t hash_hot_values = 1024;
-  /// Shared tail buckets per field (hashed mode).
-  size_t hash_buckets = 1 << 16;
 };
 
 /// What the encode did; hash stats are zero in exact mode.
@@ -100,11 +48,12 @@ struct StreamEncodeStats {
   size_t rows = 0;
   size_t fit_rows = 0;
   HashEncodeStats cat_hash;
+  /// Pair and triple crosses.
   HashEncodeStats cross_hash;
 };
 
 /// Encodes `source` into shard directory `dir` (which must exist and hold
-/// no dataset). Makes 2 sequential passes (3 with build_cross).
+/// no dataset). Makes 2 sequential passes (3 with crosses or triples).
 Result<StreamEncodeStats> StreamEncodeToShards(
     RowSource* source, const std::string& dir,
     const StreamEncodeOptions& options);

@@ -6,18 +6,28 @@
 
 namespace optinter {
 
-void Vocab::Finalize(size_t min_count) {
+void Vocab::Finalize(size_t min_count, std::vector<size_t>* id_counts) {
   CHECK(!finalized_);
   // Deterministic id assignment: sort surviving values.
   std::vector<int64_t> kept;
   kept.reserve(counts_.size());
+  size_t oov_count = 0;
   for (const auto& [value, count] : counts_) {
-    if (count >= min_count) kept.push_back(value);
+    if (count >= min_count) {
+      kept.push_back(value);
+    } else {
+      oov_count += count;
+    }
   }
   std::sort(kept.begin(), kept.end());
   ids_.reserve(kept.size());
+  if (id_counts != nullptr) {
+    id_counts->assign(1, oov_count);
+    id_counts->reserve(1 + kept.size());
+  }
   for (int64_t v : kept) {
     ids_.emplace(v, static_cast<int32_t>(next_id_++));
+    if (id_counts != nullptr) id_counts->push_back(counts_[v]);
   }
   counts_.clear();
   finalized_ = true;

@@ -25,9 +25,12 @@ class Vocab {
   void Add(int64_t value) { ++counts_[value]; }
 
   /// Freezes the vocabulary: values with count >= min_count receive dense
-  /// ids 1..K in first-seen-by-map-order; everything else maps to kOovId.
-  /// Counting data is released.
-  void Finalize(size_t min_count);
+  /// ids 1..K in ascending value order; everything else maps to kOovId.
+  /// Counting data is released. With `id_counts`, first stores the fit
+  /// count of every id: (*id_counts)[k] for k >= 1 is its value's count,
+  /// (*id_counts)[0] the total count of the values that fell into OOV —
+  /// exactly the encoded-id counts over the fit rows.
+  void Finalize(size_t min_count, std::vector<size_t>* id_counts = nullptr);
 
   /// Encodes a value; unseen or infrequent values map to kOovId.
   /// Must be called after Finalize().

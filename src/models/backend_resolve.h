@@ -7,9 +7,10 @@
 // its tier plan from the best available frequency source:
 //
 //   1. explicit policy.tier_hot_ids (unit tests, hand-tuned plans),
-//   2. the dataset's per-field hot-id metadata (attached by the encoder:
-//      exact ranked counts for in-RAM EncodeDataset, Misra-Gries streaming
-//      stats carried through the shard MANIFEST — see DESIGN.md §12),
+//   2. the dataset's per-field hot-id metadata (fitted by
+//      FittedEncoder::Fit — exact ranked counts, or Misra-Gries ids in
+//      hashed mode — and attached by Transform or carried through the
+//      shard MANIFEST; see DESIGN.md §12),
 //   3. nothing — EmbeddingTable falls back to the {1..K} hot set, which
 //      matches the hashed encoder's id layout exactly.
 //

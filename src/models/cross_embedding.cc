@@ -23,10 +23,10 @@ struct KindNames {
 const KindNames& NamesOf(CrossKind kind) {
   static constexpr KindNames kPair = {"cross_emb/pair", "cross_gather",
                                       "cross_prepare", "cross_scatter",
-                                      "call BuildCrossFeatures first"};
+                                      "fit the encoder with build_cross"};
   static constexpr KindNames kTriple = {
       "triple_emb/", "triple_gather", "triple_prepare", "triple_scatter",
-      "call BuildTripleCrossFeatures first"};
+      "fit the encoder with options.triples"};
   return kind == CrossKind::kPair ? kPair : kTriple;
 }
 

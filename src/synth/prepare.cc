@@ -13,10 +13,6 @@ PreparedDataset PrepareFromConfig(const SynthConfig& config,
   auto encoded = EncodeDataset(raw, out.splits.train, options.encoder);
   CHECK(encoded.ok()) << encoded.status().ToString();
   out.data = std::move(encoded).value();
-  if (options.build_cross) {
-    CHECK_OK(BuildCrossFeatures(&out.data, out.splits.train,
-                                options.encoder));
-  }
   return out;
 }
 

@@ -1,6 +1,6 @@
 // One-call dataset preparation used by benches and examples:
-// generate profile → split → fit/encode → (optionally) build cross
-// features.
+// generate profile → split → fit on the train split and encode (with
+// cross features unless encoder.build_cross is off).
 
 #pragma once
 
@@ -24,9 +24,6 @@ struct PreparedDataset {
 struct PrepareOptions {
   /// Multiplier on the profile's row count (benches' quick/full knob).
   double rows_scale = 1.0;
-  /// Build cross-product transformed features (needed by Poly2,
-  /// OptInter-M and every search run).
-  bool build_cross = true;
   /// Fractions (paper: 80% train+val / 20% test; val carved from train).
   double train_frac = 0.7;
   double val_frac = 0.1;

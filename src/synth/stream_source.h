@@ -13,7 +13,7 @@
 
 #include <vector>
 
-#include "data/stream_encode.h"
+#include "data/dataset.h"
 #include "synth/generator.h"
 
 namespace optinter {

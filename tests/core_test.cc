@@ -96,9 +96,10 @@ TEST(FixedArchTest, NaiveArchNeedsNoCrossFeatures) {
   const auto& p = SharedTinyData();
   RawDataset raw = GenerateSynthetic(p.cfg);
   EncoderOptions opts;
+  opts.build_cross = false;  // on purpose
   auto enc = EncodeDataset(raw, p.splits.train, opts);
   ASSERT_TRUE(enc.ok());
-  // No BuildCrossFeatures on purpose.
+  ASSERT_FALSE(enc->has_cross());
   auto fnn = FixedArchModel::MakeFnn(*enc, TinyHp());
   Batch b;
   b.data = &*enc;

@@ -188,8 +188,7 @@ TEST(CsvLoaderTest, LoadedDataFlowsThroughEncoder) {
   eopts.cross_min_count = 2;
   auto enc = EncodeDataset(*raw, rows, eopts);
   ASSERT_TRUE(enc.ok());
-  EncodedDataset data = std::move(enc).value();
-  ASSERT_TRUE(BuildCrossFeatures(&data, rows, eopts).ok());
+  const EncodedDataset& data = *enc;
   EXPECT_EQ(data.num_pairs(), 1u);  // (site, device)
   EXPECT_GT(data.cross_vocab_sizes[0], 1u);
 }

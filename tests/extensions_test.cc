@@ -198,13 +198,10 @@ const TripleFixture& SharedTripleData() {
     EncoderOptions opts;
     opts.cat_min_count = 2;
     opts.cross_min_count = 2;
+    opts.triples = EnumerateTriples(raw.schema.num_categorical());
     auto enc = EncodeDataset(raw, f->splits.train, opts);
     CHECK(enc.ok());
     f->data = std::move(enc).value();
-    CHECK_OK(BuildCrossFeatures(&f->data, f->splits.train, opts));
-    CHECK_OK(BuildTripleCrossFeatures(
-        &f->data, f->splits.train, opts,
-        EnumerateTriples(f->data.num_categorical())));
     return f;
   }();
   return *fx;
@@ -225,21 +222,16 @@ TEST(TripleTest, BuildPopulatesIdsAndVocabs) {
   }
 }
 
-TEST(TripleTest, DoubleBuildRejected) {
-  auto f = SharedTripleData();  // copy
-  EXPECT_FALSE(BuildTripleCrossFeatures(&f.data, f.splits.train,
-                                        EncoderOptions{}, {{0, 1, 2}})
-                   .ok());
-}
-
 TEST(TripleTest, BadTripleOrderRejected) {
-  const auto& p = SharedTinyData();
-  EncodedDataset copy = p.data;
-  copy.triple_ids.clear();
-  copy.triple_fields.clear();
-  EXPECT_FALSE(BuildTripleCrossFeatures(&copy, p.splits.train,
-                                        EncoderOptions{}, {{2, 1, 0}})
-                   .ok());
+  const RawDataset raw = GenerateSynthetic(TinyConfig());
+  EncoderOptions opts;
+  for (const std::array<size_t, 3> bad :
+       {std::array<size_t, 3>{2, 1, 0}, {0, 0, 1},
+        {0, 1, raw.schema.num_categorical()}}) {
+    opts.triples = {bad};
+    const auto enc = EncodeDataset(raw, SharedTinyData().splits.train, opts);
+    EXPECT_EQ(enc.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(TripleTest, PlantedTripleHasTopMiLift) {

@@ -231,6 +231,7 @@ TEST(EncoderPropertyTest, TestRowsNeverEnlargeVocab) {
   std::iota(all_rows.begin(), all_rows.end(), 0);
   EncoderOptions opts;
   opts.cat_min_count = 2;
+  opts.build_cross = false;
   auto enc_half = EncodeDataset(raw, first_half, opts);
   ASSERT_TRUE(enc_half.ok());
   auto enc_all = EncodeDataset(raw, all_rows, opts);

@@ -530,7 +530,7 @@ TEST(QuantizeSnapshotDeathTest, PredictWithoutCrossIdsDiesOnEveryPath) {
     for (size_t size : {1u, 7u}) {
       const Batch b{&no_cross, p.splits.train.data(), size};
       EXPECT_DEATH(model->Predict(b, &probs, &ctx),
-                   "call BuildCrossFeatures first")
+                   "fit the encoder with build_cross")
           << model->Name() << " at batch " << size;
     }
   }

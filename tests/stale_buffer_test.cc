@@ -173,13 +173,10 @@ const TripleData& SharedTripleData() {
     EncoderOptions opts;
     opts.cat_min_count = 2;
     opts.cross_min_count = 2;
+    opts.triples = EnumerateTriples(raw.schema.num_categorical());
     auto enc = EncodeDataset(raw, f->splits.train, opts);
     CHECK(enc.ok());
     f->data = std::move(enc).value();
-    CHECK_OK(BuildCrossFeatures(&f->data, f->splits.train, opts));
-    CHECK_OK(BuildTripleCrossFeatures(
-        &f->data, f->splits.train, opts,
-        EnumerateTriples(f->data.num_categorical())));
     return f;
   }();
   return *fx;

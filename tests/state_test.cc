@@ -16,6 +16,7 @@ namespace {
 
 using testing::HeadBatch;
 using testing::SharedTinyData;
+using testing::TinyDataWithTriples;
 
 HyperParams TinyHp() {
   HyperParams hp = DefaultHyperParams("tiny");
@@ -103,15 +104,7 @@ TEST(StateCompletenessTest, AutoFisCoversEveryParameter) {
 
 TEST(StateCompletenessTest, ThirdOrderFixedArchCoversEveryParameter) {
   // FixedArchModel with memorized triples must include the triple tables.
-  auto p = SharedTinyData();  // copy: we add triple features
-  EncodedDataset data = p.data;
-  data.triple_ids.clear();
-  data.triple_fields.clear();
-  EncoderOptions opts;
-  opts.cross_min_count = 2;
-  ASSERT_TRUE(BuildTripleCrossFeatures(&data, p.splits.train, opts,
-                                       {{0, 1, 2}, {1, 2, 3}})
-                  .ok());
+  const EncodedDataset data = TinyDataWithTriples();
   FixedArchModel model(data, AllFactorize(data.num_pairs()), TinyHp(),
                        "3rd", {0, 1});
   EXPECT_EQ(StateSize(&model), model.ParamCount());

@@ -117,6 +117,7 @@ TEST(GeneratorTest, PlantedMemorizePairsCarryJointInformation) {
   RawDataset raw = GenerateSynthetic(cfg);
   EncoderOptions opts;
   opts.cat_min_count = 1;
+  opts.build_cross = false;
   auto enc = EncodeDataset(raw, Iota(raw.num_rows), opts);
   ASSERT_TRUE(enc.ok());
   const auto rows = Iota(raw.num_rows);

@@ -28,22 +28,29 @@ struct PreparedData {
   Splits splits;
 };
 
+/// The tiny profile encoded with min counts 2 and cross-product
+/// features, fitted on `train`, plus the given field triples.
+inline EncodedDataset EncodeTiny(
+    const std::vector<size_t>& train,
+    std::vector<std::array<size_t, 3>> triples = {}) {
+  EncoderOptions opts;
+  opts.cat_min_count = 2;
+  opts.cross_min_count = 2;
+  opts.triples = std::move(triples);
+  auto encoded = EncodeDataset(GenerateSynthetic(TinyConfig()), train, opts);
+  CHECK(encoded.ok()) << encoded.status().ToString();
+  return std::move(encoded).value();
+}
+
 /// Builds (once) a ~6k-row tiny dataset with planted structure, encoded
 /// with cross-product features and 70/10/20 splits.
 inline const PreparedData& SharedTinyData() {
   static const PreparedData* prepared = [] {
     auto* p = new PreparedData();
     p->cfg = TinyConfig();
-    RawDataset raw = GenerateSynthetic(p->cfg);
     Rng rng(p->cfg.seed);
-    p->splits = MakeSplits(raw.num_rows, 0.7, 0.1, &rng);
-    EncoderOptions opts;
-    opts.cat_min_count = 2;
-    opts.cross_min_count = 2;
-    auto encoded = EncodeDataset(raw, p->splits.train, opts);
-    CHECK(encoded.ok()) << encoded.status().ToString();
-    p->data = std::move(encoded).value();
-    CHECK_OK(BuildCrossFeatures(&p->data, p->splits.train, opts));
+    p->splits = MakeSplits(p->cfg.num_rows, 0.7, 0.1, &rng);
+    p->data = EncodeTiny(p->splits.train);
     return p;
   }();
   return *prepared;
@@ -58,18 +65,10 @@ inline Batch HeadBatch(const PreparedData& p, size_t n) {
   return b;
 }
 
-/// SharedTinyData() with two field triples built, {0, 1, 2} and
+/// SharedTinyData() re-fitted with two field triples, {0, 1, 2} and
 /// {1, 2, 3}: the memorized-triple golden's dataset.
 inline EncodedDataset TinyDataWithTriples() {
-  const PreparedData& p = SharedTinyData();
-  EncodedDataset data = p.data;
-  data.triple_ids.clear();
-  data.triple_fields.clear();
-  EncoderOptions enc;
-  enc.cross_min_count = 2;
-  CHECK_OK(BuildTripleCrossFeatures(&data, p.splits.train, enc,
-                                    {{0, 1, 2}, {1, 2, 3}}));
-  return data;
+  return EncodeTiny(SharedTinyData().splits.train, {{0, 1, 2}, {1, 2, 3}});
 }
 
 /// Pair q memorizes, factorizes or stays naïve by q mod 3.

@@ -9,9 +9,11 @@
 // from RAM — a v1 limitation; the shard directory they produce is
 // identical either way.
 //
-//   encode_dataset --out=/data/criteo50m --profile=criteo_like \
+// Examples (one command each):
+//
+//   encode_dataset --out=/data/criteo50m --profile=criteo_like
 //       --rows-scale=1000 --hashed
-//   encode_dataset --out=/data/mine --source=csv --path=logs.csv \
+//   encode_dataset --out=/data/mine --source=csv --path=logs.csv
 //       --cat-cols=site,device --cont-cols=price --build-cross
 
 #include <sys/stat.h>
@@ -106,9 +108,9 @@ Status Run(const FlagParser& flags) {
   }
 
   StreamEncodeOptions options;
-  options.encoder.cat_min_count =
+  options.cat_min_count =
       static_cast<size_t>(flags.GetInt("cat-min-count"));
-  options.encoder.cross_min_count =
+  options.cross_min_count =
       static_cast<size_t>(flags.GetInt("cross-min-count"));
   options.fit_fraction = flags.GetDouble("fit-fraction");
   options.build_cross = flags.GetBool("build-cross");
@@ -117,7 +119,7 @@ Status Run(const FlagParser& flags) {
   options.hashed = flags.GetBool("hashed");
   options.hash_hot_values = static_cast<size_t>(flags.GetInt("hash-hot"));
   options.hash_buckets = static_cast<size_t>(flags.GetInt("hash-buckets"));
-  options.encoder.freq_stats_topk =
+  options.freq_stats_topk =
       static_cast<size_t>(flags.GetInt("freq-topk"));
 
   const std::string source = flags.GetString("source");
