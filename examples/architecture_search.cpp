@@ -12,7 +12,6 @@
 #include "core/search_model.h"
 #include "metrics/mutual_information.h"
 #include "obs/run_report.h"
-#include "obs/timeline.h"
 #include "synth/prepare.h"
 
 using namespace optinter;
@@ -69,8 +68,7 @@ int main(int argc, char** argv) {
   obs::SearchDynamics dynamics;
   dynamics.sample_every =
       static_cast<size_t>(flags.GetInt("alpha_sample_every"));
-  size_t global_step = 0;
-  Architecture sampled_arch;
+  AlphaFlipSampler sampler(model, &dynamics);
   Architecture prev_arch;
   std::printf("search on %s: %zu pairs, tau %g -> %g over %zu epochs\n",
               p.config.name.c_str(), p.data.num_pairs(),
@@ -85,31 +83,7 @@ int main(int argc, char** argv) {
       if (b.size == 0) break;
       loss_sum += model.TrainStep(b);
       ++batches;
-      ++global_step;
-      if (dynamics.sample_every > 0 &&
-          global_step % dynamics.sample_every == 0) {
-        const Architecture cur = model.ExtractArchitecture();
-        if (!sampled_arch.empty()) {
-          for (size_t q = 0; q < cur.size(); ++q) {
-            if (cur[q] == sampled_arch[q]) continue;
-            obs::AlphaFlipEvent ev;
-            ev.epoch = epoch;
-            ev.step = global_step;
-            ev.pair = q;
-            ev.from = static_cast<int>(sampled_arch[q]);
-            ev.to = static_cast<int>(cur[q]);
-            if (obs::Timeline::Enabled()) {
-              char detail[obs::Timeline::kDetailCapacity];
-              std::snprintf(detail, sizeof(detail), "pair=%zu %s->%s", q,
-                            obs::AlphaMethodName(ev.from),
-                            obs::AlphaMethodName(ev.to));
-              obs::Timeline::RecordInstant("alpha_flip", detail);
-            }
-            dynamics.flip_events.push_back(ev);
-          }
-        }
-        sampled_arch = cur;
-      }
+      sampler.Step(epoch);
     }
     std::printf("epoch %zu (tau %.2f): train loss %.4f\n", epoch,
                 model.temperature(), loss_sum / batches);

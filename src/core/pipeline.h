@@ -22,11 +22,6 @@ struct SearchOptions {
   /// HyperParams::gumbel_temp_start to gumbel_temp_end.
   bool anneal_temperature = true;
   bool verbose = false;
-  /// Run joint-mode search epochs through the pipelined executor
-  /// (bit-identical to the serial loop; see src/train/pipeline_executor.h).
-  /// Bi-level mode always runs serially: every train step interleaves an
-  /// ArchStep on a validation batch, so there is no prepare to overlap.
-  bool pipeline = true;
   /// Sample the argmax architecture every this many train steps and record
   /// per-pair flips between consecutive samples in
   /// SearchResult::dynamics.flip_events (and as timeline instant events
@@ -52,7 +47,11 @@ struct SearchResult {
   obs::SearchDynamics dynamics;
 };
 
-/// Runs the search stage only (joint or bi-level).
+/// Runs the search stage only (joint or bi-level). Every epoch steps
+/// through the pipelined executor (train/pipeline_executor.h); in
+/// bi-level mode each step's quiescent-point hook runs ArchStep on the
+/// next validation batch, so the Θ and α steps alternate as in a serial
+/// TrainStep, ArchStep loop, with the same bits.
 SearchResult RunSearchStage(const EncodedDataset& data, const Splits& splits,
                             const HyperParams& hp,
                             const SearchOptions& options);
@@ -66,6 +65,31 @@ obs::SearchEpochDynamics SnapshotSearchDynamics(const SearchModel& model,
                                                 size_t epoch,
                                                 const Architecture& prev_arch,
                                                 const Architecture& arch);
+
+/// Within-epoch α sampling (SearchOptions::alpha_sample_every). Call Step
+/// once after every train step, at a quiescent point: every
+/// dynamics->sample_every steps (0 = never) it diffs the model's argmax
+/// architecture against the previous sample and appends one
+/// AlphaFlipEvent per flipped pair to dynamics->flip_events (and an
+/// `alpha_flip` timeline instant when OPTINTER_OBS_TIMELINE is set). Only
+/// reads the model. Used by RunSearchStage; exposed for drivers that run
+/// their own search loop.
+class AlphaFlipSampler {
+ public:
+  /// `model` and `dynamics` must outlive the sampler.
+  AlphaFlipSampler(const SearchModel& model, obs::SearchDynamics* dynamics)
+      : model_(model), dynamics_(dynamics) {}
+
+  /// Counts one train step of search epoch `epoch`; samples on every
+  /// dynamics->sample_every-th step.
+  void Step(size_t epoch);
+
+ private:
+  const SearchModel& model_;
+  obs::SearchDynamics* dynamics_;
+  size_t steps_ = 0;
+  Architecture sampled_;  // empty until the first sample
+};
 
 /// Full OptInter run: search + re-train from scratch.
 struct OptInterResult {

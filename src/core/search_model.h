@@ -68,16 +68,17 @@ class SearchModel : public CtrModel {
     return joint ? "OptInter-search" : "OptInter-search-bilevel";
   }
 
-  /// TrainStep (CtrModel) updates Θ and α in joint mode and Θ only in
+  /// A step (CtrModel phases) updates Θ and α in joint mode and Θ only in
   /// bi-level mode. The Gumbel noise stream is consumed inside
-  /// ForwardBackward in step order, so the serial loop and the pipelined
-  /// executor train bit-identically.
+  /// ForwardBackward in step order, on the calling thread, so a TrainStep
+  /// loop and the pipelined executor train bit-identically.
   void PrepareBatch(const Batch& batch, PreparedBatch* prep) const override;
   float ForwardBackward(const PreparedBatch& prep) override;
   void ApplyGrads() override;
 
   /// Bi-level only: one α-update step (typically on a validation batch),
-  /// prepared the way TrainStep prepares its batch.
+  /// prepared the way TrainStep prepares its batch. RunSearchStage runs it
+  /// after every Θ step, from the executor's quiescent-point hook.
   float ArchStep(const Batch& batch);
 
   /// Eval-time prediction: expectation under softmax(α/τ), no noise.

@@ -6,9 +6,10 @@
 //   PrepareBatch -> ForwardBackward -> ApplyGrads
 //
 // and TrainStep is exactly those three calls on a PreparedBatch the base
-// class owns. The pipelined executor (src/train/pipeline_executor.h) runs
-// the same phases with batch t+1's PrepareBatch overlapping batch t's
-// compute, so the two loops train bit-identically.
+// class owns. The pipelined executor (src/train/pipeline_executor.h),
+// which runs every training epoch, calls the same phases with batch t+1's
+// PrepareBatch overlapping batch t's compute, so a TrainStep loop over
+// the same batches trains bit-identically (the tests' reference).
 //
 // Protocol rule: PrepareBatch reads only the dataset and the batch's row
 // ids — never weights or optimizer state. That is what lets the executor
@@ -106,8 +107,8 @@ class CtrModel {
   /// the model reads as frozen; must leave Predict's bits unchanged.
   virtual void OnFreeze() const {}
 
-  /// The prepared batch TrainStep fills. Models with an extra serial step
-  /// (SearchModel::ArchStep) prepare into it the same way.
+  /// The prepared batch TrainStep fills. Models with an extra step of
+  /// their own (SearchModel::ArchStep) prepare into it the same way.
   PreparedBatch* step_prep() { return &step_prep_; }
 
  private:

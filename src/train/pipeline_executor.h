@@ -1,18 +1,20 @@
 // Pipelined training executor: overlaps batch t+1's PrepareBatch (on the
 // thread pool) with batch t's ForwardBackward + ApplyGrads (on the calling
-// thread).
+// thread). It is the only training schedule: TrainModel,
+// TrainModelStreamed and the search stage (joint and bi-level) step every
+// epoch through RunEpoch.
 //
 // Phase protocol (CtrModel, models/model.h): TrainStep is exactly
 // PrepareBatch -> ForwardBackward -> ApplyGrads, and PrepareBatch reads
 // only the dataset and the batch's row ids. The executor therefore cannot
 // change the math: compute (including the search models' Gumbel noise
 // stream) runs on the calling thread in batch order, and PrepareBatch is a
-// pure function of the dataset and row ids, so the pipelined loop is
-// bit-identical to the serial loop at any thread count — the same
-// determinism contract as the parallel kernels (DESIGN.md). At most one
-// prefetch is in flight, and the executor joins it (TaskGroup) before
-// touching the prepared buffers, so the handoff is data-race-free in both
-// directions.
+// pure function of the dataset and row ids, so an epoch is bit-identical
+// to a TrainStep loop over the same batches at any thread count — the
+// same determinism contract as the parallel kernels (DESIGN.md); the
+// tests keep such loops as the reference. At most one prefetch is in
+// flight, and the executor joins it (TaskGroup) before touching the
+// prepared buffers, so the handoff is data-race-free in both directions.
 //
 // Workspaces: two StepWorkspaces ping-pong between "being computed" and
 // "being prefetched". All buffers retain capacity across steps and epochs,
@@ -58,7 +60,8 @@ class PipelinedTrainExecutor {
   /// works with any BatchSource — in-RAM Batcher or StreamingBatcher.
   /// `on_step`, when set, fires after every step at a quiescent point (the
   /// step's prefetch joined, no executor work in flight) — safe for
-  /// Tracer::Collect-based periodic reporting. Returns with no work in
+  /// Tracer::Collect-based periodic reporting and for further model steps
+  /// on other batches (bi-level search's ArchStep). Returns with no work in
   /// flight; outstanding Batch views are dropped, so the caller may
   /// StartEpoch() again immediately.
   EpochStats RunEpoch(BatchSource* source,

@@ -91,18 +91,6 @@ StreamingBatcher::Options BatcherOptions(const StreamTrainOptions& options) {
   return bo;
 }
 
-/// The epoch-loop options of a streamed run.
-TrainOptions LoopOptions(const StreamTrainOptions& options) {
-  TrainOptions to;
-  to.epochs = options.epochs;
-  to.patience = options.patience;
-  to.stop_metric = options.stop_metric;
-  to.verbose = options.verbose;
-  to.pipeline = options.pipeline;
-  to.report = options.report;
-  return to;
-}
-
 /// Runs the shared epoch loop over `batcher`, failing on its data errors.
 Result<TrainSummary> RunStreamedLoop(CtrModel* model,
                                      StreamingBatcher* batcher,
@@ -111,7 +99,7 @@ Result<TrainSummary> RunStreamedLoop(CtrModel* model,
                                      const StreamTrainOptions& options) {
   return internal::RunEpochLoop(
       model, batcher, [batcher] { return batcher->status(); }, eval_val,
-      eval_test, LoopOptions(options));
+      eval_test, options);
 }
 
 }  // namespace

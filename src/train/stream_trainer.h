@@ -23,18 +23,10 @@
 
 namespace optinter {
 
-/// Options for TrainModelStreamed.
-struct StreamTrainOptions {
-  size_t epochs = 3;
-  size_t batch_size = 512;
-  uint64_t seed = 1;
-  /// Stop after this many epochs without validation improvement
-  /// (0 disables early stopping; requires a non-empty val range).
-  size_t patience = 1;
-  StopMetric stop_metric = StopMetric::kLogLoss;
-  bool verbose = false;
-  /// Same role as TrainOptions::pipeline.
-  bool pipeline = true;
+/// Options for TrainModelStreamed: the epoch-loop options of TrainModel
+/// (epochs, batch_size, seed, patience, stop_metric, verbose, report) plus
+/// the streaming ones below.
+struct StreamTrainOptions : TrainOptions {
   /// Contiguous split fractions over the shard directory's rows. test is
   /// the remainder; val (and test) may be empty.
   double train_frac = 0.7;
@@ -47,8 +39,6 @@ struct StreamTrainOptions {
   size_t window_blocks = 8;
   size_t block_rows = 0;  // 0 = the manifest's rows_per_shard
   size_t eval_batch_size = 2048;
-  /// Optional report ticked at quiescent points (see TrainOptions).
-  obs::RunReport* report = nullptr;
 };
 
 /// Sequential streamed evaluation over global rows [begin, end):

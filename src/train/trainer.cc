@@ -1,13 +1,11 @@
 #include "train/trainer.h"
 
 #include <cstring>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "metrics/metrics.h"
-#include "obs/http_exporter.h"
 #include "obs/registry.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
@@ -87,6 +85,41 @@ EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
 
 namespace internal {
 
+EpochTelemetry TrainEpoch(PipelinedTrainExecutor* executor,
+                          BatchSource* batches, size_t epoch,
+                          const std::function<void()>& on_step,
+                          size_t* rows) {
+  OPTINTER_TRACE_SPAN("train_epoch");
+  Stopwatch epoch_timer;
+  batches->StartEpoch();
+  const PipelinedTrainExecutor::EpochStats stats =
+      executor->RunEpoch(batches, on_step);
+  EpochTelemetry et;
+  et.epoch = epoch;
+  et.train_seconds = epoch_timer.Elapsed();
+  et.train_rows_per_sec =
+      et.train_seconds > 0.0
+          ? static_cast<double>(stats.rows) / et.train_seconds
+          : 0.0;
+  et.mean_train_loss =
+      stats.batches > 0
+          ? stats.loss_sum / static_cast<double>(stats.batches)
+          : 0.0;
+  if (rows != nullptr) *rows = stats.rows;
+  return et;
+}
+
+void SumEpochTelemetry(TrainTelemetry* telemetry) {
+  double seconds = 0.0;
+  double rows = 0.0;
+  for (const EpochTelemetry& et : telemetry->epochs) {
+    seconds += et.train_seconds;
+    rows += et.train_rows_per_sec * et.train_seconds;
+  }
+  telemetry->train_seconds_total = seconds;
+  if (seconds > 0.0) telemetry->train_rows_per_sec = rows / seconds;
+}
+
 Result<TrainSummary> RunEpochLoop(CtrModel* model, BatchSource* batches,
                                   const std::function<Status()>& batches_status,
                                   const EvalFn& eval_val,
@@ -110,61 +143,23 @@ Result<TrainSummary> RunEpochLoop(CtrModel* model, BatchSource* batches,
   bool have_snapshot = false;
   // One executor for the whole run so workspace capacity persists across
   // epochs (only the first epoch's first steps may allocate).
-  std::unique_ptr<PipelinedTrainExecutor> executor;
-  if (options.pipeline) {
-    executor = std::make_unique<PipelinedTrainExecutor>(model);
-  }
+  PipelinedTrainExecutor executor(model);
   auto tick_report = [&] {
     if (options.report != nullptr) options.report->MaybeWriteEvery();
   };
 
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    Stopwatch epoch_timer;
-    batches->StartEpoch();
-    double loss_sum = 0.0;
-    size_t steps = 0;
     size_t rows_seen = 0;
-    {
-      OPTINTER_TRACE_SPAN("train_epoch");
-      if (executor) {
-        const PipelinedTrainExecutor::EpochStats stats =
-            executor->RunEpoch(batches, tick_report);
-        loss_sum = stats.loss_sum;
-        steps = stats.batches;
-        rows_seen = stats.rows;
-      } else {
-        for (;;) {
-          Batch b = batches->Next();
-          if (b.size == 0) break;
-          {
-            OPTINTER_TRACE_SPAN("train_step");
-            loss_sum += model->TrainStep(b);
-          }
-          rows_seen += b.size;
-          ++steps;
-          tick_report();
-        }
-      }
-    }
+    EpochTelemetry et =
+        TrainEpoch(&executor, batches, epoch, tick_report, &rows_seen);
     // An empty batch ends the epoch both at exhaustion and on a data
     // error; only the status tells them apart. Fail the run rather than
     // report metrics from a silently shortened epoch.
     if (batches_status) OPTINTER_RETURN_NOT_OK(batches_status());
     TrainRowsCounter()->Add(rows_seen);
-    const double mean_loss =
-        steps > 0 ? loss_sum / static_cast<double>(steps) : 0.0;
+    const double mean_loss = et.mean_train_loss;
     summary.epoch_train_losses.push_back(mean_loss);
     ++summary.epochs_run;
-
-    EpochTelemetry et;
-    et.epoch = epoch;
-    et.train_seconds = epoch_timer.Elapsed();
-    et.train_rows_per_sec =
-        et.train_seconds > 0.0
-            ? static_cast<double>(rows_seen) / et.train_seconds
-            : 0.0;
-    et.mean_train_loss = mean_loss;
-    telemetry.train_seconds_total += et.train_seconds;
 
     bool stop = false;
     if (has_val) {
@@ -229,14 +224,7 @@ Result<TrainSummary> RunEpochLoop(CtrModel* model, BatchSource* batches,
     OPTINTER_ASSIGN_OR_RETURN(summary.final_test, eval_test());
     telemetry.eval_seconds_total += eval_timer.Elapsed();
   }
-  if (telemetry.train_seconds_total > 0.0) {
-    double rows_total = 0.0;
-    for (const EpochTelemetry& et : telemetry.epochs) {
-      rows_total += et.train_rows_per_sec * et.train_seconds;
-    }
-    telemetry.train_rows_per_sec =
-        rows_total / telemetry.train_seconds_total;
-  }
+  SumEpochTelemetry(&telemetry);
   summary.seconds = timer.Elapsed();
   return summary;
 }
@@ -246,23 +234,6 @@ Result<TrainSummary> RunEpochLoop(CtrModel* model, BatchSource* batches,
 TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
                         const Splits& splits, const TrainOptions& options) {
   CHECK(!splits.train.empty());
-  // Optional live scrape endpoint for the duration of the run. Failure to
-  // bind must never abort training.
-  std::unique_ptr<obs::HttpExporter> metrics_exporter;
-  if (options.metrics_port >= 0) {
-    obs::HttpExporterOptions exporter_options;
-    exporter_options.port = options.metrics_port;
-    metrics_exporter =
-        std::make_unique<obs::HttpExporter>(std::move(exporter_options));
-    std::string error;
-    if (!metrics_exporter->Start(&error)) {
-      LOG_WARNING() << "metrics exporter disabled: " << error;
-      metrics_exporter.reset();
-    } else if (options.verbose) {
-      LOG_INFO() << "metrics exporter on 127.0.0.1:"
-                 << metrics_exporter->port();
-    }
-  }
   Batcher batcher(&data, splits.train, options.batch_size, options.seed);
   auto eval_rows = [model, &data](const std::vector<size_t>& rows) {
     return [model, &data, &rows]() -> Result<EvalMetrics> {

@@ -639,54 +639,118 @@ TEST(GradCheckParallelTest, TieredScatterAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined executor vs the serial training loop
+// Pipelined executor vs a serial TrainStep loop
 // ---------------------------------------------------------------------------
 
-// The pipelined TrainModel path must produce bit-for-bit the weights and
-// predictions of the serial loop, at every thread count — the executor only
-// moves PrepareBatch onto the pool, never the math.
+// TrainModel steps every epoch through the pipelined executor; at every
+// thread count it must train bit-for-bit what a hand-written TrainStep loop
+// over the same batch stream trains at 1 thread — the executor only moves
+// PrepareBatch onto the pool, never the math. Train split only, so no
+// best-epoch snapshot is restored and the loop below is the whole run.
 TEST(DeterminismTest, PipelinedTrainModelMatchesSerialAcrossThreadCounts) {
   PoolGuard guard;
   const auto& p = SharedTinyData();
-  auto run = [&](size_t threads, bool pipeline) {
+  constexpr size_t kEpochs = 2;
+  constexpr size_t kBatch = 1024;  // crosses the GEMM / scatter thresholds
+  constexpr uint64_t kSeed = 123;
+  const Batch head = HeadBatch(p, 256);
+
+  ThreadPool::SetGlobalThreads(1);
+  FixedArchModel serial(p.data, MixedArch(p.data.num_pairs()), TinyHp(),
+                        "pipe");
+  Batcher batcher(&p.data, p.splits.train, kBatch, kSeed);
+  for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
+    batcher.StartEpoch();
+    for (Batch b = batcher.Next(); b.size != 0; b = batcher.Next()) {
+      serial.TrainStep(b);
+    }
+  }
+  const std::vector<float> ref = SnapshotModel(&serial, head);
+
+  Splits train_only;
+  train_only.train = p.splits.train;
+  for (size_t threads : {1u, 2u, 8u}) {
     ThreadPool::SetGlobalThreads(threads);
     FixedArchModel model(p.data, MixedArch(p.data.num_pairs()), TinyHp(),
                          "pipe");
     TrainOptions opts;
-    opts.epochs = 2;
-    opts.batch_size = 1024;  // crosses the GEMM / scatter thresholds
-    opts.seed = 123;
-    opts.pipeline = pipeline;
-    TrainModel(&model, p.data, p.splits, opts);
-    return SnapshotModel(&model, HeadBatch(p, 256));
-  };
-  const std::vector<float> ref = run(1, /*pipeline=*/false);
-  for (size_t threads : {1u, 2u, 8u}) {
-    ExpectBitIdentical(run(threads, /*pipeline=*/true), ref, threads);
+    opts.epochs = kEpochs;
+    opts.batch_size = kBatch;
+    opts.seed = kSeed;
+    TrainModel(&model, p.data, train_only, opts);
+    ExpectBitIdentical(SnapshotModel(&model, head), ref, threads);
   }
 }
 
-// Same contract for the search stage: the Gumbel noise stream is consumed
-// inside ForwardBackward in batch order, so pipelining must not move it.
-TEST(DeterminismTest, PipelinedSearchStageMatchesSerialAcrossThreadCounts) {
+// The search stage's serial reference: the same annealed temperature per
+// epoch and the same train batch stream as RunSearchStage, stepped with
+// TrainStep; in bi-level mode each TrainStep is followed by ArchStep on
+// the next validation batch (restarting that batcher when it runs dry),
+// with RunSearchStage's validation seed. Returns the arch and the
+// search-model val/test metrics.
+SearchResult SerialSearchStage(const testing::PreparedData& p,
+                               const HyperParams& hp, UpdateMode mode,
+                               size_t epochs) {
+  SearchModel model(p.data, hp, mode);
+  Batcher batcher(&p.data, p.splits.train, hp.batch_size, hp.seed);
+  Batcher arch_batcher(&p.data, p.splits.val, hp.batch_size,
+                       hp.seed ^ 0xa5c3ULL);
+  arch_batcher.StartEpoch();
+  for (size_t epoch = 0; epoch < epochs; ++epoch) {
+    model.SetTemperature(AnnealedTemperature(hp, epoch, epochs));
+    batcher.StartEpoch();
+    for (Batch b = batcher.Next(); b.size != 0; b = batcher.Next()) {
+      model.TrainStep(b);
+      if (mode != UpdateMode::kBilevel) continue;
+      Batch vb = arch_batcher.Next();
+      if (vb.size == 0) {
+        arch_batcher.StartEpoch();
+        vb = arch_batcher.Next();
+      }
+      model.ArchStep(vb);
+    }
+  }
+  SearchResult r;
+  r.arch = model.ExtractArchitecture();
+  r.search_val = EvaluateModel(&model, p.data, p.splits.val);
+  r.search_test = EvaluateModel(&model, p.data, p.splits.test);
+  return r;
+}
+
+// RunSearchStage at 1/2/8 pool threads against the 1-thread serial
+// reference: the same arch and bit-identical val/test AUC and log loss.
+void ExpectSearchStageMatchesSerial(UpdateMode mode, size_t epochs) {
   PoolGuard guard;
   const auto& p = SharedTinyData();
-  auto run = [&](size_t threads, bool pipeline) {
+  ASSERT_FALSE(p.splits.val.empty());
+  ThreadPool::SetGlobalThreads(1);
+  const SearchResult ref = SerialSearchStage(p, TinyHp(), mode, epochs);
+  for (size_t threads : {1u, 2u, 8u}) {
     ThreadPool::SetGlobalThreads(threads);
     SearchOptions opts;
-    opts.search_epochs = 1;
-    opts.pipeline = pipeline;
-    return RunSearchStage(p.data, p.splits, TinyHp(), opts);
-  };
-  const SearchResult ref = run(1, /*pipeline=*/false);
-  for (size_t threads : {1u, 2u, 8u}) {
-    const SearchResult got = run(threads, /*pipeline=*/true);
+    opts.search_epochs = epochs;
+    opts.mode = mode;
+    const SearchResult got = RunSearchStage(p.data, p.splits, TinyHp(), opts);
     EXPECT_TRUE(got.arch == ref.arch) << threads << " threads";
     EXPECT_EQ(got.search_val.auc, ref.search_val.auc) << threads;
     EXPECT_EQ(got.search_val.logloss, ref.search_val.logloss) << threads;
     EXPECT_EQ(got.search_test.auc, ref.search_test.auc) << threads;
     EXPECT_EQ(got.search_test.logloss, ref.search_test.logloss) << threads;
   }
+}
+
+// Joint search: the Gumbel noise stream is consumed inside ForwardBackward
+// in batch order, so pipelining must not move it.
+TEST(DeterminismTest, PipelinedSearchStageMatchesSerialAcrossThreadCounts) {
+  ExpectSearchStageMatchesSerial(UpdateMode::kJoint, /*epochs=*/1);
+}
+
+// Bi-level search: ArchStep runs from the executor's quiescent-point hook,
+// after the next train batch's prefetch is joined, so TrainStep(b_t),
+// ArchStep(vb_t) keep their serial order and the Gumbel draws with them.
+// Two epochs exercise the annealed temperature between them.
+TEST(DeterminismTest, PipelinedBilevelSearchStageMatchesSerialAcrossThreadCounts) {
+  ExpectSearchStageMatchesSerial(UpdateMode::kBilevel, /*epochs=*/2);
 }
 
 // Pipelined TSan workload: prefetched PrepareBatch tasks overlap the

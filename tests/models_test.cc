@@ -152,7 +152,6 @@ TEST_P(ZooModelTest, PipelinedTrainModelMatchesSerialStepLoopBitwise) {
   opts.epochs = kEpochs;
   opts.batch_size = kBatch;
   opts.seed = kSeed;
-  opts.pipeline = true;
   TrainModel(piped->get(), p.data, train_only, opts);
 
   const std::vector<float> want = FlatState(serial->get());

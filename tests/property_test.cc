@@ -67,7 +67,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{16, 16, 16}, GemmShape{33, 65, 17},
                       GemmShape{128, 64, 96}),
     [](const auto& info) {
-      return "m" + std::to_string(info.param.m) + "k" +
+      return std::string("m") + std::to_string(info.param.m) + "k" +
              std::to_string(info.param.k) + "n" +
              std::to_string(info.param.n);
     });

@@ -223,7 +223,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmTNShape{2048, 256, 64}  // above parallel cutoff
                       ),
     [](const auto& info) {
-      return "m" + std::to_string(info.param.m) + "k" +
+      return std::string("m") + std::to_string(info.param.m) + "k" +
              std::to_string(info.param.k) + "n" +
              std::to_string(info.param.n);
     });

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <new>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -34,7 +36,12 @@
 // aligned overloads are replaced too: Tensor storage and the kernel packing
 // buffers allocate through AlignedAllocator (tensor/aligned.h), which calls
 // operator new(size_t, align_val_t) — without these hooks the contract
-// would silently stop covering every tensor buffer in the model.
+// would silently stop covering every tensor buffer in the model. The
+// std::nothrow_t forms are replaced as well, so every operator new this
+// binary can reach pairs with the replaced operator delete: a temporary
+// buffer (std::stable_sort, std::inplace_merge) is taken with nothrow new
+// and returned through plain delete, which a sanitizer reports as an
+// alloc/dealloc mismatch when only one side is replaced.
 // --------------------------------------------------------------------------
 
 namespace {
@@ -50,16 +57,27 @@ void* CountedAlloc(std::size_t size, std::size_t align) {
                               seen, size, std::memory_order_relaxed)) {
     }
   }
-  void* p = align == 0 ? std::malloc(size)
-                       : std::aligned_alloc(align, (size + align - 1) /
-                                                       align * align);
+  return align == 0 ? std::malloc(size)
+                    : std::aligned_alloc(align, (size + align - 1) /
+                                                    align * align);
+}
+
+void* CountedAllocOrThrow(std::size_t size, std::size_t align) {
+  void* p = CountedAlloc(size, align);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 }  // namespace
 
-void* operator new(std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new(std::size_t size) { return CountedAllocOrThrow(size, 0); }
 void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAllocOrThrow(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
   return CountedAlloc(size, static_cast<std::size_t>(align));
 }
 
@@ -67,6 +85,11 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -100,6 +123,30 @@ size_t CountSteadyStateAllocs(CtrModel* model, const Batch& batch,
   for (int i = 0; i < steps; ++i) model->TrainStep(batch);
   g_count_allocs.store(false);
   return g_alloc_events.load();
+}
+
+// std::stable_sort takes a temporary buffer with nothrow new and frees it
+// with plain delete; both must reach the counted allocator, or a sanitizer
+// build aborts here with an alloc/dealloc mismatch.
+TEST(CountedAllocatorTest, StableSortTemporaryBufferIsCountedAndFreed) {
+  std::vector<std::pair<int, int>> v(4096);
+  Rng rng(5);
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = {static_cast<int>(rng.UniformInt(16)), static_cast<int>(i)};
+  }
+  g_alloc_events.store(0);
+  g_count_allocs.store(true);
+  std::stable_sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  g_count_allocs.store(false);
+  EXPECT_GE(g_alloc_events.load(), 1u) << "no temporary buffer was taken";
+  for (size_t i = 1; i < v.size(); ++i) {
+    ASSERT_TRUE(v[i - 1].first < v[i].first ||
+                (v[i - 1].first == v[i].first &&
+                 v[i - 1].second < v[i].second))
+        << "not a stable sort at " << i;
+  }
 }
 
 // --------------------------------------------------------------------------
