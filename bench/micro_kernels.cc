@@ -19,6 +19,7 @@
 
 #include "common/rng.h"
 #include "metrics/metrics.h"
+#include "models/prepared_batch.h"
 #include "nn/embedding.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
@@ -335,6 +336,8 @@ void BM_EmbeddingGather(benchmark::State& state) {
 }
 BENCHMARK(BM_EmbeddingGather)->Arg(512)->Arg(4096);
 
+// One training step's sparse update of a table, as the embedding layers
+// run it: id dedup (PrepareTableIds), the slot scatter, then sparse Adam.
 void BM_SparseAdamStep(benchmark::State& state) {
   const size_t vocab = 100000;
   const size_t dim = 16;
@@ -342,13 +345,20 @@ void BM_SparseAdamStep(benchmark::State& state) {
   Rng rng(1);
   EmbeddingTable table("bench", vocab, dim, 1e-3f, 1e-6f);
   table.Init(&rng);
-  std::vector<float> grad(dim, 0.01f);
+  Tensor grad({batch, dim});
+  grad.Fill(0.01f);
+  std::vector<int32_t> ids(batch);
+  IdDedupScratch dedup;
+  PreparedTable pt;
   for (auto _ : state) {
-    for (size_t k = 0; k < batch; ++k) {
-      table.AccumulateGrad(static_cast<int32_t>(rng.UniformInt(vocab)),
-                           grad.data());
+    for (auto& id : ids) id = static_cast<int32_t>(rng.UniformInt(vocab));
+    PrepareTableIds(table, batch, [&](size_t k) { return ids[k]; }, &dedup,
+                    &pt);
+    table.BeginPreparedScatter(pt.unique_rows.data(), pt.unique_rows.size());
+    for (size_t shard = 0; shard < EmbeddingTable::kGradShards; ++shard) {
+      ScatterPreparedBucket(pt, shard, grad, 0, &table);
     }
-    table.SparseAdamStep();
+    table.SparseAdamStepPrepared();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
   SetRateCounters(state, 12.0 * static_cast<double>(batch * dim),

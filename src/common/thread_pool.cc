@@ -23,10 +23,9 @@ std::mutex& GlobalPoolMutex() {
 
 size_t DefaultGlobalThreads() {
   if (const char* env = std::getenv("OPTINTER_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) return static_cast<size_t>(v);
-    LOG_WARNING() << "ignoring invalid OPTINTER_THREADS='" << env << "'";
+    if (const size_t v = ParseThreadsEnv(env); v != 0) return v;
+    LOG_WARNING() << "ignoring OPTINTER_THREADS='" << env
+                  << "': not an integer in [1, " << kMaxEnvThreads << "]";
   }
   size_t n = std::thread::hardware_concurrency();
   if (n == 0) n = 4;
@@ -53,6 +52,16 @@ obs::Histogram* QueueWaitHistogram() {
   return h;
 }
 }  // namespace
+
+size_t ParseThreadsEnv(const char* text) {
+  // strtoll saturates out-of-range input, which the bounds then refuse.
+  char* end = nullptr;
+  const long long v = std::strtoll(text, &end, 10);
+  const bool whole = end != text && *end == '\0';
+  return whole && v >= 1 && v <= static_cast<long long>(kMaxEnvThreads)
+             ? static_cast<size_t>(v)
+             : 0;
+}
 
 ThreadPool::ThreadPool(size_t num_threads) {
   CHECK_GE(num_threads, 1u);

@@ -68,6 +68,15 @@ class TaskGroup {
 /// A fixed pool of worker threads executing queued tasks.
 ///
 /// Thread-safe. Destruction drains the queue and joins all workers.
+/// Largest OPTINTER_THREADS value honored. The pool starts one OS thread
+/// per worker, so a larger value (a typo, usually) would exhaust thread
+/// ids long before it sped anything up.
+inline constexpr size_t kMaxEnvThreads = 1024;
+
+/// Parses an OPTINTER_THREADS value: the whole string must be a decimal
+/// integer in [1, kMaxEnvThreads]. Returns 0 for anything else.
+size_t ParseThreadsEnv(const char* text);
+
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (>= 1).
@@ -89,8 +98,8 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
 
   /// Process-wide default pool. Sized from the OPTINTER_THREADS
-  /// environment variable when set (>= 1), otherwise the hardware
-  /// concurrency.
+  /// environment variable when it parses (ParseThreadsEnv), otherwise the
+  /// hardware concurrency.
   static ThreadPool& Global();
 
   /// Replaces the global pool with one of `num_threads` workers. The old

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/thread_pool.h"
+#include "core/interaction_layout.h"
 #include "obs/trace.h"
 #include "nn/init.h"
 #include "nn/layers.h"
@@ -138,7 +139,7 @@ void SearchModel::AssembleForward(size_t b, const std::vector<float>& probs,
   {
     OPTINTER_TRACE_SPAN("z_assemble");
     // Rows write disjoint z rows → bit-identical to the serial loop.
-    if (b * (emb_cols + num_pairs * db_) >= (1u << 15)) {
+    if (b * (emb_cols + num_pairs * db_) >= kParallelAssembleFloats) {
       ParallelForChunks(0, b, assemble, /*min_chunk=*/32);
     } else {
       assemble(0, b);
@@ -226,7 +227,7 @@ float SearchModel::ForwardBackward(const PreparedBatch& prep) {
   {
     OPTINTER_TRACE_SPAN("interaction_bwd");
     const FixedChunks grid = MakeFixedChunks(b, /*min_chunk=*/32);
-    if (b * (emb_cols + num_pairs * db_) >= (1u << 15) && grid.count > 1) {
+    if (b * (emb_cols + num_pairs * db_) >= kParallelAssembleFloats && grid.count > 1) {
       // Per-chunk dp partials merged in chunk order: the fixed grid keeps
       // the summation tree independent of the thread count.
       const size_t stride = num_pairs * k;

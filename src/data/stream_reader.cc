@@ -343,6 +343,9 @@ void StreamingBatcher::Init(size_t total_rows, const Options& options) {
   CHECK_LE(begin_, end_);
   CHECK_LE(end_, total_rows);
   CHECK_GT(options.batch_size, 0u);
+  CHECK(options.order != Order::kWindowShuffle || options.window_blocks > 0)
+      << "StreamingBatcher: Options::window_blocks must be >= 1 for "
+         "Order::kWindowShuffle (got 0)";
   options_ = options;
   options_.prefetch_batches = std::max<size_t>(1, options.prefetch_batches);
   block_rows_ = options.block_rows;

@@ -1,7 +1,5 @@
 #include "models/cross_embedding.h"
 
-#include <cstring>
-
 #include "common/thread_pool.h"
 #include "models/backend_resolve.h"
 #include "obs/trace.h"
@@ -79,26 +77,34 @@ CrossIds CrossEmbedding::Ids(const EncodedDataset& data) const {
   return ids;
 }
 
-void CrossEmbedding::Gather(const Batch& batch, Tensor* out) const {
-  OPTINTER_TRACE_SPAN(NamesOf(kind_).gather_span);
-  const CrossIds ids = Ids(*batch.data);
+template <typename IdOf>
+void CrossEmbedding::GatherRows(size_t batch_size, IdOf&& id_of,
+                                Tensor* out) const {
   // CopyRow writes whole rows, so every element of out is written.
-  out->ResizeForOverwrite({batch.size, output_dim()});
+  out->ResizeForOverwrite({batch_size, output_dim()});
   auto gather = [&](size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       float* dst = out->row(k);
       for (size_t t = 0; t < columns_.size(); ++t) {
-        tables_[t]->CopyRow(ids.at(batch.rows[k], columns_[t]),
-                            dst + t * dim_);
+        tables_[t]->CopyRow(id_of(k, t), dst + t * dim_);
       }
     }
   };
   // Disjoint per-row writes: fan-out is bit-identical to the serial loop.
-  if (batch.size * output_dim() >= (1u << 15)) {
-    ParallelForChunks(0, batch.size, gather, /*min_chunk=*/64);
+  if (batch_size * output_dim() >= kParallelEmbeddingFloats) {
+    ParallelForChunks(0, batch_size, gather, /*min_chunk=*/64);
   } else {
-    gather(0, batch.size);
+    gather(0, batch_size);
   }
+}
+
+void CrossEmbedding::Gather(const Batch& batch, Tensor* out) const {
+  OPTINTER_TRACE_SPAN(NamesOf(kind_).gather_span);
+  const CrossIds ids = Ids(*batch.data);
+  GatherRows(
+      batch.size,
+      [&](size_t k, size_t t) { return ids.at(batch.rows[k], columns_[t]); },
+      out);
 }
 
 void CrossEmbedding::Prepare(const Batch& batch, IdDedupScratch* dedup,
@@ -121,20 +127,8 @@ void CrossEmbedding::ForwardPrepared(const std::vector<PreparedTable>& tables,
                                      size_t batch_size, Tensor* out) {
   OPTINTER_TRACE_SPAN(NamesOf(kind_).gather_span);
   CHECK_EQ(tables.size(), columns_.size());
-  out->Resize({batch_size, output_dim()});
-  auto gather = [&](size_t lo, size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      float* dst = out->row(k);
-      for (size_t t = 0; t < columns_.size(); ++t) {
-        tables_[t]->CopyRow(tables[t].ids[k], dst + t * dim_);
-      }
-    }
-  };
-  if (batch_size * output_dim() >= (1u << 15)) {
-    ParallelForChunks(0, batch_size, gather, /*min_chunk=*/64);
-  } else {
-    gather(0, batch_size);
-  }
+  GatherRows(
+      batch_size, [&](size_t k, size_t t) { return tables[t].ids[k]; }, out);
   for (size_t t = 0; t < columns_.size(); ++t) {
     tables_[t]->BeginPreparedScatter(tables[t].unique_rows.data(),
                                      tables[t].unique_rows.size());
@@ -146,39 +140,12 @@ void CrossEmbedding::BackwardPrepared(
   OPTINTER_TRACE_SPAN(NamesOf(kind_).scatter_span);
   CHECK_EQ(tables.size(), columns_.size());
   CHECK_EQ(d_out.cols(), output_dim());
-  // One bucket per (table, backing-row shard). Each bucket walks its rows
-  // in ascending order, so every backing row accumulates in the serial
-  // row order — bit for bit at any thread count — and distinct buckets
-  // never share a gradient slot.
-  auto scatter_bucket = [&](size_t t, size_t shard) {
-    EmbeddingTable& table = *tables_[t];
-    const PreparedTable& pt = tables[t];
-    for (const int32_t k : pt.shard_rows[shard]) {
-      table.AccumulatePreparedGradPrimary(
-          static_cast<size_t>(pt.slots[k]), pt.ids[static_cast<size_t>(k)],
-          d_out.row(static_cast<size_t>(k)) + t * dim_);
-    }
-    if (table.HasSecondary()) {
-      for (const int32_t k : pt.shard_rows2[shard]) {
-        table.AccumulatePreparedGradSecondary(
-            static_cast<size_t>(pt.slots2[k]),
-            pt.ids[static_cast<size_t>(k)],
-            d_out.row(static_cast<size_t>(k)) + t * dim_);
-      }
-    }
-  };
-  const size_t num_buckets = columns_.size() * EmbeddingTable::kGradShards;
-  auto run_buckets = [&](size_t lo, size_t hi) {
-    for (size_t b = lo; b < hi; ++b) {
-      scatter_bucket(b / EmbeddingTable::kGradShards,
-                     b % EmbeddingTable::kGradShards);
-    }
-  };
-  if (d_out.size() >= (1u << 15) && num_buckets > 1) {
-    ParallelForChunks(0, num_buckets, run_buckets, /*min_chunk=*/1);
-  } else {
-    run_buckets(0, num_buckets);
-  }
+  // One bucket per (table, backing-row shard); see ScatterPreparedBucket.
+  RunScatterBuckets(columns_.size(), d_out.size(),
+                    [&](size_t t, size_t shard) {
+                      ScatterPreparedBucket(tables[t], shard, d_out, t * dim_,
+                                            tables_[t].get());
+                    });
 }
 
 void CrossEmbedding::StepPrepared(const AdamConfig& config) {

@@ -97,6 +97,11 @@ class CrossEmbedding {
   const EmbeddingTable& table(size_t k) const { return *tables_[k]; }
 
  private:
+  // The one row-gather body behind Gather and ForwardPrepared, which
+  // differ only in where they read row k's id of block t (id_of(k, t)).
+  template <typename IdOf>
+  void GatherRows(size_t batch_size, IdOf&& id_of, Tensor* out) const;
+
   CrossKind kind_;
   size_t width_;  // id columns per row in the construction dataset
   std::vector<size_t> columns_;

@@ -1,18 +1,10 @@
 #include "models/feature_embedding.h"
 
-#include <cstring>
-
 #include "common/thread_pool.h"
 #include "models/backend_resolve.h"
 #include "obs/trace.h"
 
 namespace optinter {
-
-namespace {
-// Rows × floats below which the gather loops stay serial; gathers are
-// memory-bound, so only sizeable batches amortize the pool handoff.
-constexpr size_t kParallelGatherFloats = 1u << 15;
-}  // namespace
 
 FeatureEmbedding::FeatureEmbedding(const EncodedDataset& data, size_t dim,
                                    float lr, float l2, Rng* rng,
@@ -38,6 +30,34 @@ FeatureEmbedding::FeatureEmbedding(const EncodedDataset& data, size_t dim,
   }
 }
 
+template <typename CatId, typename ContValue>
+void FeatureEmbedding::GatherRows(size_t batch_size, CatId&& cat_id,
+                                  ContValue&& cont_value, Tensor* out) const {
+  const size_t num_cat = cat_tables_.size();
+  const size_t num_cont = cont_tables_.size();
+  // Each row gets every categorical and continuous block in full, so
+  // every element of out is written.
+  out->ResizeForOverwrite({batch_size, output_dim()});
+  auto gather = [&](size_t lo, size_t hi) {
+    for (size_t k = lo; k < hi; ++k) {
+      float* dst = out->row(k);
+      for (size_t f = 0; f < num_cat; ++f) {
+        cat_tables_[f]->CopyRow(cat_id(k, f), dst + f * dim_);
+      }
+      for (size_t f = 0; f < num_cont; ++f) {
+        ContinuousRow(f, cont_value(k, f), dst + (num_cat + f) * dim_);
+      }
+    }
+  };
+  // Rows write disjoint output ranges, so the fan-out is bit-identical to
+  // the serial loop.
+  if (batch_size * output_dim() >= kParallelEmbeddingFloats) {
+    ParallelForChunks(0, batch_size, gather, /*min_chunk=*/64);
+  } else {
+    gather(0, batch_size);
+  }
+}
+
 void FeatureEmbedding::Gather(const Batch& batch, Tensor* out) const {
   OPTINTER_TRACE_SPAN("embedding_gather");
   // Inference may read any schema-compatible dataset (e.g. the serving
@@ -45,30 +65,10 @@ void FeatureEmbedding::Gather(const Batch& batch, Tensor* out) const {
   // ids must come from the same encoder so the vocabularies line up.
   const EncodedDataset& data = *batch.data;
   CheckSchema(data);
-  const size_t num_cat = cat_tables_.size();
-  const size_t num_cont = cont_tables_.size();
-  // Each row gets every categorical and continuous block in full, so
-  // every element of out is written.
-  out->ResizeForOverwrite({batch.size, output_dim()});
-  auto gather = [&](size_t lo, size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      const size_t r = batch.rows[k];
-      float* dst = out->row(k);
-      for (size_t f = 0; f < num_cat; ++f) {
-        cat_tables_[f]->CopyRow(data.cat(r, f), dst + f * dim_);
-      }
-      for (size_t f = 0; f < num_cont; ++f) {
-        ContinuousRow(f, data.cont(r, f), dst + (num_cat + f) * dim_);
-      }
-    }
-  };
-  // Rows write disjoint output ranges, so the fan-out is bit-identical to
-  // the serial loop.
-  if (batch.size * output_dim() >= kParallelGatherFloats) {
-    ParallelForChunks(0, batch.size, gather, /*min_chunk=*/64);
-  } else {
-    gather(0, batch.size);
-  }
+  GatherRows(
+      batch.size,
+      [&](size_t k, size_t f) { return data.cat(batch.rows[k], f); },
+      [&](size_t k, size_t f) { return data.cont(batch.rows[k], f); }, out);
 }
 
 void FeatureEmbedding::CheckSchema(const EncodedDataset& data) const {
@@ -117,25 +117,9 @@ void FeatureEmbedding::ForwardPrepared(const PreparedBatch& prep,
   const size_t num_cat = cat_tables_.size();
   const size_t num_cont = cont_tables_.size();
   CHECK_EQ(cat.size(), num_cat);
-  const size_t batch_size = prep.size;
-  out->Resize({batch_size, output_dim()});
-  auto gather = [&](size_t lo, size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      float* dst = out->row(k);
-      for (size_t f = 0; f < num_cat; ++f) {
-        cat_tables_[f]->CopyRow(cat[f].ids[k], dst + f * dim_);
-      }
-      for (size_t f = 0; f < num_cont; ++f) {
-        ContinuousRow(f, prep.cont[k * num_cont + f],
-                      dst + (num_cat + f) * dim_);
-      }
-    }
-  };
-  if (batch_size * output_dim() >= kParallelGatherFloats) {
-    ParallelForChunks(0, batch_size, gather, /*min_chunk=*/64);
-  } else {
-    gather(0, batch_size);
-  }
+  GatherRows(
+      prep.size, [&](size_t k, size_t f) { return cat[f].ids[k]; },
+      [&](size_t k, size_t f) { return prep.cont[k * num_cont + f]; }, out);
   // Arm the slot-addressed scatters for BackwardPrepared.
   for (size_t f = 0; f < num_cat; ++f) {
     cat_tables_[f]->BeginPreparedScatter(cat[f].unique_rows.data(),
@@ -153,53 +137,25 @@ void FeatureEmbedding::BackwardPrepared(
   const size_t num_cont = cont_tables_.size();
   CHECK_EQ(d_out.rows(), prep.size);
   CHECK_EQ(d_out.cols(), output_dim());
-  // One scatter bucket per (table, backing-row shard). Buckets own
-  // disjoint gradient slots, so they run concurrently without locks; rows
-  // come pre-bucketed from PrepareBatch in ascending order, so every
-  // backing row accumulates in the serial row order — bit for bit at any
-  // thread count. QR tables have a second row list (shard_rows2) for the
-  // remainder-factor rows, which live in their own backing range.
-  auto scatter_bucket = [&](size_t f, size_t shard) {
-    if (f < num_cat) {
-      EmbeddingTable& table = *cat_tables_[f];
-      const PreparedTable& pt = cat[f];
-      for (const int32_t k : pt.shard_rows[shard]) {
-        table.AccumulatePreparedGradPrimary(
-            static_cast<size_t>(pt.slots[k]), pt.ids[static_cast<size_t>(k)],
-            d_out.row(static_cast<size_t>(k)) + f * dim_);
-      }
-      if (table.HasSecondary()) {
-        for (const int32_t k : pt.shard_rows2[shard]) {
-          table.AccumulatePreparedGradSecondary(
-              static_cast<size_t>(pt.slots2[k]),
-              pt.ids[static_cast<size_t>(k)],
-              d_out.row(static_cast<size_t>(k)) + f * dim_);
+  // One scatter bucket per (table, backing-row shard); see
+  // ScatterPreparedBucket for why this is bit-identical at any thread
+  // count.
+  RunScatterBuckets(
+      num_cat + num_cont, d_out.size(), [&](size_t f, size_t shard) {
+        if (f < num_cat) {
+          ScatterPreparedBucket(cat[f], shard, d_out, f * dim_,
+                                cat_tables_[f].get());
+          return;
         }
-      }
-    } else {
-      // Continuous tables have a single row: id 0, one shard.
-      if (shard != EmbeddingTable::ShardOf(0)) return;
-      const size_t fc = f - num_cat;
-      EmbeddingTable& table = *cont_tables_[fc];
-      for (size_t k = 0; k < prep.size; ++k) {
-        table.AccumulatePreparedGradScaled(0, d_out.row(k) + f * dim_,
-                                           prep.cont[k * num_cont + fc]);
-      }
-    }
-  };
-  const size_t num_buckets =
-      (num_cat + num_cont) * EmbeddingTable::kGradShards;
-  auto run_buckets = [&](size_t lo, size_t hi) {
-    for (size_t b = lo; b < hi; ++b) {
-      scatter_bucket(b / EmbeddingTable::kGradShards,
-                     b % EmbeddingTable::kGradShards);
-    }
-  };
-  if (d_out.size() >= kParallelGatherFloats && num_buckets > 1) {
-    ParallelForChunks(0, num_buckets, run_buckets, /*min_chunk=*/1);
-  } else {
-    run_buckets(0, num_buckets);
-  }
+        // Continuous tables have a single row: id 0, one shard.
+        if (shard != EmbeddingTable::ShardOf(0)) return;
+        const size_t fc = f - num_cat;
+        EmbeddingTable& table = *cont_tables_[fc];
+        for (size_t k = 0; k < prep.size; ++k) {
+          table.AccumulatePreparedGradScaled(0, d_out.row(k) + f * dim_,
+                                             prep.cont[k * num_cont + fc]);
+        }
+      });
 }
 
 void FeatureEmbedding::StepPrepared(const AdamConfig& config) {

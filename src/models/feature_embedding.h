@@ -106,6 +106,13 @@ class FeatureEmbedding {
   const EmbeddingTable& cont_table(size_t f) const { return *cont_tables_[f]; }
 
  private:
+  // The one row-gather body behind Gather and ForwardPrepared, which
+  // differ only in where they read row k's id of categorical field f
+  // (cat_id(k, f)) and its value of continuous field f (cont_value(k, f)).
+  template <typename CatId, typename ContValue>
+  void GatherRows(size_t batch_size, CatId&& cat_id, ContValue&& cont_value,
+                  Tensor* out) const;
+
   size_t dim_;
   std::vector<std::unique_ptr<EmbeddingTable>> cat_tables_;
   std::vector<std::unique_ptr<EmbeddingTable>> cont_tables_;

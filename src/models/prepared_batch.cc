@@ -18,4 +18,21 @@ size_t PreparedBatch::CapacityBytes() const {
   return total;
 }
 
+void ScatterPreparedBucket(const PreparedTable& pt, size_t shard,
+                           const Tensor& d_out, size_t col,
+                           EmbeddingTable* table) {
+  for (const int32_t k : pt.shard_rows[shard]) {
+    const size_t row = static_cast<size_t>(k);
+    table->AccumulatePreparedGradPrimary(static_cast<size_t>(pt.slots[row]),
+                                         pt.ids[row], d_out.row(row) + col);
+  }
+  if (!table->HasSecondary()) return;
+  for (const int32_t k : pt.shard_rows2[shard]) {
+    const size_t row = static_cast<size_t>(k);
+    table->AccumulatePreparedGradSecondary(
+        static_cast<size_t>(pt.slots2[row]), pt.ids[row],
+        d_out.row(row) + col);
+  }
+}
+
 }  // namespace optinter

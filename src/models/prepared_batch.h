@@ -18,8 +18,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "data/batch.h"
 #include "nn/embedding.h"
+#include "tensor/tensor.h"
 
 namespace optinter {
 
@@ -92,9 +94,9 @@ class IdDedupScratch {
 /// row: the primary (quotient) part through slots/shard_rows and the
 /// secondary (remainder) part through slots2/shard_rows2; Q- and R-space
 /// backing rows are disjoint, so the two streams never alias a slot.
-/// Shard buckets hold rows in ascending order, so a prepared scatter that
-/// walks one bucket accumulates every backing row's gradient in the same
-/// order as the serial row loop — bit for bit.
+/// Shard buckets hold rows in ascending order, so a scatter that walks a
+/// bucket (ScatterPreparedBucket) sums every backing row's gradient in
+/// batch-row order, whichever thread runs the bucket.
 struct PreparedTable {
   std::vector<int32_t> ids;          // [batch_size] logical id of row k
   std::vector<int32_t> slots;        // [batch_size] primary-part slot
@@ -145,6 +147,41 @@ void PrepareTableIds(const EmbeddingTable& table, size_t batch_size,
       pt->shard_rows2[EmbeddingTable::ShardOf(b2)].push_back(
           static_cast<int32_t>(k));
     }
+  }
+}
+
+/// Rows × floats below which the embedding layers' gathers and scatters
+/// stay serial: both are memory-bound, so only sizeable batches amortize
+/// the pool handoff.
+inline constexpr size_t kParallelEmbeddingFloats = 1u << 15;
+
+/// Scatters one (table, shard) bucket of d_out's column block
+/// [col, col + dim) into `table`'s prepared slots: the batch rows whose
+/// primary backing row lands in `shard`, then (QR) those whose secondary
+/// row does, each in ascending row order — so every backing row sums its
+/// contributions in batch-row order. Distinct shards own disjoint slots,
+/// so buckets may run concurrently.
+void ScatterPreparedBucket(const PreparedTable& pt, size_t shard,
+                           const Tensor& d_out, size_t col,
+                           EmbeddingTable* table);
+
+/// Calls scatter_bucket(t, shard) for every table t < num_tables and
+/// every gradient shard, fanned across the pool when the scattered
+/// gradient holds at least kParallelEmbeddingFloats floats. A bucket's
+/// result does not depend on which thread runs it, so the fan-out is
+/// bit-identical to the serial walk.
+template <typename BucketFn>
+void RunScatterBuckets(size_t num_tables, size_t grad_floats,
+                       BucketFn&& scatter_bucket) {
+  constexpr size_t kShards = EmbeddingTable::kGradShards;
+  const size_t num_buckets = num_tables * kShards;
+  auto run = [&](size_t lo, size_t hi) {
+    for (size_t b = lo; b < hi; ++b) scatter_bucket(b / kShards, b % kShards);
+  };
+  if (grad_floats >= kParallelEmbeddingFloats && num_buckets > 1) {
+    ParallelForChunks(0, num_buckets, run, /*min_chunk=*/1);
+  } else {
+    run(0, num_buckets);
   }
 }
 

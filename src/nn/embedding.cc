@@ -19,8 +19,7 @@ constexpr size_t kL = simd::kLanes;
 
 // One Adam row update over dim slots, vectorized. Rows are updated serially
 // (each touched backing row exactly once), so there is no chunk-boundary
-// concern — the helpers are shared by the shard and prepared paths so both
-// produce identical bits for identical accumulated gradients.
+// concern.
 inline void AdamUpdateRow(float* w, float* m, float* v, const float* g,
                           size_t dim, float lr, float l2, float b1, float b2,
                           float bc1, float bc2, float eps) {
@@ -57,24 +56,11 @@ inline void AdamUpdateRow(float* w, float* m, float* v, const float* g,
   }
 }
 
-// One SGD row update: w -= lr·(g + l2·w) as two fused muladds.
-inline void SgdUpdateRow(float* w, const float* g, size_t dim, float lr,
-                         float l2) {
-  const simd::VecF l2_v = simd::Set1(l2);
-  const simd::VecF neg_lr_v = simd::Set1(-lr);
-  size_t i = 0;
-  for (; i + kL <= dim; i += kL) {
-    const simd::VecF wv = simd::LoadU(w + i);
-    const simd::VecF t = simd::MulAdd(l2_v, wv, simd::LoadU(g + i));
-    simd::StoreU(w + i, simd::MulAdd(neg_lr_v, t, wv));
-  }
-  for (; i < dim; ++i) {
-    const float t = simd::MulAddScalar(l2, w[i], g[i]);
-    w[i] = simd::MulAddScalar(-lr, t, w[i]);
-  }
-}
+// The scatter's row bodies. Each element is one Add or one MulAdd, so a
+// lane and the scalar tail round alike (simd.h): a reference that sums in
+// scalar `+=` / simd::MulAddScalar reproduces them bit for bit.
 
-// dst += a (plain accumulate), shared by serial and sharded scatters.
+// dst += a (plain accumulate).
 inline void AddRow(float* dst, const float* a, size_t dim) {
   size_t i = 0;
   for (; i + kL <= dim; i += kL) {
@@ -83,8 +69,7 @@ inline void AddRow(float* dst, const float* a, size_t dim) {
   for (; i < dim; ++i) dst[i] += a[i];
 }
 
-// dst += a ⊙ b — the QR-mul product rule. One shared body so the serial,
-// sharded, and prepared scatters produce identical bits.
+// dst += a ⊙ b — the QR-mul product rule.
 inline void AddProductRow(float* dst, const float* a, const float* b,
                           size_t dim) {
   size_t i = 0;
@@ -95,11 +80,7 @@ inline void AddProductRow(float* dst, const float* a, const float* b,
   for (; i < dim; ++i) dst[i] = simd::MulAddScalar(a[i], b[i], dst[i]);
 }
 
-// dst += a * scale — the continuous-feature gradient. The ONE body behind
-// both the serial shard scatter and the prepared slot scatter: a
-// header-inlined loop in one path and a separately compiled loop in the
-// other can round differently under FMA contraction, silently breaking
-// serial/prepared bit parity.
+// dst += a * scale — the continuous-feature gradient.
 inline void AddScaledRow(float* dst, const float* a, float scale,
                          size_t dim) {
   const simd::VecF s = simd::Set1(scale);
@@ -119,17 +100,6 @@ obs::Counter* RowsUpdatedCounter() {
   return c;
 }
 
-// Per-row AccumulateGrad call volume, sampled 1-in-64: the call itself is
-// too hot for a span (it runs per (row, field) in every backward pass),
-// but the sampled count makes the scatter volume visible in --report
-// output next to the gather/scatter spans.
-constexpr uint64_t kAccumSampleMask = 63;
-obs::Counter* AccumRowsSampledCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("emb.accum_rows_sampled");
-  return c;
-}
-
 size_t CeilSqrt(size_t v) {
   size_t r = static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(v))));
   while (r > 1 && (r - 1) * (r - 1) >= v) --r;
@@ -138,18 +108,6 @@ size_t CeilSqrt(size_t v) {
 }
 
 }  // namespace
-
-const char* EmbeddingBackendKindName(EmbeddingBackendKind kind) {
-  switch (kind) {
-    case EmbeddingBackendKind::kDense:
-      return "dense";
-    case EmbeddingBackendKind::kQR:
-      return "qr";
-    case EmbeddingBackendKind::kTiered:
-      return "tiered";
-  }
-  return "?";
-}
 
 EmbeddingBackendConfig ResolveBackendForVocab(
     const EmbeddingBackendConfig& policy, size_t vocab_size) {
@@ -305,101 +263,6 @@ void EmbeddingTable::CopyRow(int32_t id, float* dst) const {
   }
 }
 
-float* EmbeddingTable::GradSlotFor(size_t shard, int32_t row) {
-  if (obs::Enabled()) {
-    thread_local uint64_t calls = 0;
-    if ((++calls & kAccumSampleMask) == 0) {
-      AccumRowsSampledCounter()->Add(kAccumSampleMask + 1);
-    }
-  }
-  GradShard& s = shards_[shard];
-  auto [it, inserted] = s.index.try_emplace(row, s.rows.size());
-  if (inserted) {
-    s.rows.push_back(row);
-    s.grads.resize(s.grads.size() + dim_, 0.0f);
-  }
-  return s.grads.data() + it->second * dim_;
-}
-
-void EmbeddingTable::AccumulateRow(size_t shard, int32_t row,
-                                   const float* grad, const float* mul_by) {
-  float* slot = GradSlotFor(shard, row);
-  if (mul_by != nullptr) {
-    AddProductRow(slot, grad, mul_by, dim_);
-  } else {
-    AddRow(slot, grad, dim_);
-  }
-}
-
-void EmbeddingTable::AccumulateGrad(int32_t id, const float* grad) {
-  CheckId(id, "AccumulateGrad");
-  switch (kind_) {
-    case EmbeddingBackendKind::kDense: {
-      AccumulateRow(ShardOf(id), id, grad, nullptr);
-      return;
-    }
-    case EmbeddingBackendKind::kTiered: {
-      const int32_t row = (*remap_)[static_cast<size_t>(id)];
-      AccumulateRow(ShardOf(row), row, grad, nullptr);
-      return;
-    }
-    case EmbeddingBackendKind::kQR: {
-      const int32_t q = PrimaryRowOf(id);
-      const int32_t r = SecondaryRowOf(id);
-      if (qr_combine_ == QrCombine::kMul) {
-        AccumulateRow(ShardOf(q), q, grad, BackingRowPtr(r));
-        AccumulateRow(ShardOf(r), r, grad, BackingRowPtr(q));
-      } else {
-        AccumulateRow(ShardOf(q), q, grad, nullptr);
-        AccumulateRow(ShardOf(r), r, grad, nullptr);
-      }
-      return;
-    }
-  }
-}
-
-void EmbeddingTable::AccumulateGradForShard(size_t shard, int32_t id,
-                                            const float* grad) {
-  CheckId(id, "AccumulateGradForShard");
-  switch (kind_) {
-    case EmbeddingBackendKind::kDense: {
-      if (ShardOf(id) == shard) AccumulateRow(shard, id, grad, nullptr);
-      return;
-    }
-    case EmbeddingBackendKind::kTiered: {
-      const int32_t row = (*remap_)[static_cast<size_t>(id)];
-      if (ShardOf(row) == shard) AccumulateRow(shard, row, grad, nullptr);
-      return;
-    }
-    case EmbeddingBackendKind::kQR: {
-      const int32_t q = PrimaryRowOf(id);
-      const int32_t r = SecondaryRowOf(id);
-      const bool mul = qr_combine_ == QrCombine::kMul;
-      if (ShardOf(q) == shard) {
-        AccumulateRow(shard, q, grad, mul ? BackingRowPtr(r) : nullptr);
-      }
-      if (ShardOf(r) == shard) {
-        AccumulateRow(shard, r, grad, mul ? BackingRowPtr(q) : nullptr);
-      }
-      return;
-    }
-  }
-}
-
-void EmbeddingTable::AccumulateScaledGradForShard(size_t shard, int32_t id,
-                                                  const float* grad,
-                                                  float scale) {
-  CheckId(id, "AccumulateScaledGradForShard");
-  CHECK(kind_ == EmbeddingBackendKind::kDense)
-      << "embedding table '" << name_
-      << "': scaled gradients are a continuous-feature path; table "
-         "resolved to backend "
-      << BackendDesc();
-  if (ShardOf(id) == shard) {
-    AddScaledRow(GradSlotFor(shard, id), grad, scale, dim_);
-  }
-}
-
 void EmbeddingTable::AccumulatePreparedGradScaled(size_t slot,
                                                   const float* grad,
                                                   float scale) {
@@ -427,49 +290,6 @@ void EmbeddingTable::AccumulatePreparedGradSecondary(size_t slot, int32_t id,
   }
 }
 
-const float* EmbeddingTable::AccumulatedGrad(int32_t id) const {
-  CheckId(id, "AccumulatedGrad");
-  return AccumulatedGradForRow(PrimaryRowOf(id));
-}
-
-const float* EmbeddingTable::AccumulatedGradForRow(int32_t row) const {
-  const GradShard& s = shards_[ShardOf(row)];
-  const auto it = s.index.find(row);
-  if (it == s.index.end()) return nullptr;
-  return s.grads.data() + it->second * dim_;
-}
-
-size_t EmbeddingTable::touched_count() const {
-  size_t total = 0;
-  for (const GradShard& s : shards_) total += s.rows.size();
-  return total;
-}
-
-void EmbeddingTable::SparseAdamStep(const AdamConfig& config) {
-  OPTINTER_TRACE_SPAN("sparse_adam_step");
-  RowsUpdatedCounter()->Add(touched_count());
-  ++step_;
-  const float b1 = config.beta1;
-  const float b2 = config.beta2;
-  const float bc1 = 1.0f - std::pow(b1, static_cast<float>(step_));
-  const float bc2 = 1.0f - std::pow(b2, static_cast<float>(step_));
-  // Each touched backing row is updated exactly once from its accumulated
-  // gradient, so iteration order (shard-by-shard here vs interleaved
-  // serially) never changes the resulting parameters.
-  for (GradShard& s : shards_) {
-    for (size_t t = 0; t < s.rows.size(); ++t) {
-      const int32_t row = s.rows[t];
-      const float* g_row = s.grads.data() + t * dim_;
-      float* w = value_.data() + static_cast<size_t>(row) * dim_;
-      float* m = m_.data() + static_cast<size_t>(row) * dim_;
-      float* v = v_.data() + static_cast<size_t>(row) * dim_;
-      AdamUpdateRow(w, m, v, g_row, dim_, lr, l2, b1, b2, bc1, bc2,
-                    config.eps);
-    }
-  }
-  ClearGrads();
-}
-
 void EmbeddingTable::SparseAdamStepPrepared(const AdamConfig& config) {
   OPTINTER_TRACE_SPAN("sparse_adam_step");
   RowsUpdatedCounter()->Add(prep_count_);
@@ -487,28 +307,6 @@ void EmbeddingTable::SparseAdamStepPrepared(const AdamConfig& config) {
     AdamUpdateRow(w, m, v, g_row, dim_, lr, l2, b1, b2, bc1, bc2, config.eps);
   }
   ClearPreparedGrads();
-}
-
-void EmbeddingTable::SparseSgdStep() {
-  OPTINTER_TRACE_SPAN("sparse_sgd_step");
-  RowsUpdatedCounter()->Add(touched_count());
-  for (GradShard& s : shards_) {
-    for (size_t t = 0; t < s.rows.size(); ++t) {
-      const int32_t row = s.rows[t];
-      const float* g_row = s.grads.data() + t * dim_;
-      float* w = value_.data() + static_cast<size_t>(row) * dim_;
-      SgdUpdateRow(w, g_row, dim_, lr, l2);
-    }
-  }
-  ClearGrads();
-}
-
-void EmbeddingTable::ClearGrads() {
-  for (GradShard& s : shards_) {
-    s.index.clear();
-    s.rows.clear();
-    s.grads.clear();
-  }
 }
 
 }  // namespace optinter

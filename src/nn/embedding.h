@@ -28,22 +28,20 @@
 //    encoder's id layout, where ids 1..K are the most frequent values —
 //    the fallback hot set {1..K}.
 //
-// Determinism with shared backing rows: gradient shards are keyed on the
-// BACKING row, not the logical id, so two logical ids that collide on a
-// backing row (QR remainder reuse, tiered bucket sharing) accumulate into
-// one slot in ascending batch-row order — exactly the serial order — and
-// the optimizer updates that row once per step from the summed gradient.
+// Determinism with shared backing rows: gradient slots and shards are
+// keyed on the BACKING row, not the logical id, so two logical ids that
+// collide on a backing row (QR remainder reuse, tiered bucket sharing)
+// accumulate into one slot in ascending batch-row order, and the
+// optimizer updates that row once per step from the summed gradient.
 // Q-space and R-space backing rows are disjoint, so a backing row only
 // ever receives primary-part or secondary-part contributions, never an
 // interleaving of both.
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -57,8 +55,6 @@ enum class EmbeddingBackendKind : uint8_t { kDense = 0, kQR = 1, kTiered = 2 };
 
 /// How a QR table combines its quotient and remainder rows.
 enum class QrCombine : uint8_t { kSum = 0, kMul = 1 };
-
-const char* EmbeddingBackendKindName(EmbeddingBackendKind kind);
 
 /// Per-table backend selection + knobs. Default-constructed = dense (the
 /// seed behavior). Zero-valued knobs mean "derive from the vocab size".
@@ -87,14 +83,6 @@ struct EmbeddingBackendConfig {
   /// derive: dataset frequency stats if available, else ids 1..K (the
   /// hashed encoder places the most frequent values there).
   std::vector<int32_t> tier_hot_ids;
-
-  /// Hot-row count a tiered table of `vocab_size` ids would use — the
-  /// vocab/16 default rule, shared with tier-plan builders that need to
-  /// know how many ranked ids to collect.
-  size_t ResolvedTierHot(size_t vocab_size) const {
-    return tier_hot != 0 ? tier_hot
-                         : (vocab_size < 16 ? size_t{1} : vocab_size / 16);
-  }
 
   static EmbeddingBackendConfig Dense() { return {}; }
   static EmbeddingBackendConfig QR(size_t rem = 0,
@@ -200,46 +188,17 @@ class EmbeddingTable {
   /// True when ids decompose into two backing parts (QR).
   bool HasSecondary() const { return kind_ == EmbeddingBackendKind::kQR; }
 
-  /// Adds `grad` (length dim) into the sparse gradient slot(s) of every
-  /// backing part of `id` — the serial scatter path.
-  void AccumulateGrad(int32_t id, const float* grad);
-
-  /// Shard-targeted accumulate: adds `grad` into whichever backing parts
-  /// of `id` land in gradient shard `shard` (possibly none). Concurrent
-  /// calls are safe iff they target distinct shards — the id-bucketed
-  /// sharding used by the parallel embedding scatter (each task owns one
-  /// (table, shard) bucket and scans the batch rows in order, so every
-  /// backing row's accumulation order matches the serial loop bit for
-  /// bit; Q/R backing spaces are disjoint, so no row sees interleaved
-  /// primary/secondary contributions).
-  void AccumulateGradForShard(size_t shard, int32_t id, const float* grad);
-
-  /// Shard-targeted scaled accumulate: slot(id) += grad * scale. The
-  /// continuous-feature gradient (d_out scaled by the feature value),
-  /// sharing one rounding with AccumulatePreparedGradScaled. Dense
-  /// tables only — continuous tables never resolve to a compressed
-  /// backend.
-  void AccumulateScaledGradForShard(size_t shard, int32_t id,
-                                    const float* grad, float scale);
-
-  /// Applies one sparse-Adam step over the backing rows touched since the
-  /// last step, then clears the touched set.
-  void SparseAdamStep(const AdamConfig& config = {});
-
   // --- Prepared (pre-deduped) gradient scatter -------------------------
   //
-  // Every model's training step (DESIGN.md) dedupes each batch's BACKING
-  // rows during PrepareBatch, before any weights are read. The backward
-  // pass then scatters into a flat slot-addressed buffer sized by the
-  // unique-row count — no hashing, no per-new-row allocation — and the
-  // optimizer walks (unique_rows, slots) directly. Buffer capacity is
-  // retained across steps, so steady-state steps allocate nothing. The
-  // prepared path and the serial AccumulateGrad path (the tests'
-  // reference) share the same Adam state and step counter and produce
-  // bit-identical updates (each
-  // touched backing row is updated exactly once from its summed gradient,
-  // and per-row updates are independent, so iteration order is
-  // immaterial).
+  // The table's one gradient store. Every model's training step
+  // (DESIGN.md) dedupes each batch's BACKING rows during PrepareBatch,
+  // before any weights are read. The backward pass then scatters into a
+  // flat slot-addressed buffer sized by the unique-row count — no
+  // hashing, no per-new-row allocation — and the optimizer walks
+  // (unique_rows, slots) directly, updating each touched backing row
+  // exactly once from its summed gradient (per-row updates are
+  // independent, so slot order is immaterial). Buffer capacity is
+  // retained across steps, so steady-state steps allocate nothing.
 
   /// Starts a prepared scatter over `count` unique backing rows.
   /// `unique_rows` must stay valid until the matching
@@ -251,21 +210,13 @@ class EmbeddingTable {
     prep_grads_.assign(count * dim_, 0.0f);
   }
 
-  /// Adds `grad` (length dim) into slot `slot` — the dedup index assigned
-  /// to the target backing row during PrepareBatch. Concurrent calls are
-  /// safe iff they target rows of distinct shards (same contract as
-  /// AccumulateGradForShard; slots of different rows never alias).
-  void AccumulatePreparedGrad(size_t slot, const float* grad) {
-    float* dst = prep_grads_.data() + slot * dim_;
-    for (size_t i = 0; i < dim_; ++i) dst[i] += grad[i];
-  }
+  // The Accumulate* calls below add into slot `slot` — the dedup index
+  // assigned to the target backing row during PrepareBatch. Concurrent
+  // calls are safe iff they target rows of distinct shards (slots of
+  // different rows never alias).
 
   /// Fused scale-and-accumulate: slot += grad * scale. Used by continuous
   /// feature tables, whose gradient is d_out scaled by the feature value.
-  /// Shares one out-of-line body with AccumulateScaledGradForShard so the
-  /// serial and prepared scatters round identically (a header-inlined loop
-  /// here and a separately compiled loop there can disagree by one ULP
-  /// under FMA contraction).
   void AccumulatePreparedGradScaled(size_t slot, const float* grad,
                                     float scale);
 
@@ -281,8 +232,8 @@ class EmbeddingTable {
   void AccumulatePreparedGradSecondary(size_t slot, int32_t id,
                                        const float* grad);
 
-  /// Sparse-Adam step over the prepared slots (same math/state as
-  /// SparseAdamStep), then ends the prepared scatter keeping capacity.
+  /// Sparse-Adam step over the prepared slots (see the file comment),
+  /// then ends the prepared scatter keeping capacity.
   void SparseAdamStepPrepared(const AdamConfig& config = {});
 
   /// Ends a prepared scatter without updating (keeps capacity).
@@ -297,21 +248,6 @@ class EmbeddingTable {
     CHECK_LT(slot, prep_count_);
     return prep_grads_.data() + slot * dim_;
   }
-
-  /// Applies plain SGD over touched rows (used in gradient-check tests).
-  void SparseSgdStep();
-
-  /// Discards accumulated gradients without updating.
-  void ClearGrads();
-
-  /// Accumulated gradient slot (length dim) for `id`'s PRIMARY backing
-  /// row, or nullptr if untouched since the last step/clear
-  /// (tests / diagnostics). See AccumulatedGradForRow for QR remainder
-  /// parts.
-  const float* AccumulatedGrad(int32_t id) const;
-
-  /// Accumulated gradient slot for a raw backing row (tests).
-  const float* AccumulatedGradForRow(int32_t row) const;
 
   /// Raw backing value tensor (checkpoint snapshot/restore). Shape
   /// [BackingRows() × dim] — backend-dependent, so checkpoints only load
@@ -342,7 +278,6 @@ class EmbeddingTable {
   /// Shared logical→backing remap (tiered; null otherwise). Shared with
   /// quantized snapshots so the mapping is never duplicated.
   std::shared_ptr<const std::vector<int32_t>> remap() const { return remap_; }
-  size_t touched_count() const;
 
   float lr = 1e-3f;
   float l2 = 0.0f;
@@ -363,26 +298,6 @@ class EmbeddingTable {
     return value_.data() + static_cast<size_t>(row) * dim_;
   }
 
-  // Adds grad into the shard slot of backing row `row`; shard must equal
-  // ShardOf(row). `mul_by` != nullptr applies the QR-mul product rule:
-  // slot += grad ⊙ mul_by.
-  void AccumulateRow(size_t shard, int32_t row, const float* grad,
-                     const float* mul_by);
-
-  // Finds (allocating on first touch) the gradient slot of backing row
-  // `row` in shard `shard`.
-  float* GradSlotFor(size_t shard, int32_t row);
-
-  // Sparse gradient accumulator for one backing-row shard: touched rows
-  // (deduped) and their gradient rows, parallel arrays. Rows land in
-  // shard ShardOf(row), so shards never share a row and tasks owning
-  // distinct shards can accumulate without synchronization.
-  struct GradShard {
-    std::unordered_map<int32_t, size_t> index;
-    std::vector<int32_t> rows;
-    std::vector<float> grads;
-  };
-
   std::string name_;
   size_t vocab_size_;
   size_t dim_;
@@ -398,7 +313,6 @@ class EmbeddingTable {
   Tensor m_;
   Tensor v_;
   int64_t step_ = 0;
-  std::array<GradShard, kGradShards> shards_;
 
   // Prepared-scatter state (see BeginPreparedScatter). The row list is
   // owned by the caller's PreparedBatch; only the slot buffer lives here.

@@ -62,7 +62,7 @@ struct GlobalState {
   std::mutex mutex;
   std::vector<ThreadRing*> rings;  // leaked on purpose (outlive threads)
   std::string path;
-  size_t capacity = 65536;
+  size_t capacity = Timeline::kDefaultCapacity;
   uint32_t next_tid = 0;
   std::chrono::steady_clock::time_point epoch;
 };
@@ -89,8 +89,14 @@ int InitMode() {
   }
   g.path = path;
   if (const char* cap = std::getenv("OPTINTER_OBS_TIMELINE_EVENTS")) {
-    const long parsed = std::strtol(cap, nullptr, 10);
-    if (parsed > 1) g.capacity = static_cast<size_t>(parsed);
+    if (const size_t parsed = Timeline::ParseCapacity(cap); parsed != 0) {
+      g.capacity = parsed;
+    } else {
+      std::fprintf(stderr,
+                   "[obs] ignoring OPTINTER_OBS_TIMELINE_EVENTS='%s': not an "
+                   "integer in [2, %zu]; using %zu\n",
+                   cap, Timeline::kMaxCapacity, g.capacity);
+    }
   }
   g.epoch = std::chrono::steady_clock::now();
   std::atexit(FlushAtExit);
@@ -123,6 +129,16 @@ void Record(const char* name, char phase, const char* detail) {
 }
 
 }  // namespace
+
+size_t Timeline::ParseCapacity(const char* text) {
+  // strtoll saturates out-of-range input, which the bounds then refuse.
+  char* end = nullptr;
+  const long long v = std::strtoll(text, &end, 10);
+  const bool whole = end != text && *end == '\0';
+  return whole && v >= 2 && v <= static_cast<long long>(kMaxCapacity)
+             ? static_cast<size_t>(v)
+             : 0;
+}
 
 bool Timeline::Enabled() {
   int mode = g_mode.load(std::memory_order_acquire);

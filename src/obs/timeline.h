@@ -6,7 +6,8 @@
 // the process then records every TraceSpan enter/exit into a per-thread
 // ring buffer and flushes <path> at exit (and whenever Timeline::Flush is
 // called). Memory is bounded: each thread keeps at most
-// OPTINTER_OBS_TIMELINE_EVENTS events (default 65536, ~4.5 MiB/thread);
+// OPTINTER_OBS_TIMELINE_EVENTS events (80 bytes each; default 65536, 5 MiB
+// per thread; values above 2^20 are refused with a warning);
 // when a ring wraps, the OLDEST events are overwritten and a per-thread
 // drop counter — surfaced in the output's "otherData" and as the
 // obs.timeline.dropped_events metric — records how many were lost.
@@ -34,6 +35,16 @@ class Timeline {
  public:
   /// Inline capacity for instant-event detail strings (incl. NUL).
   static constexpr size_t kDetailCapacity = 48;
+
+  /// Per-thread ring capacity in events: the default, and the largest
+  /// OPTINTER_OBS_TIMELINE_EVENTS value honored (80 MiB per thread).
+  static constexpr size_t kDefaultCapacity = 65536;
+  static constexpr size_t kMaxCapacity = size_t{1} << 20;
+
+  /// Parses an OPTINTER_OBS_TIMELINE_EVENTS value: the whole string must
+  /// be a decimal integer in [2, kMaxCapacity]. Returns 0 for anything
+  /// else (the caller warns and keeps the default).
+  static size_t ParseCapacity(const char* text);
 
   /// True when timeline recording is on (lazily reads
   /// OPTINTER_OBS_TIMELINE on first call; EnableForTest overrides).

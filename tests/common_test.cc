@@ -259,6 +259,24 @@ TEST(ThreadPoolTest, ParallelForChunksCoverExactly) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// OPTINTER_THREADS must be a whole decimal integer in [1, kMaxEnvThreads];
+// anything else parses to 0 (the pool then warns and uses the hardware
+// concurrency). Pure parse: no pool of the refused size is ever built.
+TEST(ThreadPoolTest, ThreadsEnvParsesWholeBoundedIntegers) {
+  EXPECT_EQ(ParseThreadsEnv("1"), 1u);
+  EXPECT_EQ(ParseThreadsEnv("4"), 4u);
+  EXPECT_EQ(ParseThreadsEnv("1024"), kMaxEnvThreads);
+  EXPECT_EQ(ParseThreadsEnv("1025"), 0u);
+  EXPECT_EQ(ParseThreadsEnv("2000000000"), 0u);
+  EXPECT_EQ(ParseThreadsEnv("99999999999999999999999"), 0u);
+  EXPECT_EQ(ParseThreadsEnv("0"), 0u);
+  EXPECT_EQ(ParseThreadsEnv("-4"), 0u);
+  EXPECT_EQ(ParseThreadsEnv("64k"), 0u);
+  EXPECT_EQ(ParseThreadsEnv("4 "), 0u);
+  EXPECT_EQ(ParseThreadsEnv(""), 0u);
+  EXPECT_EQ(ParseThreadsEnv("four"), 0u);
+}
+
 TEST(ThreadPoolTest, EmptyRangeIsNoop) {
   bool called = false;
   ParallelFor(5, 5, [&](size_t) { called = true; });

@@ -9,14 +9,18 @@
 //  - tier-plan resolution precedence (explicit ids > dataset metadata >
 //    the 1..K fallback) and the min-vocab dense fallback,
 //  - actionable CHECK failures on bad ids / wrong-backend access,
-//  - prepared-scatter vs serial table-level scatter bit parity for both backends,
+//  - the embedding layers' prepared gather/scatter/step (FeatureEmbedding,
+//    and CrossEmbedding over pairs and triples) vs a test-local reference
+//    step, bit for bit, for every backend,
 //  - checkpoint -> reload -> quantize round trips with compressed
 //    cross tables.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,18 +30,24 @@
 #include "data/hash_encoder.h"
 #include "io/serialize.h"
 #include "models/backend_resolve.h"
+#include "models/cross_embedding.h"
 #include "models/feature_embedding.h"
 #include "models/forward_context.h"
 #include "models/prepared_batch.h"
 #include "nn/embedding.h"
+#include "prepared_scatter.h"
 #include "serve/snapshot.h"
+#include "tensor/simd.h"
 #include "test_data.h"
 
 namespace optinter {
 namespace {
 
 using serve::QuantizeSnapshot;
+using testing::GradRows;
 using testing::HeadBatch;
+using testing::PreparedGradOfRow;
+using testing::ScatterIntoTable;
 using testing::SharedTinyData;
 
 // ---------------------------------------------------------------------------
@@ -100,20 +110,21 @@ TEST(QrBackendTest, QuotientSharingIdsAccumulateIntoOneSlot) {
   // rem = 10: ids 20 and 25 share quotient row 2, distinct remainders.
   ASSERT_EQ(t.PrimaryRowOf(20), t.PrimaryRowOf(25));
   ASSERT_NE(t.SecondaryRowOf(20), t.SecondaryRowOf(25));
-  const float g1[2] = {1.0f, 2.0f};
-  const float g2[2] = {10.0f, 20.0f};
-  t.AccumulateGrad(20, g1);
-  t.AccumulateGrad(25, g2);
-  const float* prim = t.AccumulatedGradForRow(t.PrimaryRowOf(20));
+  PreparedTable pt;
+  ScatterIntoTable(&t, {20, 25}, GradRows({{1.0f, 2.0f}, {10.0f, 20.0f}}),
+                   &pt);
+  EXPECT_EQ(pt.unique_rows.size(), 3u);  // one Q row, two R rows
+  const float* prim = PreparedGradOfRow(t, pt, t.PrimaryRowOf(20));
   ASSERT_NE(prim, nullptr);
   EXPECT_EQ(prim[0], 11.0f);
   EXPECT_EQ(prim[1], 22.0f);
-  const float* sec20 = t.AccumulatedGradForRow(t.SecondaryRowOf(20));
+  const float* sec20 = PreparedGradOfRow(t, pt, t.SecondaryRowOf(20));
   ASSERT_NE(sec20, nullptr);
   EXPECT_EQ(sec20[0], 1.0f);
-  const float* sec25 = t.AccumulatedGradForRow(t.SecondaryRowOf(25));
+  const float* sec25 = PreparedGradOfRow(t, pt, t.SecondaryRowOf(25));
   ASSERT_NE(sec25, nullptr);
   EXPECT_EQ(sec25[0], 10.0f);
+  t.ClearPreparedGrads();
 }
 
 TEST(QrBackendTest, MulCombinerGradientIsProductRule) {
@@ -128,16 +139,18 @@ TEST(QrBackendTest, MulCombinerGradientIsProductRule) {
   std::memcpy(r, t.values().row(static_cast<size_t>(t.SecondaryRowOf(id))),
               sizeof(r));
   const float g[2] = {0.5f, -2.0f};
-  t.AccumulateGrad(id, g);
+  PreparedTable pt;
+  ScatterIntoTable(&t, {id}, GradRows({{g[0], g[1]}}), &pt);
   // d(q ⊙ r)/dq = g ⊙ r,  d/dr = g ⊙ q.
-  const float* gq = t.AccumulatedGradForRow(t.PrimaryRowOf(id));
-  const float* gr = t.AccumulatedGradForRow(t.SecondaryRowOf(id));
+  const float* gq = PreparedGradOfRow(t, pt, t.PrimaryRowOf(id));
+  const float* gr = PreparedGradOfRow(t, pt, t.SecondaryRowOf(id));
   ASSERT_NE(gq, nullptr);
   ASSERT_NE(gr, nullptr);
   for (size_t k = 0; k < 2; ++k) {
     EXPECT_EQ(gq[k], g[k] * r[k]);
     EXPECT_EQ(gr[k], g[k] * q[k]);
   }
+  t.ClearPreparedGrads();
 }
 
 // ---------------------------------------------------------------------------
@@ -191,13 +204,14 @@ TEST(TieredBackendTest, CollidingColdIdsShareOneTrainableRow) {
   // Same backing pointer and summed gradients: memorization is genuinely
   // shared, not silently duplicated.
   EXPECT_EQ(t.Row(a), t.Row(b));
-  const float g[2] = {1.0f, 3.0f};
-  t.AccumulateGrad(a, g);
-  t.AccumulateGrad(b, g);
-  const float* acc = t.AccumulatedGrad(a);
+  PreparedTable pt;
+  ScatterIntoTable(&t, {a, b}, GradRows({{1.0f, 3.0f}, {1.0f, 3.0f}}), &pt);
+  EXPECT_EQ(pt.unique_rows.size(), 1u);
+  const float* acc = PreparedGradOfRow(t, pt, t.PrimaryRowOf(a));
   ASSERT_NE(acc, nullptr);
   EXPECT_EQ(acc[0], 2.0f);
   EXPECT_EQ(acc[1], 6.0f);
+  t.ClearPreparedGrads();
 }
 
 // ---------------------------------------------------------------------------
@@ -244,144 +258,220 @@ TEST(EmbeddingBackendsDeathTest, OutOfRangeIdNamesTableAndVocab) {
   EmbeddingTable t("feat_emb/0", 50, 4, 1e-3f, 0.0f);
   float dst[4];
   EXPECT_DEATH(t.CopyRow(50, dst), "feat_emb/0.*vocab 50.*id 50");
-  const float g[4] = {0, 0, 0, 0};
-  EXPECT_DEATH(t.AccumulateGrad(-1, g), "feat_emb/0.*AccumulateGrad.*-1");
+  IdDedupScratch dedup;
+  PreparedTable pt;
+  EXPECT_DEATH(PrepareTableIds(
+                   t, 1, [](size_t) { return -1; }, &dedup, &pt),
+               "feat_emb/0.*vocab 50.*Prepare id -1");
 }
 
 // ---------------------------------------------------------------------------
 // Prepared-path parity
 // ---------------------------------------------------------------------------
 
-// Reference step of `emb` at the table level: the serial AccumulateGrad /
-// AccumulateScaledGradForShard row loop, then SparseAdamStep.
-void SerialTableStep(FeatureEmbedding* emb, const Batch& batch,
-                     const Tensor& d_out) {
+// Test-local reference for one sparse step of a table, built on nothing
+// of the prepared scatter but the optimizer: batch row k has logical id
+// ids[k], upstream gradient grads[k] (dim floats) and, for a continuous
+// table, value (*scales)[k]. Each backing row's gradient is summed over
+// the rows in ascending order — plain += for sum-combine,
+// simd::MulAddScalar for the QR-mul product rule and the continuous
+// scale. By simd.h's lane/tail contract these are element-exact twins of
+// embedding.cc's AddRow, AddProductRow and AddScaledRow.
+using RowSums = std::map<int32_t, std::vector<float>>;
+
+RowSums ReferenceRowSums(const EmbeddingTable& table,
+                         const std::vector<int32_t>& ids,
+                         const std::vector<const float*>& grads,
+                         const std::vector<float>* scales = nullptr) {
+  const size_t dim = table.dim();
+  const bool mul =
+      table.HasSecondary() && table.qr_combine() == QrCombine::kMul;
+  RowSums sums;
+  auto sum_of = [&](int32_t row) {
+    std::vector<float>& sum = sums[row];
+    sum.resize(dim, 0.0f);
+    return sum.data();
+  };
+  for (size_t k = 0; k < ids.size(); ++k) {
+    const float* g = grads[k];
+    const int32_t q = table.PrimaryRowOf(ids[k]);
+    float* qsum = sum_of(q);
+    if (!table.HasSecondary()) {
+      for (size_t i = 0; i < dim; ++i) {
+        qsum[i] = scales != nullptr
+                      ? simd::MulAddScalar(g[i], (*scales)[k], qsum[i])
+                      : qsum[i] + g[i];
+      }
+      continue;
+    }
+    // QR: the quotient row's factor is the remainder row and vice versa.
+    const int32_t r = table.SecondaryRowOf(ids[k]);
+    float* rsum = sum_of(r);
+    const float* qrow = table.values().row(static_cast<size_t>(q));
+    const float* rrow = table.values().row(static_cast<size_t>(r));
+    for (size_t i = 0; i < dim; ++i) {
+      qsum[i] = mul ? simd::MulAddScalar(g[i], rrow[i], qsum[i])
+                    : qsum[i] + g[i];
+      rsum[i] = mul ? simd::MulAddScalar(g[i], qrow[i], rsum[i])
+                    : rsum[i] + g[i];
+    }
+  }
+  return sums;
+}
+
+// Applies `sums` through the table's one optimizer body: each sum lands
+// in a fresh slot (sum·1 + 0 is exact) and SparseAdamStepPrepared updates
+// its backing row.
+void ApplyReferenceStep(EmbeddingTable* table, const RowSums& sums) {
+  std::vector<int32_t> rows;
+  for (const auto& entry : sums) rows.push_back(entry.first);
+  table->BeginPreparedScatter(rows.data(), rows.size());
+  size_t slot = 0;
+  for (const auto& entry : sums) {
+    table->AccumulatePreparedGradScaled(slot++, entry.second.data(), 1.0f);
+  }
+  table->SparseAdamStepPrepared();
+}
+
+// The reference step of every table of `emb`: categorical tables read
+// their ids from the dataset, continuous tables scale by the value.
+void ReferenceStep(FeatureEmbedding* emb, const Batch& batch,
+                   const Tensor& d_out) {
   const EncodedDataset& data = *batch.data;
   const size_t dim = emb->dim();
   const size_t num_cat = emb->num_categorical();
-  for (size_t k = 0; k < batch.size; ++k) {
-    const size_t r = batch.rows[k];
-    for (size_t f = 0; f < num_cat; ++f) {
-      emb->cat_table(f).AccumulateGrad(data.cat(r, f), d_out.row(k) + f * dim);
+  std::vector<int32_t> ids(batch.size);
+  std::vector<const float*> grads(batch.size);
+  for (size_t f = 0; f < num_cat; ++f) {
+    for (size_t k = 0; k < batch.size; ++k) {
+      ids[k] = data.cat(batch.rows[k], f);
+      grads[k] = d_out.row(k) + f * dim;
     }
-    for (size_t f = 0; f < emb->num_continuous(); ++f) {
-      emb->cont_table(f).AccumulateScaledGradForShard(
-          EmbeddingTable::ShardOf(0), 0, d_out.row(k) + (num_cat + f) * dim,
-          data.cont(r, f));
-    }
+    ApplyReferenceStep(&emb->cat_table(f),
+                       ReferenceRowSums(emb->cat_table(f), ids, grads));
   }
-  for (size_t f = 0; f < num_cat; ++f) emb->cat_table(f).SparseAdamStep();
+  std::vector<float> values(batch.size);
   for (size_t f = 0; f < emb->num_continuous(); ++f) {
-    emb->cont_table(f).SparseAdamStep();
+    for (size_t k = 0; k < batch.size; ++k) {
+      ids[k] = 0;
+      grads[k] = d_out.row(k) + (num_cat + f) * dim;
+      values[k] = data.cont(batch.rows[k], f);
+    }
+    ApplyReferenceStep(
+        &emb->cont_table(f),
+        ReferenceRowSums(emb->cont_table(f), ids, grads, &values));
   }
 }
 
-// The serial table-level scatter + SparseAdamStep and the layer's
-// Prepare/ForwardPrepared/BackwardPrepared/StepPrepared must leave
-// bit-identical weights for every backend (they share Adam state and
-// accumulate per backing row in the same order), and ForwardPrepared must
-// gather what Gather does.
-void CheckPreparedParity(const EmbeddingBackendConfig& backend) {
-  const auto& p = SharedTinyData();
-  Rng rng1(99), rng2(99);
-  FeatureEmbedding serial(p.data, 8, 1e-3f, 0.0f, &rng1, backend);
-  FeatureEmbedding prepared(p.data, 8, 1e-3f, 0.0f, &rng2, backend);
-  Batch batch = HeadBatch(p, 128);
+void ReferenceStep(CrossEmbedding* emb, const Batch& batch,
+                   const Tensor& d_out) {
+  const CrossIds cross = emb->Ids(*batch.data);
+  std::vector<int32_t> ids(batch.size);
+  std::vector<const float*> grads(batch.size);
+  for (size_t t = 0; t < emb->num_blocks(); ++t) {
+    for (size_t k = 0; k < batch.size; ++k) {
+      ids[k] = cross.at(batch.rows[k], emb->columns()[t]);
+      grads[k] = d_out.row(k) + t * emb->dim();
+    }
+    ApplyReferenceStep(&emb->table(t),
+                       ReferenceRowSums(emb->table(t), ids, grads));
+  }
+}
+
+// Three training steps of `layer` against three reference steps of
+// `reference` (an identically constructed layer) with one fixed Gaussian
+// d_out. `prepared_step(d_out, &out)` runs layer's Prepare →
+// ForwardPrepared (into out) → BackwardPrepared → StepPrepared. Each
+// step, ForwardPrepared must gather what Gather does on the same weights;
+// at the end both layers must hold bit-identical tables.
+template <typename Layer, typename PreparedStep>
+void CheckLayerParity(Layer* layer, Layer* reference, const Batch& batch,
+                      PreparedStep&& prepared_step) {
   Rng grad_rng(5);
-  Tensor d_out({batch.size, serial.output_dim()});
+  Tensor d_out({batch.size, layer->output_dim()});
   for (size_t i = 0; i < d_out.size(); ++i) {
     d_out[i] = static_cast<float>(grad_rng.Gaussian());
   }
-
   for (int step = 0; step < 3; ++step) {
-    Tensor out1;
-    serial.Gather(batch, &out1);
-    SerialTableStep(&serial, batch, d_out);
-
-    PreparedBatch prep;
-    Tensor out2;
-    prep.BeginFill(batch);
-    prepared.Prepare(batch, &prep);
-    prepared.ForwardPrepared(prep, prep.cat, &out2);
-    prepared.BackwardPrepared(d_out, prep, prep.cat);
-    prepared.StepPrepared();
-
-    ASSERT_EQ(out1.size(), out2.size());
-    EXPECT_EQ(std::memcmp(out1.data(), out2.data(),
-                          out1.size() * sizeof(float)),
+    Tensor gathered, forwarded;
+    layer->Gather(batch, &gathered);
+    prepared_step(d_out, &forwarded);
+    ReferenceStep(reference, batch, d_out);
+    ASSERT_EQ(gathered.size(), forwarded.size());
+    EXPECT_EQ(std::memcmp(gathered.data(), forwarded.data(),
+                          gathered.size() * sizeof(float)),
               0)
         << "forward mismatch at step " << step;
   }
-  for (size_t f = 0; f < p.data.num_categorical(); ++f) {
-    const Tensor& v1 = serial.cat_table(f).values();
-    const Tensor& v2 = prepared.cat_table(f).values();
-    ASSERT_EQ(v1.size(), v2.size());
-    EXPECT_EQ(std::memcmp(v1.data(), v2.data(), v1.size() * sizeof(float)),
+  std::vector<Tensor*> got, want;
+  layer->CollectState(&got);
+  reference->CollectState(&want);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i]->size(), want[i]->size());
+    EXPECT_EQ(std::memcmp(got[i]->data(), want[i]->data(),
+                          got[i]->size() * sizeof(float)),
               0)
-        << "table " << f << " diverged";
-  }
-  // Continuous tables go through the scaled-accumulate path, which has
-  // its own serial/prepared rounding contract (AddScaledRow).
-  for (size_t f = 0; f < p.data.num_continuous(); ++f) {
-    const Tensor& v1 = serial.cont_table(f).values();
-    const Tensor& v2 = prepared.cont_table(f).values();
-    ASSERT_EQ(v1.size(), v2.size());
-    EXPECT_EQ(std::memcmp(v1.data(), v2.data(), v1.size() * sizeof(float)),
-              0)
-        << "cont table " << f << " diverged";
+        << "table " << i << " diverged";
   }
 }
 
+// FeatureEmbedding's categorical tables and its continuous tables (the
+// scaled-accumulate path) against the reference.
+void CheckPreparedParity(const EmbeddingBackendConfig& backend) {
+  const auto& p = SharedTinyData();
+  Rng rng1(99), rng2(99);
+  FeatureEmbedding layer(p.data, 8, 1e-3f, 0.0f, &rng1, backend);
+  FeatureEmbedding reference(p.data, 8, 1e-3f, 0.0f, &rng2, backend);
+  const Batch batch = HeadBatch(p, 128);
+  CheckLayerParity(&layer, &reference, batch,
+                   [&](const Tensor& d_out, Tensor* out) {
+                     PreparedBatch prep;
+                     prep.BeginFill(batch);
+                     layer.Prepare(batch, &prep);
+                     layer.ForwardPrepared(prep, prep.cat, out);
+                     layer.BackwardPrepared(d_out, prep, prep.cat);
+                     layer.StepPrepared();
+                   });
+}
+
 // Single-table QR parity: the prepared slot scatter (dedup in backing
-// space, per-shard row buckets) accumulates the same per-backing-row
-// sums as the serial AccumulateGrad loop, and the two Adam steps leave
-// bit-identical weights.
+// space, per-shard row buckets) accumulates the same per-backing-row sums
+// as the reference, and the two Adam steps leave bit-identical weights.
 TEST(PreparedParityTest, QrSingleTableScatterMatchesLegacy) {
   Rng rng1(7), rng2(7);
-  EmbeddingTable legacy("dbg", 40, 4, 1e-3f, 0.0f,
-                        EmbeddingBackendConfig::QR());
+  EmbeddingTable reference("dbg", 40, 4, 1e-3f, 0.0f,
+                           EmbeddingBackendConfig::QR());
   EmbeddingTable prepared("dbg", 40, 4, 1e-3f, 0.0f,
                           EmbeddingBackendConfig::QR());
-  legacy.Init(&rng1);
+  reference.Init(&rng1);
   prepared.Init(&rng2);
   const std::vector<int32_t> ids = {5, 17, 5, 23, 9, 38, 17, 0};
   const size_t n = ids.size();
-  std::vector<float> grads(n * 4);
+  Tensor grads({n, 4});
   Rng grng(3);
-  for (float& g : grads) g = static_cast<float>(grng.Gaussian());
+  for (size_t i = 0; i < grads.size(); ++i) {
+    grads[i] = static_cast<float>(grng.Gaussian());
+  }
 
-  IdDedupScratch dedup;
   PreparedTable pt;
-  PrepareTableIds(prepared, n, [&](size_t k) { return ids[k]; }, &dedup,
-                  &pt);
-  prepared.BeginPreparedScatter(pt.unique_rows.data(), pt.unique_rows.size());
-  for (size_t shard = 0; shard < EmbeddingTable::kGradShards; ++shard) {
-    for (const int32_t k : pt.shard_rows[shard]) {
-      prepared.AccumulatePreparedGradPrimary(
-          static_cast<size_t>(pt.slots[k]), pt.ids[k], grads.data() + k * 4);
-    }
-    for (const int32_t k : pt.shard_rows2[shard]) {
-      prepared.AccumulatePreparedGradSecondary(
-          static_cast<size_t>(pt.slots2[k]), pt.ids[k], grads.data() + k * 4);
-    }
-  }
-  for (size_t k = 0; k < n; ++k) {
-    legacy.AccumulateGrad(ids[k], grads.data() + k * 4);
-  }
+  ScatterIntoTable(&prepared, ids, grads, &pt);
+  std::vector<const float*> grad_rows(n);
+  for (size_t k = 0; k < n; ++k) grad_rows[k] = grads.row(k);
+  const RowSums sums = ReferenceRowSums(reference, ids, grad_rows);
   // Per-backing-row grad sums must match bitwise.
-  for (size_t s = 0; s < pt.unique_rows.size(); ++s) {
-    const int32_t row = pt.unique_rows[s];
-    const float* pg = prepared.PreparedGrad(s);
-    const float* lg = legacy.AccumulatedGradForRow(row);
-    ASSERT_NE(lg, nullptr) << "row " << row << " untouched in legacy";
-    EXPECT_EQ(std::memcmp(pg, lg, 4 * sizeof(float)), 0)
-        << "grad mismatch backing row " << row << " slot " << s;
+  ASSERT_EQ(sums.size(), pt.unique_rows.size());
+  for (const auto& [row, sum] : sums) {
+    const float* pg = PreparedGradOfRow(prepared, pt, row);
+    ASSERT_NE(pg, nullptr) << "row " << row << " untouched in prepared";
+    EXPECT_EQ(std::memcmp(pg, sum.data(), 4 * sizeof(float)), 0)
+        << "grad mismatch backing row " << row;
   }
-  legacy.SparseAdamStep();
+  ApplyReferenceStep(&reference, sums);
   prepared.SparseAdamStepPrepared();
-  const Tensor& v1 = legacy.values();
+  const Tensor& v1 = reference.values();
   const Tensor& v2 = prepared.values();
-  for (size_t r = 0; r < legacy.BackingRows(); ++r) {
+  for (size_t r = 0; r < reference.BackingRows(); ++r) {
     EXPECT_EQ(std::memcmp(v1.row(r), v2.row(r), 4 * sizeof(float)), 0)
         << "weight mismatch backing row " << r;
   }
@@ -405,6 +495,73 @@ TEST(PreparedParityTest, Tiered) {
   cfg.min_vocab = 2;
   CheckPreparedParity(cfg);
 }
+
+// CrossEmbedding over every pair, or both triples, of the tiny dataset,
+// per backend: ForwardPrepared == Gather and three prepared steps ==
+// three reference steps, bitwise. The pair batch is large enough to fan
+// the gather and scatter across the pool.
+struct CrossParityCase {
+  const char* name;
+  CrossKind kind;
+  EmbeddingBackendConfig backend;
+};
+
+void PrintTo(const CrossParityCase& c, std::ostream* os) { *os << c.name; }
+
+class CrossParityTest : public ::testing::TestWithParam<CrossParityCase> {};
+
+TEST_P(CrossParityTest, PreparedStepMatchesReference) {
+  static const EncodedDataset* data =
+      new EncodedDataset(testing::TinyDataWithTriples());
+  const CrossParityCase& c = GetParam();
+  EmbeddingBackendConfig backend = c.backend;
+  backend.min_vocab = 2;
+  const bool pair = c.kind == CrossKind::kPair;
+  std::vector<size_t> columns(pair ? data->num_pairs() : data->num_triples());
+  for (size_t i = 0; i < columns.size(); ++i) columns[i] = i;
+  Rng rng1(21), rng2(21);
+  CrossEmbedding layer(*data, c.kind, columns, 8, 1e-3f, 0.0f, &rng1,
+                       backend);
+  CrossEmbedding reference(*data, c.kind, columns, 8, 1e-3f, 0.0f, &rng2,
+                           backend);
+  const std::vector<size_t>& train = SharedTinyData().splits.train;
+  Batch batch;
+  batch.data = data;
+  batch.rows = train.data();
+  batch.size = std::min<size_t>(512, train.size());
+  CheckLayerParity(&layer, &reference, batch,
+                   [&](const Tensor& d_out, Tensor* out) {
+                     IdDedupScratch dedup;
+                     std::vector<PreparedTable> tables;
+                     layer.Prepare(batch, &dedup, &tables);
+                     layer.ForwardPrepared(tables, batch.size, out);
+                     layer.BackwardPrepared(d_out, tables);
+                     layer.StepPrepared();
+                   });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PairsAndTriples, CrossParityTest,
+    ::testing::Values(
+        CrossParityCase{"pair_dense", CrossKind::kPair,
+                        EmbeddingBackendConfig::Dense()},
+        CrossParityCase{"pair_qr_sum", CrossKind::kPair,
+                        EmbeddingBackendConfig::QR()},
+        CrossParityCase{"pair_qr_mul", CrossKind::kPair,
+                        EmbeddingBackendConfig::QR(0, QrCombine::kMul)},
+        CrossParityCase{"pair_tiered", CrossKind::kPair,
+                        EmbeddingBackendConfig::Tiered()},
+        CrossParityCase{"triple_dense", CrossKind::kTriple,
+                        EmbeddingBackendConfig::Dense()},
+        CrossParityCase{"triple_qr_sum", CrossKind::kTriple,
+                        EmbeddingBackendConfig::QR()},
+        CrossParityCase{"triple_qr_mul", CrossKind::kTriple,
+                        EmbeddingBackendConfig::QR(0, QrCombine::kMul)},
+        CrossParityCase{"triple_tiered", CrossKind::kTriple,
+                        EmbeddingBackendConfig::Tiered()}),
+    [](const ::testing::TestParamInfo<CrossParityCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Checkpoint -> reload -> quantize round trips

@@ -9,11 +9,15 @@
 #include "nn/layers.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
+#include "prepared_scatter.h"
 
 namespace optinter {
 namespace {
 
 using testing::CheckGradient;
+using testing::GradRows;
+using testing::PreparedGradOfRow;
+using testing::ScatterIntoTable;
 
 // Fixed projection so a vector output reduces to a scalar loss with
 // non-degenerate gradients.
@@ -382,63 +386,72 @@ TEST(EmbeddingTest, RowAccessAndInit) {
 
 TEST(EmbeddingTest, AccumulateDedupsIds) {
   EmbeddingTable table("t", 10, 2, 1e-3f, 0.0f);
-  const float g[] = {1.0f, 2.0f};
-  table.AccumulateGrad(5, g);
-  table.AccumulateGrad(5, g);
-  table.AccumulateGrad(7, g);
-  EXPECT_EQ(table.touched_count(), 2u);
+  PreparedTable pt;
+  ScatterIntoTable(&table, {5, 5, 7},
+                   GradRows({{1.0f, 2.0f}, {1.0f, 2.0f}, {1.0f, 2.0f}}), &pt);
+  EXPECT_EQ(pt.unique_rows, (std::vector<int32_t>{5, 7}));
+  EXPECT_EQ(pt.slots, (std::vector<int32_t>{0, 0, 1}));
+  EXPECT_EQ(table.PreparedGrad(0)[1], 4.0f);
+  table.ClearPreparedGrads();
 }
 
+// Adam's first step moves each touched coordinate by ~lr against its
+// gradient's sign; untouched rows keep their weights bit for bit.
 TEST(EmbeddingTest, SparseSgdUpdatesOnlyTouchedRows) {
   Rng rng(11);
   EmbeddingTable table("t", 10, 2, 0.1f, 0.0f);
   table.Init(&rng, 0.1);
-  std::vector<float> before0(table.Row(0), table.Row(0) + 2);
-  std::vector<float> before5(table.Row(5), table.Row(5) + 2);
-  const float g[] = {1.0f, -1.0f};
-  table.AccumulateGrad(5, g);
-  table.SparseSgdStep();
+  const std::vector<float> before0(table.Row(0), table.Row(0) + 2);
+  const std::vector<float> before5(table.Row(5), table.Row(5) + 2);
+  PreparedTable pt;
+  ScatterIntoTable(&table, {5}, GradRows({{1.0f, -1.0f}}), &pt);
+  table.SparseAdamStepPrepared();
   EXPECT_EQ(table.Row(0)[0], before0[0]);
+  EXPECT_EQ(table.Row(0)[1], before0[1]);
   EXPECT_NEAR(table.Row(5)[0], before5[0] - 0.1f, 1e-6f);
   EXPECT_NEAR(table.Row(5)[1], before5[1] + 0.1f, 1e-6f);
-  EXPECT_EQ(table.touched_count(), 0u);  // cleared after step
 }
 
 TEST(EmbeddingTest, SparseAdamFirstStepIsSignedLr) {
   EmbeddingTable table("t", 4, 2, 0.01f, 0.0f);
-  const float g[] = {2.0f, -0.3f};
-  table.AccumulateGrad(1, g);
-  table.SparseAdamStep();
+  PreparedTable pt;
+  ScatterIntoTable(&table, {1}, GradRows({{2.0f, -0.3f}}), &pt);
+  table.SparseAdamStepPrepared();
   EXPECT_NEAR(table.Row(1)[0], -0.01f, 1e-4f);
   EXPECT_NEAR(table.Row(1)[1], 0.01f, 1e-4f);
 }
 
 TEST(EmbeddingTest, AccumulatedGradsSum) {
   EmbeddingTable table("t", 4, 1, 0.5f, 0.0f);
-  const float g1[] = {1.0f};
-  const float g2[] = {3.0f};
-  table.AccumulateGrad(2, g1);
-  table.AccumulateGrad(2, g2);
-  table.SparseSgdStep();
-  EXPECT_NEAR(table.Row(2)[0], -0.5f * 4.0f, 1e-6f);
+  PreparedTable pt;
+  ScatterIntoTable(&table, {2, 2}, GradRows({{1.0f}, {3.0f}}), &pt);
+  const float* g = PreparedGradOfRow(table, pt, 2);
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g[0], 4.0f);
+  table.SparseAdamStepPrepared();
+  EXPECT_NEAR(table.Row(2)[0], -0.5f, 1e-6f);
 }
 
 TEST(EmbeddingTest, ClearGradsDiscards) {
   EmbeddingTable table("t", 4, 1, 0.5f, 0.0f);
-  const float g[] = {1.0f};
-  table.AccumulateGrad(2, g);
-  table.ClearGrads();
-  table.SparseSgdStep();
+  PreparedTable pt;
+  ScatterIntoTable(&table, {2}, GradRows({{1.0f}}), &pt);
+  table.ClearPreparedGrads();
+  table.SparseAdamStepPrepared();
   EXPECT_EQ(table.Row(2)[0], 0.0f);
 }
 
+// L2 decays touched rows only: with a zero gradient, row 2's first Adam
+// step is driven by l2·w alone, and untouched row 3 keeps its weight.
 TEST(EmbeddingTest, L2AppliedToTouchedRows) {
   EmbeddingTable table("t", 4, 1, 0.1f, 1.0f);
   table.MutableRow(2)[0] = 1.0f;
-  const float g[] = {0.0f};
-  table.AccumulateGrad(2, g);
-  table.SparseSgdStep();
+  table.MutableRow(3)[0] = 1.0f;
+  PreparedTable pt;
+  ScatterIntoTable(&table, {2}, GradRows({{0.0f}}), &pt);
+  table.SparseAdamStepPrepared();
   EXPECT_NEAR(table.Row(2)[0], 0.9f, 1e-6f);
+  EXPECT_EQ(table.Row(3)[0], 1.0f);
 }
 
 }  // namespace

@@ -905,6 +905,24 @@ TEST(TimelineTest, RingDropsOldestAndCountsDrops) {
   EXPECT_EQ(doc.Find("otherData")->Find("dropped_events")->number(), 12.0);
 }
 
+// OPTINTER_OBS_TIMELINE_EVENTS must be a whole decimal integer in
+// [2, kMaxCapacity]; anything else parses to 0 and the default stays.
+// Pure parse: no ring of the refused size is ever allocated.
+TEST(TimelineTest, CapacityEnvParsesWholeBoundedIntegers) {
+  EXPECT_EQ(obs::Timeline::ParseCapacity("2"), 2u);
+  EXPECT_EQ(obs::Timeline::ParseCapacity("65536"), 65536u);
+  EXPECT_EQ(obs::Timeline::ParseCapacity("1048576"),
+            obs::Timeline::kMaxCapacity);
+  EXPECT_EQ(obs::Timeline::ParseCapacity("1048577"), 0u);
+  EXPECT_EQ(obs::Timeline::ParseCapacity("4000000000000"), 0u);
+  EXPECT_EQ(obs::Timeline::ParseCapacity("99999999999999999999999"), 0u);
+  EXPECT_EQ(obs::Timeline::ParseCapacity("64k"), 0u);
+  EXPECT_EQ(obs::Timeline::ParseCapacity("1"), 0u);
+  EXPECT_EQ(obs::Timeline::ParseCapacity("0"), 0u);
+  EXPECT_EQ(obs::Timeline::ParseCapacity("-8"), 0u);
+  EXPECT_EQ(obs::Timeline::ParseCapacity(""), 0u);
+}
+
 TEST(TimelineTest, DisabledRecordingIsInert) {
   obs::Timeline::DisableForTest();
   EXPECT_FALSE(obs::Timeline::Enabled());

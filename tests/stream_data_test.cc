@@ -326,6 +326,23 @@ TEST(StreamingReaderTest, LruEvictionHoldsResidencyBound) {
 // Stream encode: exact mode must reproduce the in-RAM encoder bit-for-bit
 // ---------------------------------------------------------------------------
 
+// A zero-block shuffle window has no rows to shuffle; the batcher refuses
+// it at construction, naming the option, instead of failing on the first
+// epoch's shuffle.
+TEST(StreamingBatcherDeathTest, ZeroWindowBlocksNamesTheOption) {
+  StreamingBatcher::Options bo;
+  bo.batch_size = 64;
+  bo.order = StreamingBatcher::Order::kWindowShuffle;
+  bo.window_blocks = 0;
+  const EncodedDataset& data = SharedTinyData().data;
+  EXPECT_DEATH(
+      {
+        StreamingBatcher batcher(&data, 0, data.num_rows, bo);
+        batcher.StartEpoch();
+      },
+      "window_blocks must be >= 1");
+}
+
 TEST(StreamEncodeTest, ExactModeMatchesInRamEncoderBitwise) {
   SynthConfig cfg = TinyConfig();
   cfg.num_rows = 3000;
