@@ -336,7 +336,9 @@ struct ModelGolden {
 // Recorded with GCC 12 on x86-64 at the commit before every model moved
 // onto the prepared-batch training protocol, which they pin as
 // bit-neutral. RelWithDebInfo was recorded in the TSan build (plain
-// RelWithDebInfo gives the same bits).
+// RelWithDebInfo gives the same bits). The OptInter-sum-search-wide-s2
+// rows were recorded (plain RelWithDebInfo) before the search assembled
+// z through InteractionLayout, which they pin as bit-neutral.
 const std::vector<ModelGolden> kModelGoldens = {
     {"avx2/Release", "dense", "LR",
      {0x915ad2515cc925d2ull, 0x3fe78694e45a892cull, 0x3fe2d696d8b5a429ull,
@@ -374,6 +376,9 @@ const std::vector<ModelGolden> kModelGoldens = {
     {"avx2/Release", "dense", "OptInter-multiop-search",
      {0x60d52c232e709723ull, 0x3fea71ea85e32f05ull, 0x3fde28d06439365cull,
       0x03ba5420b796b5fbull, 0x6e098b7c34d6615full, 0x7899427ed58ac5ddull}},
+    {"avx2/Release", "dense", "OptInter-sum-search-wide-s2",
+     {0xa20287fa06389f8aull, 0x3fea06b50353d4feull, 0x3fe00b61fd41b183ull,
+      0x7138a07b9aca2673ull, 0xa2226a0a94b44ef5ull, 0xc04444d7ab660389ull}},
     {"avx2/Release", "qr", "LR",
      {0x915ad2515cc925d2ull, 0x3fe78694e45a892cull, 0x3fe2d696d8b5a429ull,
       0xfd37a33cf28207f8ull, 0xbb50e50df57f6a1eull, 0xe17971f830c7ea12ull}},
@@ -410,6 +415,9 @@ const std::vector<ModelGolden> kModelGoldens = {
     {"avx2/Release", "qr", "OptInter-multiop-search",
      {0x76e73f825215aa84ull, 0x3fe8ebc56dc11b75ull, 0x3fe0a937f5f2c994ull,
       0x1316ab86c70afdd8ull, 0x86970c6471579836ull, 0x315ef57d45e69888ull}},
+    {"avx2/Release", "qr", "OptInter-sum-search-wide-s2",
+     {0xcd6733322321a37full, 0x3fe93b3d478efa14ull, 0x3fe038bafc3af777ull,
+      0x33a1d1cdffa7dd43ull, 0xdb7f6a75aef6c72full, 0xd5db372f65f12b0eull}},
     {"avx2/RelWithDebInfo", "dense", "LR",
      {0x915ad2515cc925d2ull, 0x3fe78694e45a892cull, 0x3fe2d696d8b5a429ull,
       0xfd37a33cf28207f8ull, 0xbb50e50df57f6a1eull, 0xe17971f830c7ea12ull}},
@@ -446,6 +454,9 @@ const std::vector<ModelGolden> kModelGoldens = {
     {"avx2/RelWithDebInfo", "dense", "OptInter-multiop-search",
      {0x60d52c232e709723ull, 0x3fea71ea85e32f05ull, 0x3fde28d06439365cull,
       0x03ba5420b796b5fbull, 0x6e098b7c34d6615full, 0x7899427ed58ac5ddull}},
+    {"avx2/RelWithDebInfo", "dense", "OptInter-sum-search-wide-s2",
+     {0xa20287fa06389f8aull, 0x3fea06b50353d4feull, 0x3fe00b61fd41b183ull,
+      0x7138a07b9aca2673ull, 0xa2226a0a94b44ef5ull, 0xc04444d7ab660389ull}},
     {"avx2/RelWithDebInfo", "qr", "LR",
      {0x915ad2515cc925d2ull, 0x3fe78694e45a892cull, 0x3fe2d696d8b5a429ull,
       0xfd37a33cf28207f8ull, 0xbb50e50df57f6a1eull, 0xe17971f830c7ea12ull}},
@@ -482,6 +493,9 @@ const std::vector<ModelGolden> kModelGoldens = {
     {"avx2/RelWithDebInfo", "qr", "OptInter-multiop-search",
      {0x76e73f825215aa84ull, 0x3fe8ebc56dc11b75ull, 0x3fe0a937f5f2c994ull,
       0x1316ab86c70afdd8ull, 0x86970c6471579836ull, 0x315ef57d45e69888ull}},
+    {"avx2/RelWithDebInfo", "qr", "OptInter-sum-search-wide-s2",
+     {0xcd6733322321a37full, 0x3fe93b3d478efa14ull, 0x3fe038bafc3af777ull,
+      0x33a1d1cdffa7dd43ull, 0xdb7f6a75aef6c72full, 0xd5db372f65f12b0eull}},
 };
 
 struct SearchGolden {
@@ -521,7 +535,8 @@ HyperParams ModelHp() {
 const std::vector<std::string>& FingerprintedModels() {
   static const std::vector<std::string> names = {
       "LR",   "Poly2",  "FM",  "FFM",       "FwFM",          "FmFM", "IPNN",
-      "OPNN", "DeepFM", "PIN", "AutoFIS-search", "OptInter-multiop-search"};
+      "OPNN", "DeepFM", "PIN", "AutoFIS-search", "OptInter-multiop-search",
+      "OptInter-sum-search-wide-s2"};
   return names;
 }
 
@@ -536,6 +551,16 @@ std::unique_ptr<CtrModel> MakeFingerprintModel(const std::string& name,
         data, hp, UpdateMode::kJoint,
         std::vector<FactorizeFn>{FactorizeFn::kHadamard,
                                  FactorizeFn::kInnerProduct});
+  }
+  if (name == "OptInter-sum-search-wide-s2") {
+    // K = 3 over {sum} with s2 > s1: the memorized candidate is the
+    // widest, so the factorized candidate is the zero-padded one (tiny's
+    // own s2 < s1 pads the memorized candidate instead).
+    HyperParams wide = hp;
+    wide.cross_embed_dim = hp.embed_dim + 4;
+    return std::make_unique<SearchModel>(
+        data, wide, UpdateMode::kJoint,
+        std::vector<FactorizeFn>{FactorizeFn::kPointwiseSum});
   }
   auto model = CreateBaseline(name, data, hp);
   CHECK(model.ok()) << model.status().ToString();
