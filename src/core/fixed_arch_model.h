@@ -57,10 +57,10 @@ class FixedArchModel : public CtrModel {
   void Predict(const Batch& batch, std::vector<float>* probs,
                ForwardContext* ctx) const override;
 
-  /// The MLP forward Predict runs over z: over the packed weights once
-  /// frozen, the plain fp32 Linears before. The quantized views (int8 and
-  /// bf16) reuse it for their MLP.
-  void MlpForward(const Tensor& z, Tensor* y, MlpWorkspace* ws) const;
+  /// The MLP Predict runs over ctx->z into ctx->mlp_out and ctx->logits:
+  /// over the packed weights once frozen, the plain fp32 Linears before.
+  /// The quantized views (int8 and bf16) reuse it for their MLP.
+  void MlpLogits(ForwardContext* ctx) const;
 
   /// One PackNT per MLP Linear, in Mlp::linears() order.
   using MlpPacks = std::vector<PackedNT>;
@@ -102,9 +102,6 @@ class FixedArchModel : public CtrModel {
   void OnFreeze() const override;
 
  private:
-  /// MLP over ctx->z into ctx->mlp_out, then ctx->logits.
-  void MlpLogits(ForwardContext* ctx) const;
-
   std::string name_;
   Architecture arch_;
   Rng rng_;
@@ -127,9 +124,7 @@ class FixedArchModel : public CtrModel {
   std::vector<float> dlogits_;
   Tensor dmlp_out_;
   Tensor dz_;
-  Tensor demb_;
-  Tensor dcross_;
-  Tensor dtriple_;
+  InteractionGrads grads_;
 };
 
 }  // namespace optinter

@@ -1,10 +1,7 @@
 #include "core/search_model.h"
 
-#include <cstring>
 #include <numeric>
 
-#include "common/thread_pool.h"
-#include "core/interaction_layout.h"
 #include "obs/trace.h"
 #include "nn/init.h"
 #include "nn/layers.h"
@@ -17,6 +14,14 @@ std::vector<size_t> AllPairIndices(const EncodedDataset& data) {
   std::vector<size_t> pairs(data.num_pairs());
   std::iota(pairs.begin(), pairs.end(), 0);
   return pairs;
+}
+
+// Every pair's candidates {memorize, fns...}; naïve is implicit.
+std::vector<std::vector<InteractionLayout::Arm>> SearchArms(
+    size_t num_pairs, const std::vector<FactorizeFn>& fns) {
+  std::vector<InteractionLayout::Arm> arms = {{InterMethod::kMemorize}};
+  for (FactorizeFn fn : fns) arms.push_back({InterMethod::kFactorize, fn});
+  return std::vector(num_pairs, arms);
 }
 }  // namespace
 
@@ -33,25 +38,20 @@ SearchModel::SearchModel(const EncodedDataset& data, const HyperParams& hp,
                          UpdateMode mode, std::vector<FactorizeFn> fns)
     : data_(data),
       mode_(mode),
-      fns_(std::move(fns)),
-      s1_(hp.embed_dim),
-      s2_(hp.cross_embed_dim),
+      fns_(fns.empty() ? std::vector<FactorizeFn>{hp.factorize_fn}
+                       : std::move(fns)),
       tau_(hp.gumbel_temp_start),
       rng_(hp.seed),
       emb_(data, hp.embed_dim, hp.lr_orig, hp.l2_orig, &rng_,
-           hp.orig_backend) {
+           hp.orig_backend),
+      layout_(SearchArms(data.num_pairs(), fns_), data.num_categorical(),
+              emb_.output_dim(), hp.embed_dim, hp.cross_embed_dim,
+              /*num_triples=*/0) {
   // Metadata-only datasets (vocab sizes without row payload) are fine.
   CHECK(!data.cross_vocab_sizes.empty()) << "search requires cross features";
-  if (fns_.empty()) fns_.push_back(hp.factorize_fn);
-  db_ = s2_;
-  for (FactorizeFn fn : fns_) {
-    fn_widths_.push_back(FactorizedWidth(fn, s1_));
-    db_ = std::max(db_, fn_widths_.back());
-  }
   cross_emb_ = std::make_unique<CrossEmbedding>(
-      data, CrossKind::kPair, AllPairIndices(data), s2_, hp.lr_cross,
-      hp.l2_cross, &rng_, hp.cross_backend);
-  cat_pairs_ = EnumeratePairs(data.num_categorical());
+      data, CrossKind::kPair, AllPairIndices(data), hp.cross_embed_dim,
+      hp.lr_cross, hp.l2_cross, &rng_, hp.cross_backend);
 
   alpha_.name = "arch/alpha";
   alpha_.Resize({data.num_pairs(), num_candidates()});
@@ -69,8 +69,7 @@ SearchModel::SearchModel(const EncodedDataset& data, const HyperParams& hp,
   cfg.layer_norm = hp.layer_norm;
   cfg.lr = hp.lr_orig;
   cfg.l2 = hp.l2_orig;
-  mlp_ = std::make_unique<Mlp>(
-      "mlp", emb_.output_dim() + data.num_pairs() * db_, cfg, &rng_);
+  mlp_ = std::make_unique<Mlp>("mlp", layout_.z_cols(), cfg, &rng_);
   mlp_->RegisterParams(&theta_opt_);
 }
 
@@ -96,56 +95,9 @@ void SearchModel::ExpectedProbs(size_t p, float* out) const {
   Softmax(k, out, out);
 }
 
-void SearchModel::AssembleForward(size_t b, const std::vector<float>& probs,
-                                  ForwardContext* ctx) const {
-  const size_t emb_cols = ctx->emb_out.cols();
-  const size_t num_pairs = data_.num_pairs();
-  const size_t k = num_candidates();
-  Tensor& z = ctx->z;
-  z.Resize({b, emb_cols + num_pairs * db_});
-  auto assemble = [&](size_t lo, size_t hi) {
-    // Thread-local factorization scratch: per-thread so concurrent chunks
-    // (and concurrent Predict calls) never race, and capacity survives
-    // across steps so steady-state steps don't allocate.
-    static thread_local std::vector<float> fact;
-    fact.resize(db_);
-    for (size_t r = lo; r < hi; ++r) {
-      float* zr = z.row(r);
-      std::memcpy(zr, ctx->emb_out.row(r), emb_cols * sizeof(float));
-      const float* e = ctx->emb_out.row(r);
-      const float* cr = ctx->cross_out.row(r);
-      float* blocks = zr + emb_cols;
-      std::memset(blocks, 0, num_pairs * db_ * sizeof(float));
-      for (size_t p = 0; p < num_pairs; ++p) {
-        // Probabilities are read into locals: `block` may alias them.
-        const float* pr = probs.data() + p * k;
-        const float pm = pr[0];
-        float* block = blocks + p * db_;
-        const float* mem = cr + p * s2_;
-        for (size_t t = 0; t < s2_; ++t) block[t] += pm * mem[t];
-        const auto [i, j] = cat_pairs_[p];
-        for (size_t f = 0; f < fns_.size(); ++f) {
-          FactorizedForward(fns_[f], s1_, e + i * s1_, e + j * s1_,
-                            fact.data());
-          const float pf = pr[1 + f];
-          for (size_t t = 0; t < fn_widths_[f]; ++t) {
-            block[t] += pf * fact[t];
-          }
-        }
-        // Naïve candidate is the zero vector: contributes nothing.
-      }
-    }
-  };
-  {
-    OPTINTER_TRACE_SPAN("z_assemble");
-    // Rows write disjoint z rows → bit-identical to the serial loop.
-    if (b * (emb_cols + num_pairs * db_) >= kParallelAssembleFloats) {
-      ParallelForChunks(0, b, assemble, /*min_chunk=*/32);
-    } else {
-      assemble(0, b);
-    }
-  }
-  mlp_->Forward(z, &ctx->mlp_out, &ctx->mlp);
+void SearchModel::MlpLogits(ForwardContext* ctx) const {
+  mlp_->Forward(ctx->z, &ctx->mlp_out, &ctx->mlp);
+  const size_t b = ctx->z.rows();
   ctx->logits.resize(b);
   for (size_t r = 0; r < b; ++r) ctx->logits[r] = ctx->mlp_out.at(r, 0);
 }
@@ -164,7 +116,13 @@ float SearchModel::ForwardBackward(const PreparedBatch& prep) {
   const size_t b = prep.size;
   emb_.ForwardPrepared(prep, prep.cat, &ctx_.emb_out);
   cross_emb_->ForwardPrepared(prep.cross, b, &ctx_.cross_out);
-  AssembleForward(b, probs_cache_, &ctx_);
+  const GatheredRows rows{ctx_.emb_out, ctx_.cross_out, ctx_.triple_out,
+                          layout_.s2};
+  {
+    OPTINTER_TRACE_SPAN("z_assemble");
+    AssembleRows(layout_, rows, b, &ctx_.z, probs_cache_.data());
+  }
+  MlpLogits(&ctx_);
   dlogits_.resize(b);
   const float loss = BceWithLogitsLoss(ctx_.logits.data(), prep.labels.data(),
                                        b, dlogits_.data());
@@ -172,85 +130,18 @@ float SearchModel::ForwardBackward(const PreparedBatch& prep) {
   dmlp_out_.Resize({b, 1});
   for (size_t r = 0; r < b; ++r) dmlp_out_.at(r, 0) = dlogits_[r];
   mlp_->Backward(dmlp_out_, &dz_, &ctx_.mlp);
-
-  const size_t emb_cols = ctx_.emb_out.cols();
-  const size_t num_pairs = data_.num_pairs();
-  const size_t k = num_candidates();
-  demb_.Resize({b, emb_cols});
-  dcross_.Resize({b, ctx_.cross_out.cols()});
-  // d(loss)/d(candidate probability), accumulated over the batch.
-  dp_.assign(num_pairs * k, 0.0);
-  // Per-row demb/dcross writes are disjoint; dp is a reduction over rows
-  // accumulated into `dp_acc` (the shared vector on the serial path,
-  // per-chunk partials on the parallel one).
-  auto body = [&](size_t lo, size_t hi, double* dp_acc) {
-    static thread_local std::vector<float> fact;
-    fact.resize(db_);
-    for (size_t r = lo; r < hi; ++r) {
-      const float* dzr = dz_.row(r);
-      std::memcpy(demb_.row(r), dzr, emb_cols * sizeof(float));
-      const float* e = ctx_.emb_out.row(r);
-      const float* cr = ctx_.cross_out.row(r);
-      float* de = demb_.row(r);
-      float* dcr = dcross_.row(r);
-      const float* dblocks = dzr + emb_cols;
-      for (size_t p = 0; p < num_pairs; ++p) {
-        const float* pr = probs_cache_.data() + p * k;
-        const float pm = pr[0];  // a local: `dmem` may alias pr
-        double* dpr = dp_acc + p * k;
-        const float* dblock = dblocks + p * db_;
-        const float* mem = cr + p * s2_;
-        float* dmem = dcr + p * s2_;
-        double dpm = 0.0;
-        for (size_t t = 0; t < s2_; ++t) {
-          dpm += static_cast<double>(dblock[t]) * mem[t];
-          dmem[t] = pm * dblock[t];
-        }
-        dpr[0] += dpm;
-        const auto [i, j] = cat_pairs_[p];
-        const float* ei = e + i * s1_;
-        const float* ej = e + j * s1_;
-        for (size_t f = 0; f < fns_.size(); ++f) {
-          FactorizedForward(fns_[f], s1_, ei, ej, fact.data());
-          double dpf = 0.0;
-          for (size_t t = 0; t < fn_widths_[f]; ++t) {
-            dpf += static_cast<double>(dblock[t]) * fact[t];
-          }
-          FactorizedBackward(fns_[f], s1_, ei, ej, dblock, pr[1 + f],
-                             de + i * s1_, de + j * s1_);
-          dpr[1 + f] += dpf;
-        }
-        // dp for naïve stays 0: its candidate embedding is the zero vector.
-      }
-    }
-  };
-  {
-    OPTINTER_TRACE_SPAN("interaction_bwd");
-    const FixedChunks grid = MakeFixedChunks(b, /*min_chunk=*/32);
-    if (b * (emb_cols + num_pairs * db_) >= kParallelAssembleFloats && grid.count > 1) {
-      // Per-chunk dp partials merged in chunk order: the fixed grid keeps
-      // the summation tree independent of the thread count.
-      const size_t stride = num_pairs * k;
-      dp_partials_.assign(grid.count * stride, 0.0);
-      ParallelForEachChunk(grid, [&](size_t c) {
-        body(grid.lo(c), grid.hi(c), dp_partials_.data() + c * stride);
-      });
-      for (size_t c = 0; c < grid.count; ++c) {
-        const double* part = dp_partials_.data() + c * stride;
-        for (size_t idx = 0; idx < stride; ++idx) dp_[idx] += part[idx];
-      }
-    } else {
-      body(0, b, dp_.data());
-    }
-  }
+  // Also sums d(loss)/d(candidate probability) over the batch into
+  // grads_.dp.
+  AssembleRowsBackward(layout_, rows, probs_cache_.data(), dz_, &grads_);
 
   // Softmax backward into the architecture logits:
   //   da_k = (1/τ) · p_k · (dp_k − Σ_l p_l · dp_l).
   {
     OPTINTER_TRACE_SPAN("alpha_bwd");
-    for (size_t p = 0; p < num_pairs; ++p) {
+    const size_t k = num_candidates();
+    for (size_t p = 0; p < data_.num_pairs(); ++p) {
       const float* pr = probs_cache_.data() + p * k;
-      const double* dpr = dp_.data() + p * k;
+      const double* dpr = grads_.dp.data() + p * k;
       double weighted = 0.0;
       for (size_t c = 0; c < k; ++c) weighted += pr[c] * dpr[c];
       float* da = alpha_.grad.row(p);
@@ -260,8 +151,8 @@ float SearchModel::ForwardBackward(const PreparedBatch& prep) {
     }
   }
 
-  emb_.BackwardPrepared(demb_, prep, prep.cat);
-  cross_emb_->BackwardPrepared(dcross_, prep.cross);
+  emb_.BackwardPrepared(grads_.demb, prep, prep.cat);
+  cross_emb_->BackwardPrepared(grads_.dcross, prep.cross);
   return loss;
 }
 
@@ -290,15 +181,20 @@ float SearchModel::ArchStep(const Batch& batch) {
 void SearchModel::Predict(const Batch& batch, std::vector<float>* probs,
                           ForwardContext* ctx) const {
   // Noise-free expectation: p = softmax(α/τ).
-  const size_t num_pairs = data_.num_pairs();
   const size_t k = num_candidates();
-  std::vector<float> p(num_pairs * k);
-  for (size_t q = 0; q < num_pairs; ++q) ExpectedProbs(q, p.data() + q * k);
-  // Gather touches no mutable layer state, so concurrent calls with
-  // distinct contexts share only immutable parameters.
-  emb_.Gather(batch, &ctx->emb_out);
-  cross_emb_->Gather(batch, &ctx->cross_out);
-  AssembleForward(batch.size, p, ctx);
+  std::vector<float> p(data_.num_pairs() * k);
+  for (size_t q = 0; q < data_.num_pairs(); ++q) {
+    ExpectedProbs(q, p.data() + q * k);
+  }
+  {
+    OPTINTER_TRACE_SPAN("gather_assemble");
+    // Reads only immutable parameters, so concurrent calls with distinct
+    // contexts are safe.
+    AssembleRows(layout_,
+                 TableRows(batch, emb_, cross_emb_.get(), nullptr),
+                 batch.size, &ctx->z, p.data());
+  }
+  MlpLogits(ctx);
   probs->resize(batch.size);
   SigmoidForward(ctx->logits.data(), batch.size, probs->data());
 }

@@ -13,7 +13,10 @@
 // and the combination block outputs the p-weighted sum of the K candidate
 // embeddings (Eq. 18), zero-padded to a common width d_b (the widest
 // candidate) so the sum is well-typed (the naïve candidate is the zero
-// vector, matching the paper's e^n).
+// vector, matching the paper's e^n). Each combination block is a weighted
+// block of the InteractionLayout that re-training also runs
+// (core/interaction_layout.h), fed the sampled p in training and
+// softmax(α/τ) in Predict; its backward walk also sums d(loss)/dp.
 //
 // Model parameters Θ and architecture parameters α are optimized
 // *jointly* by default (the paper's choice); the bi-level alternative
@@ -25,6 +28,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/interaction_layout.h"
 #include "models/cross_embedding.h"
 #include "models/feature_embedding.h"
 #include "models/hyperparams.h"
@@ -115,10 +119,8 @@ class SearchModel : public CtrModel {
   DenseParam& mutable_alpha() { return alpha_; }
 
  private:
-  /// Shared tail of the forward pass: assembles z from ctx->emb_out /
-  /// ctx->cross_out, runs the MLP, fills ctx->logits. Touches only `ctx`.
-  void AssembleForward(size_t b, const std::vector<float>& probs,
-                       ForwardContext* ctx) const;
+  /// MLP over ctx->z into ctx->mlp_out, then ctx->logits.
+  void MlpLogits(ForwardContext* ctx) const;
 
   /// Computes per-pair probabilities with fresh Gumbel noise.
   void SampleProbs(std::vector<float>* probs);
@@ -133,20 +135,15 @@ class SearchModel : public CtrModel {
   const EncodedDataset& data_;
   UpdateMode mode_;
   std::vector<FactorizeFn> fns_;
-  std::vector<size_t> fn_widths_;  // FactorizedWidth per fns_ entry
-  size_t s1_;
-  size_t s2_;
-  size_t db_;  // candidate width: max(s2, widest factorized output)
   float tau_ = 1.0f;
   Rng rng_;
   FeatureEmbedding emb_;
+  const InteractionLayout layout_;  // one weighted block per pair
   std::unique_ptr<CrossEmbedding> cross_emb_;  // all pairs
   std::unique_ptr<Mlp> mlp_;
   DenseParam alpha_;  // [P × K] logits, order {m, fns..., n}
   Adam theta_opt_;
   Adam arch_opt_;
-
-  std::vector<std::pair<size_t, size_t>> cat_pairs_;
 
   // Training-path caches: activations live in ctx_ so forward state has a
   // single home shared with Predict. Gradient tensors and reduction
@@ -157,10 +154,7 @@ class SearchModel : public CtrModel {
   std::vector<float> dlogits_;
   Tensor dmlp_out_;
   Tensor dz_;
-  Tensor demb_;
-  Tensor dcross_;
-  std::vector<double> dp_;
-  std::vector<double> dp_partials_;
+  InteractionGrads grads_;
 };
 
 }  // namespace optinter

@@ -13,9 +13,6 @@ QuantizedFixedArchModel::QuantizedFixedArchModel(
       fp32_(fp32),
       mode_(mode),
       name_(fp32.Name() + "-" + QuantModeName(mode)) {
-  const CrossEmbedding* pairs = fp32.cross_embedding();
-  pair_begin_ = fp32.feature_embedding().num_categorical();
-  triple_begin_ = pair_begin_ + (pairs != nullptr ? pairs->num_blocks() : 0);
   const std::vector<const EmbeddingTable*> sources =
       QuantizedSourceTables(fp32);
   tables_.reserve(sources.size());
@@ -53,14 +50,8 @@ void QuantizedFixedArchModel::ApplyGrads() { FailInferenceOnly(); }
 struct QuantizedFixedArchModel::DequantTables {
   const QuantizedFixedArchModel& m;
 
-  void Cat(size_t f, int32_t id, float* dst) const {
-    m.tables_[f].DequantRow(id, dst);
-  }
-  void Pair(size_t slot, int32_t id, float* dst) const {
-    m.tables_[m.pair_begin_ + slot].DequantRow(id, dst);
-  }
-  void Triple(size_t t, int32_t id, float* dst) const {
-    m.tables_[m.triple_begin_ + t].DequantRow(id, dst);
+  void Row(size_t t, const EmbeddingTable&, int32_t id, float* dst) const {
+    m.tables_[t].DequantRow(id, dst);
   }
 };
 
@@ -77,9 +68,7 @@ void QuantizedFixedArchModel::Predict(const Batch& batch,
                            DequantTables{*this}),
                  b, &ctx->z);
   }
-  fp32_.MlpForward(ctx->z, &ctx->mlp_out, &ctx->mlp);
-  ctx->logits.resize(b);
-  for (size_t k = 0; k < b; ++k) ctx->logits[k] = ctx->mlp_out.at(k, 0);
+  fp32_.MlpLogits(ctx);
   probs->resize(b);
   SigmoidForward(ctx->logits.data(), b, probs->data());
 }

@@ -6,7 +6,7 @@
 // MLP of its own: Predict runs the source's InteractionLayout through the
 // shared row assembler (core/interaction_layout.h) with a row source that
 // dequantizes every table read, then the source's fp32 MLP
-// (FixedArchModel::MlpForward).
+// (FixedArchModel::MlpLogits).
 //
 // Properties the serving layer relies on:
 //  * Immutable after construction; Predict is const and re-entrant, so
@@ -76,13 +76,10 @@ class QuantizedFixedArchModel : public CtrModel {
   QuantMode mode_;
   std::string name_;
 
-  // Quantized tables in QuantizedSourceTables order: cat fields, then
-  // pair blocks from pair_begin_, then triple blocks from triple_begin_.
-  // Continuous fields read the source's fp32 rows: they are single rows,
-  // nothing to compress.
+  // Quantized tables in QuantizedSourceTables order, TableRows' table
+  // numbering. Continuous fields read the source's fp32 rows: they are
+  // single rows, nothing to compress.
   std::vector<QuantizedTable> tables_;
-  size_t pair_begin_ = 0;
-  size_t triple_begin_ = 0;
 };
 
 /// Every table a quantized view of `fp32` quantizes, in the view's order:

@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/fixed_arch_model.h"
+#include "core/interaction_layout.h"
 #include "core/pipeline.h"
 #include "core/search_model.h"
 #include "gradient_check.h"
@@ -27,7 +28,6 @@
 #include "models/feature_embedding.h"
 #include "models/forward_context.h"
 #include "nn/layers.h"
-#include <unistd.h>
 
 #include <filesystem>
 
@@ -638,6 +638,78 @@ TEST(GradCheckParallelTest, TieredScatterAcrossThreadCounts) {
   CheckBackendScatterGradient(cfg);
 }
 
+// The one backward walk of InteractionLayout against central differences
+// of loss = Σ z ⊙ c, on a layout that mixes single-arm blocks (memorize,
+// Hadamard, inner, sum), a naïve pair, K = 4 weighted blocks {memorize,
+// Hadamard, inner} (+ naïve) and a memorized triple. s2 = 5 > s1 = 4, so
+// the weighted blocks pad their factorized arms. Checked: d/d e^o, d/d the
+// memorized rows and d/d the weights (dp), at batches on both sides of
+// the parallel cut-off (64 × 64 and 1024 × 64 floats of z).
+void CheckInteractionBackward(size_t b) {
+  using Arm = InteractionLayout::Arm;
+  const Arm mem{InterMethod::kMemorize};
+  const Arm had{InterMethod::kFactorize, FactorizeFn::kHadamard};
+  const Arm inner{InterMethod::kFactorize, FactorizeFn::kInnerProduct};
+  const Arm sum{InterMethod::kFactorize, FactorizeFn::kPointwiseSum};
+  std::vector<std::vector<Arm>> pair_arms = {{mem}, {had}, {inner}, {sum},
+                                             {}};
+  while (pair_arms.size() < 10) pair_arms.push_back({mem, had, inner});
+  constexpr size_t kS1 = 4, kS2 = 5, kFields = 5;
+  const InteractionLayout layout(pair_arms, kFields, kFields * kS1, kS1, kS2,
+                                 /*num_triples=*/1);
+  ASSERT_EQ(layout.z_cols(), 64u);
+  ASSERT_EQ(layout.weight_stride, 4u);
+
+  Rng rng(24);
+  Tensor emb = RandomTensor({b, layout.emb_cols}, &rng);
+  Tensor cross = RandomTensor({b, layout.pair_slots * kS2}, &rng);
+  Tensor triple = RandomTensor({b, kS2}, &rng);
+  Tensor weights = RandomTensor({layout.num_pairs, layout.weight_stride},
+                                &rng);
+  const Tensor c = RandomTensor({b, layout.z_cols()}, &rng);
+  const GatheredRows rows{emb, cross, triple, kS2};
+  auto loss = [&]() {
+    Tensor z;
+    AssembleRows(layout, rows, b, &z, weights.data());
+    return WeightedSum(z, c);
+  };
+  // Every gradient the walk writes, the one under test first.
+  auto grads_of = [&](int first) {
+    return [&, first]() {
+      InteractionGrads g;
+      AssembleRowsBackward(layout, rows, weights.data(), c, &g);
+      const std::vector<float> dp(g.dp.begin(), g.dp.end());
+      std::vector<std::vector<float>> parts = {
+          {g.demb.data(), g.demb.data() + g.demb.size()},
+          {g.dcross.data(), g.dcross.data() + g.dcross.size()},
+          dp,
+          {g.dtriple.data(), g.dtriple.data() + g.dtriple.size()}};
+      std::rotate(parts.begin(), parts.begin() + first, parts.end());
+      std::vector<float> all;
+      for (const std::vector<float>& part : parts) {
+        all.insert(all.end(), part.begin(), part.end());
+      }
+      return all;
+    };
+  };
+  CheckGradientAcrossThreadCounts({1, 2, 8}, grads_of(0), emb.data(),
+                                  /*check_n=*/2 * layout.emb_cols, loss);
+  CheckGradientAcrossThreadCounts({1, 2, 8}, grads_of(1), cross.data(),
+                                  /*check_n=*/cross.cols(), loss);
+  CheckGradientAcrossThreadCounts({1, 2, 8}, grads_of(2), weights.data(),
+                                  /*check_n=*/weights.size(), loss);
+}
+
+TEST(GradCheckParallelTest, InteractionBackwardSerialBatch) {
+  PoolGuard guard;
+  CheckInteractionBackward(64);
+}
+
+TEST(GradCheckParallelTest, InteractionBackwardParallelBatch) {
+  PoolGuard guard;
+  CheckInteractionBackward(1024);
+}
+
 // ---------------------------------------------------------------------------
 // Pipelined executor vs a serial TrainStep loop
 // ---------------------------------------------------------------------------
@@ -1012,21 +1084,19 @@ TEST(DeterminismTest, LinearForwardBiasAddBitIdenticalAcrossThreadCounts) {
 // identical to in-RAM training at every thread count and prefetch depth.
 // ---------------------------------------------------------------------------
 
-// A shard directory under TempDir, filled by `write` once per process and
-// removed at exit. Per-process path: ctest runs each TEST as its own
-// process, and a shared directory would let one process remove_all()
-// shards another has mmapped.
+// A shard directory at a per-process TempPath (removed at exit), filled by
+// `write` once per process. ctest runs each TEST as its own process, and a
+// shared directory would let one process remove_all() shards another has
+// mmapped.
 class ProcessShardDir {
  public:
   ProcessShardDir(const std::string& name,
                   const std::function<Status(const std::string&)>& write)
-      : path_(::testing::TempDir() + "/" + name + "." +
-              std::to_string(::getpid())) {
+      : path_(testing::TempPath(name)) {
     std::filesystem::remove_all(path_);
     std::filesystem::create_directories(path_);
     CHECK_OK(write(path_));
   }
-  ~ProcessShardDir() { std::filesystem::remove_all(path_); }
   const std::string& path() const { return path_; }
 
  private:

@@ -4,12 +4,13 @@
 
 #include "data/csv_loader.h"
 #include "data/encoder.h"
+#include "test_data.h"
 
 namespace optinter {
 namespace {
 
 std::string WriteTemp(const std::string& name, const std::string& content) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = testing::TempPath(name);
   std::ofstream(path) << content;
   return path;
 }

@@ -586,7 +586,7 @@ void CheckCheckpointQuantizeRoundTrip(const EmbeddingBackendConfig& cross,
   trained->Predict(eval, &ref_probs, &ctx);
 
   const std::string path =
-      ::testing::TempDir() + "backend_roundtrip_" + tag + ".bin";
+      testing::TempPath("backend_roundtrip_" + tag + ".bin");
   ASSERT_TRUE(SaveModel(trained.get(), path).ok());
 
   // Reload into an identically constructed model: bitwise equal output.

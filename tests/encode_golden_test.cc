@@ -123,7 +123,7 @@ void ExpectGolden(const char* name, const EncodedDataset& data) {
 EncodedDataset StreamTiny(const std::string& name,
                           const StreamEncodeOptions& opts,
                           StreamEncodeStats* stats) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = testing::TempPath(name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   SynthRowSource rows(TinyConfig());

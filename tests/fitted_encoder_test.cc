@@ -12,6 +12,7 @@
 #include "data/shard_format.h"
 #include "data/stream_encode.h"
 #include "synth/profiles.h"
+#include "test_data.h"
 
 namespace optinter {
 namespace {
@@ -127,7 +128,7 @@ TEST(FittedEncoderTest, SaveLoadRoundTrip) {
   f.opts.triples = {{0, 1, 2}, {1, 3, 4}};
   auto enc = FitOn(f);
   ASSERT_TRUE(enc.ok());
-  const std::string path = ::testing::TempDir() + "/encoder.bin";
+  const std::string path = testing::TempPath("encoder.bin");
   ASSERT_TRUE(enc->Save(path).ok());
   auto loaded = FittedEncoder::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -150,7 +151,7 @@ TEST(FittedEncoderTest, HashedSaveLoadTransformGivesIdenticalIds) {
   auto enc = FitOn(f);
   ASSERT_TRUE(enc.ok()) << enc.status().ToString();
   EXPECT_TRUE(enc->hashed());
-  const std::string path = ::testing::TempDir() + "/hashed_encoder.bin";
+  const std::string path = testing::TempPath("hashed_encoder.bin");
   ASSERT_TRUE(enc->Save(path).ok());
   auto loaded = FittedEncoder::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -186,7 +187,7 @@ TEST(FittedEncoderTest, TransformCarriesTheStreamedManifestHotIds) {
     sopts.freq_stats_topk = 8;
     sopts.fit_fraction = 0.7;
     sopts.rows_per_shard = 1000;
-    const std::string dir = ::testing::TempDir() + "/hot_ids_manifest";
+    const std::string dir = testing::TempPath("hot_ids_manifest");
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     MaterializedRowSource stream(&f.raw);
@@ -247,7 +248,7 @@ TEST(FittedEncoderTest, HashedFitRejectsIdSpaceBeyondInt32) {
 }
 
 TEST(FittedEncoderTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/garbage_enc.bin";
+  const std::string path = testing::TempPath("garbage_enc.bin");
   std::ofstream(path) << "nope";
   EXPECT_FALSE(FittedEncoder::Load(path).ok());
 }
@@ -259,8 +260,8 @@ TEST(FittedEncoderTest, LoadRejectsEveryTruncationAndByteFlip) {
   Fixture f = MakeFixture(200);
   f.opts.triples = {{0, 1, 2}};
   f.opts.freq_stats_topk = 4;
-  const std::string path = ::testing::TempDir() + "/torture_enc.bin";
-  const std::string bad = ::testing::TempDir() + "/torture_enc_bad.bin";
+  const std::string path = testing::TempPath("torture_enc.bin");
+  const std::string bad = testing::TempPath("torture_enc_bad.bin");
   Rng rng(2024);
   for (const bool hashed : {false, true}) {
     SCOPED_TRACE(hashed ? "hashed" : "exact");
@@ -299,7 +300,7 @@ TEST(FittedEncoderTest, LoadRejectsCraftedCountsWithValidCrc) {
   Fixture f = MakeFixture(200);
   auto enc = FitOn(f);
   ASSERT_TRUE(enc.ok());
-  const std::string path = ::testing::TempDir() + "/crafted_enc.bin";
+  const std::string path = testing::TempPath("crafted_enc.bin");
   ASSERT_TRUE(enc->Save(path).ok());
   const std::string bytes = ReadBytes(path);
 

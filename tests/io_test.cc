@@ -16,10 +16,7 @@ namespace {
 
 using testing::HeadBatch;
 using testing::SharedTinyData;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TempPath;
 
 HyperParams TinyHp() {
   HyperParams hp = DefaultHyperParams("tiny");

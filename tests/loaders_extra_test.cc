@@ -16,7 +16,7 @@ namespace optinter {
 namespace {
 
 std::string WriteTemp(const std::string& name, const std::string& body) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = testing::TempPath(name);
   std::ofstream(path) << body;
   return path;
 }

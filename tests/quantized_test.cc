@@ -622,7 +622,7 @@ TEST(QuantizeSnapshotTest, ViewMatchesFp32TwinOverDequantizedRows) {
   ASSERT_NE(source->triple_embedding(), nullptr);
   const Batch train{&data, p.splits.train.data(), 128};
   for (int i = 0; i < 5; ++i) source->TrainStep(train);
-  const std::string path = ::testing::TempDir() + "quantized_twin.ckpt";
+  const std::string path = testing::TempPath("quantized_twin.ckpt");
   ASSERT_TRUE(SaveModel(source.get(), path).ok());
 
   for (QuantMode mode : {QuantMode::kInt8, QuantMode::kBf16}) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/fixed_arch_model.h"
+#include "core/search_model.h"
 #include "golden_util.h"
 #include "http_get.h"
 #include "io/serialize.h"
@@ -38,10 +39,7 @@ using serve::ServeOptions;
 using serve::SnapshotSlot;
 using serve::SwapFromCheckpoint;
 using testing::SharedTinyData;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TempPath;
 
 HyperParams TinyHp() {
   HyperParams hp = DefaultHyperParams("tiny");
@@ -143,7 +141,8 @@ TEST(SnapshotTest, SwapFromBadCheckpointKeepsOldModelLive) {
 
 // Every Predict assembles z with the same row assembler at every batch
 // size; a row's answer must not depend on its batch. 2048 rows cross the
-// parallel assembly cut-off; 1 and 32 stay serial.
+// parallel assembly cut-off; 1 and 32 stay serial. The search models
+// (K = 3 and K = 4) run the same assembler over weighted blocks.
 TEST(RowInvarianceTest, RowAloneMatchesRowInsideBatches) {
   const auto& p = SharedTinyData();
   // The memorized-triple golden's model: one triple next to a mixed
@@ -177,6 +176,15 @@ TEST(RowInvarianceTest, RowAloneMatchesRowInsideBatches) {
   check(*fp32, "fp32");
   check(*int8, "int8");
   check(*bf16, "bf16");
+  SearchModel search3(data, TinyHp());
+  SearchModel search4(data, TinyHp(), UpdateMode::kJoint,
+                      {FactorizeFn::kHadamard, FactorizeFn::kInnerProduct});
+  for (int i = 0; i < 3; ++i) {
+    search3.TrainStep(train);
+    search4.TrainStep(train);
+  }
+  check(search3, "search K = 3");
+  check(search4, "search K = 4");
   fp32->Freeze();  // packs the MLP that fp32 and bf16 then run
   check(*fp32, "frozen fp32");
   check(*bf16, "bf16 over the frozen source");

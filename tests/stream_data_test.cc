@@ -35,7 +35,7 @@ using testing::SharedTinyData;
 
 // Fresh empty directory under the test temp root.
 std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = testing::TempPath(name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

@@ -1,12 +1,18 @@
 // Shared test fixtures: a small planted synthetic dataset, encoded with
-// cross features, built once per test binary; a guard for the global pool
-// size; and a serial reference for EvaluateModel.
+// cross features, built once per test binary; per-process temp paths; a
+// guard for the global pool size; and a serial reference for
+// EvaluateModel.
 
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -80,6 +86,28 @@ inline Architecture MixedArchitecture(size_t num_pairs) {
                            : InterMethod::kNaive;
   }
   return arch;
+}
+
+/// A file or directory path `name` under the test temp root, unique to
+/// this process and removed when it exits. ctest runs each test as its own
+/// process, and two build trees may run the same test at once: a fixed
+/// name would let them overwrite or remove each other's files.
+inline std::string TempPath(const std::string& name) {
+  static struct Removal {
+    pid_t owner = ::getpid();  // not a forked death-test child
+    std::vector<std::string> paths;
+    ~Removal() {
+      if (::getpid() != owner) return;
+      for (const std::string& path : paths) {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+      }
+    }
+  } removal;
+  std::string path = ::testing::TempDir() + "/" +
+                     std::to_string(::getpid()) + "_" + name;
+  removal.paths.push_back(path);
+  return path;
 }
 
 /// Restores the global pool size when a test returns (tests resize it to

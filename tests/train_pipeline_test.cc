@@ -286,7 +286,7 @@ TEST(RunReportWriteEveryTest, NotArmedNeverWrites) {
 }
 
 TEST(RunReportWriteEveryTest, FlushesWhenIntervalElapsed) {
-  const std::string path = ::testing::TempDir() + "/periodic_report.json";
+  const std::string path = testing::TempPath("periodic_report.json");
   std::remove(path.c_str());
   obs::RunReport report("periodic");
   report.WriteEvery(path, /*seconds=*/0.0);
@@ -303,7 +303,7 @@ TEST(RunReportWriteEveryTest, FlushesWhenIntervalElapsed) {
 }
 
 TEST(RunReportWriteEveryTest, RespectsInterval) {
-  const std::string path = ::testing::TempDir() + "/never_report.json";
+  const std::string path = testing::TempPath("never_report.json");
   std::remove(path.c_str());
   obs::RunReport report("slow");
   report.WriteEvery(path, /*seconds=*/3600.0);
@@ -318,7 +318,7 @@ TEST(RunReportWriteEveryTest, TrainerTicksPeriodicReport) {
   PoolGuard guard;
   ThreadPool::SetGlobalThreads(2);
   const auto& p = SharedTinyData();
-  const std::string path = ::testing::TempDir() + "/trainer_report.json";
+  const std::string path = testing::TempPath("trainer_report.json");
   std::remove(path.c_str());
   obs::RunReport report("train");
   report.WriteEvery(path, /*seconds=*/0.0);
