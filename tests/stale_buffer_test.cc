@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/fixed_arch_model.h"
+#include "core/search_model.h"
 #include "nn/layers.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
@@ -233,6 +234,23 @@ void CheckPredictReuse(const CtrModel& model) {
 
 TEST(StaleBufferTest, FixedArchPredictReusedContextMatchesFresh) {
   CheckPredictReuse(*TrainedMixedModel());
+}
+
+// The search's weighted blocks are zeroed before they accumulate, so a
+// poisoned z must not leak into them (K = 3 and K = 4).
+TEST(StaleBufferTest, SearchPredictReusedContextMatchesFresh) {
+  const TripleData& f = SharedTripleData();
+  const Batch b{&f.data, f.splits.train.data(), 128};
+  for (const std::vector<FactorizeFn>& fns :
+       {std::vector<FactorizeFn>{},
+        std::vector<FactorizeFn>{FactorizeFn::kHadamard,
+                                 FactorizeFn::kInnerProduct}}) {
+    SCOPED_TRACE(fns.size());
+    SearchModel model(f.data, DefaultHyperParams("tiny"), UpdateMode::kJoint,
+                      fns);
+    for (int i = 0; i < 4; ++i) model.TrainStep(b);
+    CheckPredictReuse(model);
+  }
 }
 
 TEST(StaleBufferTest, QuantizedPredictReusedContextMatchesFresh) {
