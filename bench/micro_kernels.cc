@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/interaction_layout.h"
 #include "metrics/metrics.h"
+#include "models/cross_embedding.h"
 #include "models/prepared_batch.h"
 #include "nn/embedding.h"
 #include "nn/layers.h"
@@ -26,6 +28,7 @@
 #include "nn/param.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "synth/prepare.h"
 #include "tensor/cpu_features.h"
 #include "tensor/dispatch.h"
 #include "tensor/kernels.h"
@@ -386,6 +389,125 @@ void BM_HadamardBlock(benchmark::State& state) {
                   12.0 * static_cast<double>(pairs * dim));
 }
 BENCHMARK(BM_HadamardBlock);
+
+// The search step's non-GEMM layers at the two workload shapes: every
+// pair a weighted {memorize, Hadamard} block (Eq. 18), b = 512 rows.
+// criteo_like: 13 categorical + 4 continuous fields (78 pairs), s1 16,
+// s2 8; avazu_like: 12 categorical fields (66 pairs), s1 16, s2 4.
+struct SearchShape {
+  const char* profile;
+  size_t cat_fields;
+  size_t cont_fields;
+  size_t s1;
+  size_t s2;
+};
+constexpr SearchShape kCriteoLike{"criteo_like", 13, 4, 16, 8};
+constexpr SearchShape kAvazuLike{"avazu_like", 12, 0, 16, 4};
+constexpr size_t kSearchBatch = 512;
+
+struct SearchWalk {
+  InteractionLayout layout;
+  Tensor emb, cross, triple, weights, dz;
+
+  explicit SearchWalk(const SearchShape& shape)
+      : layout(std::vector<std::vector<InteractionLayout::Arm>>(
+                   shape.cat_fields * (shape.cat_fields - 1) / 2,
+                   {{InterMethod::kMemorize},
+                    {InterMethod::kFactorize, FactorizeFn::kHadamard}}),
+               shape.cat_fields,
+               (shape.cat_fields + shape.cont_fields) * shape.s1, shape.s1,
+               shape.s2, /*num_triples=*/0) {
+    Rng rng(1);
+    emb = RandomTensor({kSearchBatch, layout.emb_cols}, &rng);
+    cross = RandomTensor({kSearchBatch, layout.pair_slots * shape.s2}, &rng);
+    triple.Resize({kSearchBatch, 0});
+    weights = RandomTensor({layout.num_pairs, layout.weight_stride}, &rng);
+    dz = RandomTensor({kSearchBatch, layout.z_cols()}, &rng);
+  }
+  GatheredRows rows() const { return {emb, cross, triple, layout.s2}; }
+
+  static Tensor RandomTensor(std::vector<size_t> shape, Rng* rng) {
+    Tensor t(shape);
+    for (size_t i = 0; i < t.size(); ++i) {
+      t.data()[i] = static_cast<float>(rng->Uniform(-1.0, 1.0));
+    }
+    return t;
+  }
+};
+
+void BM_AssembleRowsSearch(benchmark::State& state, SearchShape shape) {
+  const SearchWalk walk(shape);
+  Tensor z;
+  for (auto _ : state) {
+    AssembleRows(walk.layout, walk.rows(), kSearchBatch, &z,
+                 walk.weights.data());
+    benchmark::DoNotOptimize(z.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kSearchBatch));
+  SetRateCounters(state, 0.0,
+                  4.0 * static_cast<double>(kSearchBatch *
+                                            (walk.layout.z_cols() +
+                                             walk.cross.cols())));
+}
+BENCHMARK_CAPTURE(BM_AssembleRowsSearch, criteo_like, kCriteoLike);
+BENCHMARK_CAPTURE(BM_AssembleRowsSearch, avazu_like, kAvazuLike);
+
+void BM_AssembleRowsBackwardSearch(benchmark::State& state,
+                                   SearchShape shape) {
+  const SearchWalk walk(shape);
+  InteractionGrads grads;
+  for (auto _ : state) {
+    AssembleRowsBackward(walk.layout, walk.rows(), walk.weights.data(),
+                         walk.dz, &grads);
+    benchmark::DoNotOptimize(grads.dp.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kSearchBatch));
+  SetRateCounters(state, 0.0,
+                  4.0 * static_cast<double>(kSearchBatch *
+                                            (walk.layout.z_cols() +
+                                             2 * walk.cross.cols() +
+                                             2 * walk.emb.cols())));
+}
+BENCHMARK_CAPTURE(BM_AssembleRowsBackwardSearch, criteo_like, kCriteoLike);
+BENCHMARK_CAPTURE(BM_AssembleRowsBackwardSearch, avazu_like, kAvazuLike);
+
+// The search step's cross_gather: every pair's memorized rows for a
+// prepared batch of 512 rows of the profile (scaled to 20% of its rows).
+void BM_CrossGather(benchmark::State& state, SearchShape shape) {
+  PrepareOptions opts;
+  opts.rows_scale = 0.2;
+  auto prepared = PrepareProfile(shape.profile, opts);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
+  const EncodedDataset& data = prepared->data;
+  std::vector<size_t> pairs(data.num_pairs());
+  for (size_t p = 0; p < pairs.size(); ++p) pairs[p] = p;
+  Rng rng(1);
+  CrossEmbedding layer(data, CrossKind::kPair, pairs, shape.s2, 1e-3f, 0.0f,
+                       &rng);
+  Batch batch;
+  batch.data = &data;
+  batch.rows = prepared->splits.train.data();
+  batch.size = std::min(kSearchBatch, prepared->splits.train.size());
+  IdDedupScratch dedup;
+  std::vector<PreparedTable> tables;
+  layer.Prepare(batch, &dedup, &tables);
+  Tensor out;
+  for (auto _ : state) {
+    layer.ForwardPrepared(tables, batch.size, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(batch.size));
+  SetRateCounters(state, 0.0,
+                  8.0 * static_cast<double>(batch.size * layer.output_dim()));
+}
+BENCHMARK_CAPTURE(BM_CrossGather, criteo_like, kCriteoLike);
+BENCHMARK_CAPTURE(BM_CrossGather, avazu_like, kAvazuLike);
 
 void BM_GumbelSoftmaxSample(benchmark::State& state) {
   const size_t pairs = static_cast<size_t>(state.range(0));

@@ -12,12 +12,18 @@
 //
 // AssembleRows takes its row source as a template parameter, so the
 // per-row calls stay devirtualized. A source provides
-//   void Embeddings(size_t k, float* z_row) const;        // e^o
-//   void Pair(size_t k, size_t slot, float* dst) const;   // memorized
-//   void Triples(size_t k, float* dst) const;             // all triples
+//   void Embeddings(size_t k, float* z_row) const;       // e^o
+//   const float* PairRow(size_t k, size_t slot,          // memorized: its
+//                        float* buf) const;              // row, or buf filled
+//   void Triples(size_t k, float* dst) const;            // all triples
 // Factorized arms read the embedding columns of z itself. The sources
 // are GatheredRows (a training step's gathered rows) and TableRows over
 // fp32 or int8/bf16 tables.
+//
+// Bits (DESIGN.md): a weighted block sums its arms per column in arm order
+// from +0, one simd::MulAdd each, in a register. The backward walk's dp
+// sums each row's exact double products in column order and adds the rows
+// into dp in row order; four rows advance together, one per VecD4 lane.
 
 #pragma once
 
@@ -32,6 +38,8 @@
 #include "models/cross_embedding.h"
 #include "models/feature_embedding.h"
 #include "models/interaction.h"
+#include "tensor/kernels.h"
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
 
 namespace optinter {
@@ -61,6 +69,9 @@ struct InteractionLayout {
     size_t first_arm;  // its arms in `arms`
   };
 
+  /// Most arms of one block: memorize and each factorization function.
+  static constexpr size_t kMaxArms = 4;
+
   /// `pair_arms` gives per pair, in canonical order over `num_categorical`
   /// fields, its block's arms: none for naïve, one for re-training, the
   /// candidates {memorize, fns...} for the search. Memorized arms take
@@ -81,7 +92,7 @@ struct InteractionLayout {
   size_t num_pairs;      // canonical pairs, naïve ones included
   size_t pair_slots = 0;
   size_t weight_stride = 0;   // weights per pair (0: no weighted block)
-  size_t scratch_floats = 0;  // widest weighted block
+  size_t scratch_floats = 0;  // a weighted block's arms, widths summed
   std::vector<Block> blocks;  // non-naïve pairs, in pair order
   std::vector<Arm> arms;      // every block's arms, in block order
 };
@@ -96,8 +107,8 @@ struct GatheredRows {
   void Embeddings(size_t k, float* zr) const {
     std::memcpy(zr, emb.row(k), emb.cols() * sizeof(float));
   }
-  void Pair(size_t k, size_t slot, float* dst) const {
-    std::memcpy(dst, cross.row(k) + slot * s2, s2 * sizeof(float));
+  const float* PairRow(size_t k, size_t slot, float*) const {
+    return cross.row(k) + slot * s2;
   }
   void Triples(size_t k, float* dst) const {
     std::memcpy(dst, triple.row(k), triple.cols() * sizeof(float));
@@ -150,9 +161,10 @@ class TableRows {
       emb_.ContinuousRow(f, data_.cont(r, f), zr + (num_cat + f) * dim);
     }
   }
-  void Pair(size_t k, size_t slot, float* dst) const {
+  const float* PairRow(size_t k, size_t slot, float* buf) const {
     tables_.Row(emb_.num_categorical() + slot, pairs_->table(slot),
-                pair_ids_.at(rows_[k], pairs_->columns()[slot]), dst);
+                pair_ids_.at(rows_[k], pairs_->columns()[slot]), buf);
+    return buf;
   }
   void Triples(size_t k, float* dst) const {
     for (size_t t = 0; t < triples_->num_blocks(); ++t) {
@@ -174,6 +186,70 @@ class TableRows {
   Tables tables_;
 };
 
+/// One arm of a weighted block for one row: its values x[0:width], or
+/// x ⊙ y (a Hadamard arm, formed inline), and its weight.
+struct WeightedArm {
+  const float* x;
+  const float* y;
+  size_t width;
+  float w;
+};
+
+/// `acc` += w · arm over the kLanes columns from c, lanes past the arm's
+/// width left as they are.
+inline simd::VecF AccumulateArm(const WeightedArm& arm, bool first, size_t c,
+                                simd::VecF acc) {
+  constexpr size_t kL = simd::kLanes;
+  if (arm.width <= c) return acc;
+  const simd::VecF w = simd::Set1(arm.w);
+  if (arm.width >= c + kL) {
+    const simd::VecF x =
+        arm.y == nullptr
+            ? simd::LoadU(arm.x + c)
+            : simd::Mul(simd::LoadU(arm.x + c), simd::LoadU(arm.y + c));
+    return simd::MulAdd(w, x, acc);
+  }
+  const size_t n = arm.width - c;
+  if (first) {
+    // acc is +0 in every lane, and +0 + w·(±0) is +0 for a finite w:
+    // zero-padded lanes keep their bits.
+    const simd::VecF x = arm.y == nullptr
+                             ? simd::LoadPartial(arm.x + c, n)
+                             : simd::Mul(simd::LoadPartial(arm.x + c, n),
+                                         simd::LoadPartial(arm.y + c, n));
+    return simd::MulAdd(w, x, acc);
+  }
+  // A later arm narrower than the block: its lanes alone, as scalars.
+  float lanes[kL];
+  simd::StoreU(lanes, acc);
+  for (size_t t = 0; t < n; ++t) {
+    const float x =
+        arm.y == nullptr ? arm.x[c + t] : arm.x[c + t] * arm.y[c + t];
+    lanes[t] = simd::MulAddScalar(arm.w, x, lanes[t]);
+  }
+  return simd::LoadU(lanes);
+}
+
+/// Eq. 18: block[0:width] = Σ_a w_a · arm_a, summed from +0 in arm order
+/// one kLanes column chunk at a time in a register.
+inline void CombineArms(const WeightedArm* arms, size_t num_arms,
+                        size_t width, float* block) {
+  constexpr size_t kL = simd::kLanes;
+  for (size_t c = 0; c < width; c += kL) {
+    simd::VecF acc = simd::Zero();
+    for (size_t a = 0; a < num_arms; ++a) {
+      acc = AccumulateArm(arms[a], a == 0, c, acc);
+    }
+    if (c + kL <= width) {
+      simd::StoreU(block + c, acc);
+    } else {
+      float lanes[kL];
+      simd::StoreU(lanes, acc);
+      std::memcpy(block + c, lanes, (width - c) * sizeof(float));
+    }
+  }
+}
+
 /// Writes row `k` of `src` into `zr` (layout.z_cols() floats); `scratch`
 /// holds layout.scratch_floats floats.
 template <typename Source>
@@ -181,29 +257,39 @@ void AssembleRow(const InteractionLayout& layout, const Source& src,
                  size_t k, const float* weights, float* scratch, float* zr) {
   src.Embeddings(k, zr);
   const size_t s1 = layout.s1;
+  const size_t s2 = layout.s2;
   for (const InteractionLayout::Block& blk : layout.blocks) {
-    const auto arm_into = [&](const InteractionLayout::Arm& arm, float* dst) {
-      if (arm.method == InterMethod::kMemorize) {
-        src.Pair(k, blk.slot, dst);
-      } else {
-        FactorizedForward(arm.fn, s1, zr + blk.i * s1, zr + blk.j * s1, dst);
-      }
-    };
     float* block = zr + blk.offset;
+    const float* ei = zr + blk.i * s1;
+    const float* ej = zr + blk.j * s1;
     if (blk.num_arms == 1) {
-      arm_into({blk.method, blk.fn}, block);
+      if (blk.method == InterMethod::kMemorize) {
+        const float* mem = src.PairRow(k, blk.slot, block);
+        if (mem != block) CopyFloats(block, mem, s2);
+      } else {
+        FactorizedForward(blk.fn, s1, ei, ej, block);
+      }
       continue;
     }
     const InteractionLayout::Arm* arms = layout.arms.data() + blk.first_arm;
-    // Eq. 18 in scalar expressions: the compiler's FMA contraction of
-    // `+= w · arm` decides these bits (pinned by the search goldens).
     const float* w = weights + blk.pair * layout.weight_stride;
-    std::memset(block, 0, blk.width * sizeof(float));
+    WeightedArm in[InteractionLayout::kMaxArms];
+    float* buf = scratch;
     for (size_t a = 0; a < blk.num_arms; ++a) {
-      arm_into(arms[a], scratch);
-      const float wa = w[a];  // a local: `block` may alias the weights
-      for (size_t t = 0; t < arms[a].width; ++t) block[t] += wa * scratch[t];
+      // Weights are read before the block is written: they may alias it.
+      in[a] = {buf, nullptr, arms[a].width, w[a]};
+      if (arms[a].method == InterMethod::kMemorize) {
+        in[a].x = src.PairRow(k, blk.slot, buf);
+      } else if (arms[a].fn == FactorizeFn::kHadamard) {
+        in[a].x = ei;
+        in[a].y = ej;
+        continue;
+      } else {
+        FactorizedForward(arms[a].fn, s1, ei, ej, buf);
+      }
+      buf += arms[a].width;
     }
+    CombineArms(in, blk.num_arms, blk.width, block);
   }
   if (layout.triple_offset < layout.z_cols()) {
     src.Triples(k, zr + layout.triple_offset);

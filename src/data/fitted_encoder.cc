@@ -385,6 +385,11 @@ Result<FittedEncoder> FittedEncoder::Load(const std::string& path) {
   if (!file) return Status::IoError("cannot open '" + path + "'");
   const std::string bytes((std::istreambuf_iterator<char>(file)),
                           std::istreambuf_iterator<char>());
+  return Parse(bytes, path);
+}
+
+Result<FittedEncoder> FittedEncoder::Parse(std::string_view bytes,
+                                           const std::string& path) {
   if (bytes.size() < kHeaderBytes + kCrcBytes ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Invalid("'" + path + "' is not a fitted-encoder file");

@@ -18,6 +18,7 @@
 #include <array>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -81,6 +82,10 @@ class FittedEncoder {
   /// against the schema and the bytes left, and a whole-file CRC mismatch
   /// returns Corruption.
   static Result<FittedEncoder> Load(const std::string& path);
+  /// Load's parser over the file's bytes, held in memory; `path` names
+  /// them in error messages.
+  static Result<FittedEncoder> Parse(std::string_view bytes,
+                                     const std::string& path);
 
   const DatasetSchema& schema() const { return schema_; }
   bool hashed() const { return hashed_; }

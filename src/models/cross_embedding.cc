@@ -77,17 +77,18 @@ CrossIds CrossEmbedding::Ids(const EncodedDataset& data) const {
   return ids;
 }
 
-template <typename IdOf>
-void CrossEmbedding::GatherRows(size_t batch_size, IdOf&& id_of,
+template <typename IdsOf>
+void CrossEmbedding::GatherRows(size_t batch_size, IdsOf&& ids_of,
                                 Tensor* out) const {
-  // CopyRow writes whole rows, so every element of out is written.
+  // CopyRows writes whole rows, so every element of out is written.
   out->ResizeForOverwrite({batch_size, output_dim()});
   auto gather = [&](size_t lo, size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      float* dst = out->row(k);
-      for (size_t t = 0; t < columns_.size(); ++t) {
-        tables_[t]->CopyRow(id_of(k, t), dst + t * dim_);
-      }
+    // Per thread, for id sources that are not one array per table.
+    static thread_local std::vector<int32_t> ids;
+    float* dst = out->data() + lo * output_dim();
+    for (size_t t = 0; t < columns_.size(); ++t) {
+      tables_[t]->CopyRows(ids_of(t, lo, hi, &ids), hi - lo, dst + t * dim_,
+                           output_dim());
     }
   };
   // Disjoint per-row writes: fan-out is bit-identical to the serial loop.
@@ -103,7 +104,13 @@ void CrossEmbedding::Gather(const Batch& batch, Tensor* out) const {
   const CrossIds ids = Ids(*batch.data);
   GatherRows(
       batch.size,
-      [&](size_t k, size_t t) { return ids.at(batch.rows[k], columns_[t]); },
+      [&](size_t t, size_t lo, size_t hi, std::vector<int32_t>* buf) {
+        buf->resize(hi - lo);
+        for (size_t k = lo; k < hi; ++k) {
+          (*buf)[k - lo] = ids.at(batch.rows[k], columns_[t]);
+        }
+        return buf->data();
+      },
       out);
 }
 
@@ -128,7 +135,11 @@ void CrossEmbedding::ForwardPrepared(const std::vector<PreparedTable>& tables,
   OPTINTER_TRACE_SPAN(NamesOf(kind_).gather_span);
   CHECK_EQ(tables.size(), columns_.size());
   GatherRows(
-      batch_size, [&](size_t k, size_t t) { return tables[t].ids[k]; }, out);
+      batch_size,
+      [&](size_t t, size_t lo, size_t, std::vector<int32_t>*) {
+        return tables[t].ids.data() + lo;
+      },
+      out);
   for (size_t t = 0; t < columns_.size(); ++t) {
     tables_[t]->BeginPreparedScatter(tables[t].unique_rows.data(),
                                      tables[t].unique_rows.size());

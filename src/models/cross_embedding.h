@@ -98,9 +98,10 @@ class CrossEmbedding {
 
  private:
   // The one row-gather body behind Gather and ForwardPrepared, which
-  // differ only in where they read row k's id of block t (id_of(k, t)).
-  template <typename IdOf>
-  void GatherRows(size_t batch_size, IdOf&& id_of, Tensor* out) const;
+  // differ only in where they read block t's ids of rows [lo, hi):
+  // ids_of(t, lo, hi, buf) returns them, filling *buf if it must.
+  template <typename IdsOf>
+  void GatherRows(size_t batch_size, IdsOf&& ids_of, Tensor* out) const;
 
   CrossKind kind_;
   size_t width_;  // id columns per row in the construction dataset

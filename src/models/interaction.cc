@@ -3,13 +3,8 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "tensor/kernels.h"
-#include "tensor/simd.h"
 
 namespace optinter {
-
-namespace {
-constexpr size_t kL = simd::kLanes;
-}  // namespace
 
 const char* FactorizeFnName(FactorizeFn fn) {
   switch (fn) {
@@ -59,25 +54,9 @@ void FactorizedBackward(FactorizeFn fn, size_t embed_dim, const float* ei,
                         const float* ej, const float* dout, float scale,
                         float* dei, float* dej) {
   switch (fn) {
-    case FactorizeFn::kHadamard: {
-      // dei += (scale·dout) ⊙ ej and symmetrically for dej; the scaled
-      // gradient is formed once and reused by both muladds.
-      const simd::VecF scale_v = simd::Set1(scale);
-      size_t t = 0;
-      for (; t + kL <= embed_dim; t += kL) {
-        const simd::VecF sd = simd::Mul(scale_v, simd::LoadU(dout + t));
-        simd::StoreU(dei + t, simd::MulAdd(sd, simd::LoadU(ej + t),
-                                           simd::LoadU(dei + t)));
-        simd::StoreU(dej + t, simd::MulAdd(sd, simd::LoadU(ei + t),
-                                           simd::LoadU(dej + t)));
-      }
-      for (; t < embed_dim; ++t) {
-        const float sd = scale * dout[t];
-        dei[t] = simd::MulAddScalar(sd, ej[t], dei[t]);
-        dej[t] = simd::MulAddScalar(sd, ei[t], dej[t]);
-      }
+    case FactorizeFn::kHadamard:
+      HadamardBackward(embed_dim, ei, ej, dout, scale, dei, dej);
       break;
-    }
     case FactorizeFn::kInnerProduct: {
       const float g = scale * dout[0];
       Axpy(embed_dim, g, ej, dei);

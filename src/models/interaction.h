@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "tensor/simd.h"
+
 namespace optinter {
 
 /// The three ways to model one feature interaction. Enum order matches
@@ -54,6 +56,29 @@ size_t FactorizedWidth(FactorizeFn fn, size_t embed_dim);
 /// out[0:width] = fn(e_i, e_j).
 void FactorizedForward(FactorizeFn fn, size_t embed_dim, const float* ei,
                        const float* ej, float* out);
+
+/// The Hadamard case of FactorizedBackward, inline for the interaction
+/// walk: dei += (scale·dout) ⊙ ej and dej += (scale·dout) ⊙ ei.
+inline void HadamardBackward(size_t n, const float* ei, const float* ej,
+                             const float* dout, float scale, float* dei,
+                             float* dej) {
+  // The scaled gradient is formed once and reused by both muladds.
+  constexpr size_t kL = simd::kLanes;
+  const simd::VecF scale_v = simd::Set1(scale);
+  size_t t = 0;
+  for (; t + kL <= n; t += kL) {
+    const simd::VecF sd = simd::Mul(scale_v, simd::LoadU(dout + t));
+    simd::StoreU(dei + t, simd::MulAdd(sd, simd::LoadU(ej + t),
+                                       simd::LoadU(dei + t)));
+    simd::StoreU(dej + t, simd::MulAdd(sd, simd::LoadU(ei + t),
+                                       simd::LoadU(dej + t)));
+  }
+  for (; t < n; ++t) {
+    const float sd = scale * dout[t];
+    dei[t] = simd::MulAddScalar(sd, ej[t], dei[t]);
+    dej[t] = simd::MulAddScalar(sd, ei[t], dej[t]);
+  }
+}
 
 /// Accumulates d e_i / d e_j given scale * d(out).
 void FactorizedBackward(FactorizeFn fn, size_t embed_dim, const float* ei,

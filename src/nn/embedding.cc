@@ -9,6 +9,7 @@
 #include "nn/init.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "tensor/kernels.h"
 #include "tensor/simd.h"
 
 namespace optinter {
@@ -231,35 +232,49 @@ std::string EmbeddingTable::BackendDesc() const {
   return "?";
 }
 
+void EmbeddingTable::ComposeQrRow(int32_t id, float* dst) const {
+  const float* q = BackingRowPtr(PrimaryRowOf(id));
+  const float* r = BackingRowPtr(SecondaryRowOf(id));
+  size_t i = 0;
+  if (qr_combine_ == QrCombine::kMul) {
+    for (; i + kL <= dim_; i += kL) {
+      simd::StoreU(dst + i, simd::Mul(simd::LoadU(q + i), simd::LoadU(r + i)));
+    }
+    for (; i < dim_; ++i) dst[i] = q[i] * r[i];
+  } else {
+    for (; i + kL <= dim_; i += kL) {
+      simd::StoreU(dst + i, simd::Add(simd::LoadU(q + i), simd::LoadU(r + i)));
+    }
+    for (; i < dim_; ++i) dst[i] = q[i] + r[i];
+  }
+}
+
 void EmbeddingTable::CopyRow(int32_t id, float* dst) const {
-  CheckId(id, "CopyRow");
+  CopyRows(&id, 1, dst, dim_);
+}
+
+void EmbeddingTable::CopyRows(const int32_t* ids, size_t n, float* dst,
+                              size_t dst_stride) const {
   switch (kind_) {
     case EmbeddingBackendKind::kDense:
-      std::memcpy(dst, BackingRowPtr(id), dim_ * sizeof(float));
-      return;
-    case EmbeddingBackendKind::kTiered:
-      std::memcpy(dst, BackingRowPtr((*remap_)[static_cast<size_t>(id)]),
-                  dim_ * sizeof(float));
-      return;
-    case EmbeddingBackendKind::kQR: {
-      const float* q = BackingRowPtr(PrimaryRowOf(id));
-      const float* r = BackingRowPtr(SecondaryRowOf(id));
-      size_t i = 0;
-      if (qr_combine_ == QrCombine::kMul) {
-        for (; i + kL <= dim_; i += kL) {
-          simd::StoreU(dst + i,
-                       simd::Mul(simd::LoadU(q + i), simd::LoadU(r + i)));
-        }
-        for (; i < dim_; ++i) dst[i] = q[i] * r[i];
-      } else {
-        for (; i + kL <= dim_; i += kL) {
-          simd::StoreU(dst + i,
-                       simd::Add(simd::LoadU(q + i), simd::LoadU(r + i)));
-        }
-        for (; i < dim_; ++i) dst[i] = q[i] + r[i];
+      for (size_t r = 0; r < n; ++r, dst += dst_stride) {
+        CheckId(ids[r], "CopyRow");
+        CopyFloats(dst, BackingRowPtr(ids[r]), dim_);
       }
       return;
-    }
+    case EmbeddingBackendKind::kTiered:
+      for (size_t r = 0; r < n; ++r, dst += dst_stride) {
+        CheckId(ids[r], "CopyRow");
+        CopyFloats(dst, BackingRowPtr((*remap_)[static_cast<size_t>(ids[r])]),
+                   dim_);
+      }
+      return;
+    case EmbeddingBackendKind::kQR:
+      for (size_t r = 0; r < n; ++r, dst += dst_stride) {
+        CheckId(ids[r], "CopyRow");
+        ComposeQrRow(ids[r], dst);
+      }
+      return;
   }
 }
 

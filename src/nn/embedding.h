@@ -152,8 +152,12 @@ class EmbeddingTable {
   /// Materializes the embedding row of `id` into dst[0:dim] — the one
   /// gather primitive every backend supports (dense/tiered: copy; QR:
   /// combine the two factor rows). All forward/gather paths go through
-  /// this, so combine order is identical everywhere.
+  /// this or CopyRows, one body, so combine order is identical everywhere.
   void CopyRow(int32_t id, float* dst) const;
+  /// CopyRow for ids[0:n], row r into dst + r·dst_stride, with the backend
+  /// resolved once for all n; every id is checked.
+  void CopyRows(const int32_t* ids, size_t n, float* dst,
+                size_t dst_stride) const;
 
   /// Number of backing-row-keyed gradient shards. Fixed (never a function
   /// of the thread count), so shard contents — and therefore the
@@ -297,6 +301,8 @@ class EmbeddingTable {
   const float* BackingRowPtr(int32_t row) const {
     return value_.data() + static_cast<size_t>(row) * dim_;
   }
+  // dst = Q[id / r] ∘ R[id % r], the QR backend's row of `id`.
+  void ComposeQrRow(int32_t id, float* dst) const;
 
   std::string name_;
   size_t vocab_size_;

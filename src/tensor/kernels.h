@@ -28,6 +28,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 
 #include "tensor/aligned.h"
 #include "tensor/tensor.h"
@@ -117,6 +118,28 @@ void GemmTNRef(const float* a, const float* b, float* c, size_t m, size_t k,
 
 /// y += alpha * x over n elements.
 void Axpy(size_t n, float alpha, const float* x, float* y);
+
+/// dst[0:n] = src[0:n]. Embedding-row widths (4, 8, 16, 32 floats) copy
+/// with a size fixed at compile time, which inlines to a few moves;
+/// other widths call memcpy.
+inline void CopyFloats(float* dst, const float* src, size_t n) {
+  switch (n) {
+    case 4:
+      std::memcpy(dst, src, 4 * sizeof(float));
+      return;
+    case 8:
+      std::memcpy(dst, src, 8 * sizeof(float));
+      return;
+    case 16:
+      std::memcpy(dst, src, 16 * sizeof(float));
+      return;
+    case 32:
+      std::memcpy(dst, src, 32 * sizeof(float));
+      return;
+    default:
+      std::memcpy(dst, src, n * sizeof(float));
+  }
+}
 
 /// Scales x by alpha in place.
 void Scale(size_t n, float alpha, float* x);

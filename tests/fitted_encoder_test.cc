@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iterator>
 #include <numeric>
+#include <string_view>
 
 #include "common/rng.h"
 #include "data/encoder.h"
@@ -254,14 +255,16 @@ TEST(FittedEncoderTest, LoadRejectsGarbage) {
 }
 
 // Every truncation and a seeded sweep of single-byte flips of saved v2
-// files (exact and hashed, with triples and hot ids) load as a non-OK
-// status — never an abort, an exception or a read past the buffer.
+// files (exact and hashed, with triples and hot ids) parse as a non-OK
+// status — never an abort, an exception or a read past the buffer. The
+// variants are parsed from memory; the saved file itself makes one round
+// trip through Load.
 TEST(FittedEncoderTest, LoadRejectsEveryTruncationAndByteFlip) {
   Fixture f = MakeFixture(200);
   f.opts.triples = {{0, 1, 2}};
   f.opts.freq_stats_topk = 4;
   const std::string path = testing::TempPath("torture_enc.bin");
-  const std::string bad = testing::TempPath("torture_enc_bad.bin");
+  const std::string resaved = testing::TempPath("torture_enc_resaved.bin");
   Rng rng(2024);
   for (const bool hashed : {false, true}) {
     SCOPED_TRACE(hashed ? "hashed" : "exact");
@@ -272,24 +275,27 @@ TEST(FittedEncoderTest, LoadRejectsEveryTruncationAndByteFlip) {
     ASSERT_TRUE(enc.ok());
     ASSERT_TRUE(enc->Save(path).ok());
     const std::string bytes = ReadBytes(path);
-    ASSERT_TRUE(FittedEncoder::Load(path).ok());
+    auto loaded = FittedEncoder::Load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(loaded->Save(resaved).ok());
+    EXPECT_EQ(ReadBytes(resaved), bytes);
     for (size_t len = 0; len < bytes.size(); ++len) {
-      WriteBytes(bad, bytes.substr(0, len));
-      ASSERT_FALSE(FittedEncoder::Load(bad).ok()) << "truncated to " << len;
+      ASSERT_FALSE(
+          FittedEncoder::Parse(std::string_view(bytes).substr(0, len), path)
+              .ok())
+          << "truncated to " << len;
     }
     for (int i = 0; i < 400; ++i) {
       std::string flipped = bytes;
       const size_t at = rng.UniformInt(flipped.size());
       flipped[at] = static_cast<char>(
           flipped[at] ^ static_cast<char>(1 + rng.UniformInt(255)));
-      WriteBytes(bad, flipped);
-      ASSERT_FALSE(FittedEncoder::Load(bad).ok()) << "byte " << at;
+      ASSERT_FALSE(FittedEncoder::Parse(flipped, path).ok()) << "byte " << at;
     }
     // A flip past the magic and version is a CRC mismatch.
     std::string flipped = bytes;
     flipped[bytes.size() / 2] ^= 0x10;
-    WriteBytes(bad, flipped);
-    EXPECT_EQ(FittedEncoder::Load(bad).status().code(),
+    EXPECT_EQ(FittedEncoder::Parse(flipped, path).status().code(),
               StatusCode::kCorruption);
   }
 }
