@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "common/string_util.h"
 
@@ -273,48 +274,10 @@ Status StreamingReader::FillBatch(const size_t* rows, size_t n,
 }
 
 Result<EncodedDataset> StreamingReader::Materialize() {
-  EncodedDataset out = manifest_.meta.MetaDataset(manifest_.num_rows);
-  const size_t n = manifest_.num_rows;
-  const size_t num_cat = out.schema.num_categorical();
-  const size_t num_pairs =
-      manifest_.meta.has_cross() ? out.schema.num_pairs() : 0;
-  const size_t num_triples = manifest_.meta.num_triples();
-  const size_t num_cont = out.schema.num_continuous();
-  out.cat_ids.resize(n * num_cat);
-  out.cross_ids.resize(n * num_pairs);
-  out.triple_ids.resize(n * num_triples);
-  out.cont_values.resize(n * num_cont);
-  out.labels.resize(n);
-
-  size_t row = 0;
-  for (size_t s = 0; s < manifest_.shards.size(); ++s) {
-    OPTINTER_ASSIGN_OR_RETURN(const uint8_t* payload, Pin(s));
-    const uint8_t* src = payload;
-    for (uint64_t r = 0; r < manifest_.shards[s].row_count; ++r, ++row) {
-      std::memcpy(out.cat_ids.data() + row * num_cat, src,
-                  num_cat * sizeof(int32_t));
-      src += num_cat * sizeof(int32_t);
-      if (num_pairs > 0) {
-        std::memcpy(out.cross_ids.data() + row * num_pairs, src,
-                    num_pairs * sizeof(int32_t));
-        src += num_pairs * sizeof(int32_t);
-      }
-      if (num_triples > 0) {
-        std::memcpy(out.triple_ids.data() + row * num_triples, src,
-                    num_triples * sizeof(int32_t));
-        src += num_triples * sizeof(int32_t);
-      }
-      if (num_cont > 0) {
-        std::memcpy(out.cont_values.data() + row * num_cont, src,
-                    num_cont * sizeof(float));
-        src += num_cont * sizeof(float);
-      }
-      std::memcpy(&out.labels[row], src, sizeof(float));
-      src += sizeof(float);
-    }
-    Unpin(s);
-  }
-  CHECK_EQ(row, n);
+  EncodedDataset out = meta_;
+  std::vector<size_t> rows(num_rows());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  OPTINTER_RETURN_NOT_OK(FillBatch(rows.data(), rows.size(), &out));
   return out;
 }
 
@@ -325,60 +288,39 @@ StreamingBatcher::StreamingBatcher(StreamingReader* reader, size_t begin,
                                    size_t end, const Options& options)
     : reader_(reader), begin_(begin), end_(end), rng_(options.seed) {
   CHECK(reader != nullptr);
-  Init(reader->num_rows(), options);
-}
-
-StreamingBatcher::StreamingBatcher(const EncodedDataset* data, size_t begin,
-                                   size_t end, const Options& options)
-    : ram_data_(data), begin_(begin), end_(end), rng_(options.seed) {
-  CHECK(data != nullptr);
-  Init(data->num_rows, options);
-}
-
-StreamingBatcher::~StreamingBatcher() {
-  for (auto& slot : slots_) slot->group.Wait();
-}
-
-void StreamingBatcher::Init(size_t total_rows, const Options& options) {
   CHECK_LE(begin_, end_);
-  CHECK_LE(end_, total_rows);
+  CHECK_LE(end_, reader->num_rows());
   CHECK_GT(options.batch_size, 0u);
   CHECK(options.order != Order::kWindowShuffle || options.window_blocks > 0)
       << "StreamingBatcher: Options::window_blocks must be >= 1 for "
          "Order::kWindowShuffle (got 0)";
   options_ = options;
   options_.prefetch_batches = std::max<size_t>(1, options.prefetch_batches);
-  block_rows_ = options.block_rows;
-  if (block_rows_ == 0) {
-    block_rows_ = reader_ != nullptr
-                      ? static_cast<size_t>(
-                            reader_->manifest().rows_per_shard)
-                      : size_t{1} << 17;
-  }
+  block_rows_ = options.block_rows != 0
+                    ? options.block_rows
+                    : static_cast<size_t>(reader->manifest().rows_per_shard);
   iota_rows_.resize(options_.batch_size);
-  for (size_t i = 0; i < iota_rows_.size(); ++i) iota_rows_[i] = i;
+  std::iota(iota_rows_.begin(), iota_rows_.end(), size_t{0});
   slots_.resize(options_.prefetch_batches + 1);
-  const EncodedDataset& meta =
-      reader_ != nullptr ? reader_->meta() : *ram_data_;
   for (auto& slot : slots_) {
     slot = std::make_unique<Slot>();
     // Stamp schema/vocab metadata now; fills only resize payload vectors.
-    ResizeBatchBuffer(meta, 0, &slot->buffer);
+    ResizeBatchBuffer(reader->meta(), 0, &slot->buffer);
   }
   if (options_.order == Order::kGlobalShuffle) {
     // The persistent permutation: StartEpoch reshuffles it in place, the
     // same cumulative scheme as the in-RAM Batcher.
     order_.resize(end_ - begin_);
-    for (size_t i = 0; i < order_.size(); ++i) order_[i] = begin_ + i;
+    std::iota(order_.begin(), order_.end(), begin_);
   }
+}
+
+StreamingBatcher::~StreamingBatcher() {
+  for (auto& slot : slots_) slot->group.Wait();
 }
 
 void StreamingBatcher::BuildEpochOrder() {
   switch (options_.order) {
-    case Order::kSequential:
-      order_.resize(end_ - begin_);
-      for (size_t i = 0; i < order_.size(); ++i) order_[i] = begin_ + i;
-      break;
     case Order::kGlobalShuffle:
       rng_.Shuffle(&order_);
       break;
@@ -420,44 +362,9 @@ void StreamingBatcher::ScheduleFill(size_t batch_index) {
   const size_t* row_ids = order_.data() + start;
   ThreadPool::Global().Submit(
       [this, slot, row_ids, rows] {
-        slot->status = Fill(row_ids, rows, &slot->buffer);
+        slot->status = reader_->FillBatch(row_ids, rows, &slot->buffer);
       },
       &slot->group);
-}
-
-Status StreamingBatcher::Fill(const size_t* rows, size_t n,
-                              EncodedDataset* dst) {
-  if (reader_ != nullptr) return reader_->FillBatch(rows, n, dst);
-
-  const EncodedDataset& src = *ram_data_;
-  ResizeBatchBuffer(src, n, dst);
-  const size_t num_cat = src.num_categorical();
-  const size_t num_pairs = src.has_cross() ? src.num_pairs() : 0;
-  const size_t num_triples = src.has_triples() ? src.num_triples() : 0;
-  const size_t num_cont = src.num_continuous();
-  for (size_t k = 0; k < n; ++k) {
-    const size_t row = rows[k];
-    std::memcpy(dst->cat_ids.data() + k * num_cat,
-                src.cat_ids.data() + row * num_cat,
-                num_cat * sizeof(int32_t));
-    if (num_pairs > 0) {
-      std::memcpy(dst->cross_ids.data() + k * num_pairs,
-                  src.cross_ids.data() + row * num_pairs,
-                  num_pairs * sizeof(int32_t));
-    }
-    if (num_triples > 0) {
-      std::memcpy(dst->triple_ids.data() + k * num_triples,
-                  src.triple_ids.data() + row * num_triples,
-                  num_triples * sizeof(int32_t));
-    }
-    if (num_cont > 0) {
-      std::memcpy(dst->cont_values.data() + k * num_cont,
-                  src.cont_values.data() + row * num_cont,
-                  num_cont * sizeof(float));
-    }
-    dst->labels[k] = src.labels[row];
-  }
-  return Status::OK();
 }
 
 void StreamingBatcher::StartEpoch() {

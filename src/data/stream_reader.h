@@ -8,13 +8,13 @@
 // from another dataset — surfaces as a Status naming the file and the
 // failing check; a batch is never half-filled.
 //
-// StreamingBatcher is the BatchSource over a row range of a reader (or,
-// for apples-to-apples comparisons, over a materialized EncodedDataset —
-// same order generation, in-RAM copies). Batches are filled into a small
-// ring of reusable buffers by background thread-pool tasks,
-// `prefetch_batches` ahead of the consumer, so shard IO overlaps with
-// training compute on top of the pipeline executor's prepare/compute
-// overlap.
+// StreamingBatcher is the training BatchSource over a row range of a
+// reader. Batches are filled into a small ring of reusable buffers by
+// background thread-pool tasks, `prefetch_batches` ahead of the consumer,
+// so shard IO overlaps with training compute on top of the pipeline
+// executor's prepare/compute overlap. Evaluation does not use it: it
+// FillBatch()es its own fixed batch grid concurrently (EvaluateModelStreamed,
+// train/stream_trainer.h).
 //
 // Determinism: epoch row order is generated on the calling thread only
 // (StartEpoch), from the batcher's own Rng — background tasks just copy
@@ -48,8 +48,10 @@ class StreamingReader {
  public:
   struct Options {
     /// Resident-set bound: mapped, unpinned shards above this count are
-    /// evicted (LRU). Pinned shards never are, so a single batch touching
-    /// more shards than the bound overshoots temporarily.
+    /// evicted (LRU). Pinned shards never are, so the bound overshoots
+    /// while concurrent FillBatch calls (prefetch tasks, the parallel
+    /// streamed evaluation) pin more distinct shards than it allows; it
+    /// holds again once they unpin.
     size_t max_resident_shards = 32;
     /// Verify each shard's payload CRC on first map. Costs one pass over
     /// the shard's bytes, once per reader lifetime.
@@ -81,8 +83,9 @@ class StreamingReader {
   /// is truncated to zero rows — never half-filled.
   Status FillBatch(const size_t* rows, size_t n, EncodedDataset* dst);
 
-  /// Reads the whole dataset into RAM (sequential, CRC-verified). For
-  /// parity harnesses and small datasets.
+  /// Reads the whole dataset into RAM: a copy of meta() (hot ids
+  /// included) filled by FillBatch over rows [0, num_rows()). CRC-verified.
+  /// For parity harnesses and small datasets.
   Result<EncodedDataset> Materialize();
 
   /// Shards currently mmapped (test hook for the residency bound).
@@ -119,14 +122,11 @@ class StreamingReader {
   uint64_t use_clock_ = 0;
 };
 
-/// BatchSource over a row range of a sharded (or materialized) dataset,
-/// with background prefetch. See file comment for the determinism and
-/// ordering contract.
+/// BatchSource over a row range of a sharded dataset, with background
+/// prefetch. See file comment for the determinism and ordering contract.
 class StreamingBatcher : public BatchSource {
  public:
   enum class Order {
-    /// Rows in range order, every epoch. For eval splits.
-    kSequential,
     /// Cumulative full-range Fisher-Yates per epoch; order-identical to
     /// an in-RAM Batcher seeded the same over the same index range.
     kGlobalShuffle,
@@ -137,7 +137,7 @@ class StreamingBatcher : public BatchSource {
 
   struct Options {
     size_t batch_size = 256;
-    Order order = Order::kSequential;
+    Order order = Order::kGlobalShuffle;
     uint64_t seed = 0;
     /// Fill tasks kept in flight ahead of the consumer (>= 1).
     size_t prefetch_batches = 2;
@@ -152,11 +152,6 @@ class StreamingBatcher : public BatchSource {
   /// outlive the batcher and may be shared between batchers (it is
   /// thread-safe), but one batcher instance is single-consumer.
   StreamingBatcher(StreamingReader* reader, size_t begin, size_t end,
-                   const Options& options);
-
-  /// Same order generation and buffer ring, but rows are copied from an
-  /// in-RAM dataset: the control arm for streamed-vs-RAM parity runs.
-  StreamingBatcher(const EncodedDataset* data, size_t begin, size_t end,
                    const Options& options);
 
   ~StreamingBatcher() override;
@@ -178,13 +173,10 @@ class StreamingBatcher : public BatchSource {
     size_t rows = 0;
   };
 
-  void Init(size_t total_rows, const Options& options);
   void BuildEpochOrder();
   void ScheduleFill(size_t batch_index);
-  Status Fill(const size_t* rows, size_t n, EncodedDataset* dst);
 
-  StreamingReader* reader_ = nullptr;       // exactly one of these two
-  const EncodedDataset* ram_data_ = nullptr;
+  StreamingReader* reader_ = nullptr;
   size_t begin_ = 0;
   size_t end_ = 0;
   Options options_;

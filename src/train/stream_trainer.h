@@ -5,16 +5,16 @@
 // Splits are contiguous row ranges of the shard directory: train =
 // [0, train_frac*N), val = the next val_frac*N rows, test = the rest.
 // This matches the streaming encoder's convention (stream_encode.h fits
-// vocabularies on the train prefix), and makes the in-RAM control arm
-// trivial: TrainModel over the materialized dataset with the same
-// contiguous index ranges and the same seed is bit-identical to
-// TrainModelStreamed with Order::kGlobalShuffle — both paths produce the
-// same epoch row order (see stream_reader.h) and run the same executor,
-// kernels and evaluation grid. concurrency_test.cc pins this.
+// vocabularies on the train prefix), and makes in-RAM parity trivial:
+// TrainModel over the materialized dataset with the same contiguous index
+// ranges and the same seed is bit-identical to TrainModelStreamed with
+// Order::kGlobalShuffle — both paths produce the same epoch row order (see
+// stream_reader.h) and run the same executor, kernels and evaluation grid.
+// concurrency_test.cc pins this.
 //
-// Errors: a shard that fails validation mid-epoch (corruption, missing
-// file) surfaces as the returned Status — never as a partial batch or a
-// silently shortened epoch.
+// Errors: a shard that fails validation mid-epoch or mid-evaluation
+// (corruption, missing file) surfaces as the returned Status — never as a
+// partial batch, a silently shortened epoch or metrics over fewer rows.
 
 #pragma once
 
@@ -41,10 +41,14 @@ struct StreamTrainOptions : TrainOptions {
   size_t eval_batch_size = 2048;
 };
 
-/// Sequential streamed evaluation over global rows [begin, end):
-/// bit-identical metrics to EvaluateModel over the same rows of the
-/// materialized dataset with the same batch size (same batch grid, same
-/// stitching order).
+/// Streamed evaluation over global rows [begin, end): internal::
+/// EvaluateBatchGrid with batch `bi` a FillBatch of rows
+/// [begin + bi * batch_size, ...) into a task-local buffer. Batches are
+/// filled and predicted concurrently across the pool, so the reader may
+/// hold more shards than its resident bound while they run (pinned shards
+/// are never evicted). Bit-identical metrics to EvaluateModel over the
+/// same rows of the materialized dataset with the same batch size, at any
+/// pool size. A failing shard returns the lowest failing batch's Status.
 Result<EvalMetrics> EvaluateModelStreamed(const CtrModel* model,
                                           StreamingReader* reader,
                                           size_t begin, size_t end,
@@ -55,17 +59,6 @@ Result<EvalMetrics> EvaluateModelStreamed(const CtrModel* model,
 /// test evaluation — the streamed counterpart of TrainModel.
 Result<TrainSummary> TrainModelStreamed(CtrModel* model,
                                         StreamingReader* reader,
-                                        const StreamTrainOptions& options);
-
-/// In-RAM control arm: the same epoch/eval structure and the same order
-/// generation (StreamingBatcher's ram backend) over a materialized
-/// dataset. With equal options — for Order::kWindowShuffle set
-/// options.block_rows to the shard dir's rows_per_shard — this is
-/// bitwise-identical to TrainModelStreamed over the shard directory,
-/// which isolates the streaming data path in parity runs
-/// (DeterminismTest.WindowShuffleStreamedMatchesRamControlArm).
-Result<TrainSummary> TrainModelStreamed(CtrModel* model,
-                                        const EncodedDataset& data,
                                         const StreamTrainOptions& options);
 
 }  // namespace optinter

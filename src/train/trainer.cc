@@ -39,36 +39,50 @@ bool ScoreImproved(double score, double best_score, StopMetric metric) {
 EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
                           const std::vector<size_t>& rows,
                           size_t batch_size) {
-  OPTINTER_TRACE_SPAN("evaluate");
   CHECK(!rows.empty());
+  auto view = [&](size_t start, size_t size, internal::EvalScratch*,
+                  Batch* batch) {
+    batch->data = &data;
+    batch->rows = rows.data() + start;
+    batch->size = size;
+    return Status::OK();
+  };
+  Result<EvalMetrics> m =
+      internal::EvaluateBatchGrid(model, rows.size(), batch_size, view);
+  CHECK_OK(m.status());  // views never fail
+  return *m;
+}
+
+namespace internal {
+
+Result<EvalMetrics> EvaluateBatchGrid(const CtrModel* model, size_t n,
+                                      size_t batch_size,
+                                      const EvalBatchFn& batch_at) {
+  OPTINTER_TRACE_SPAN("evaluate");
+  CHECK_GT(n, 0u);
   CHECK_GT(batch_size, 0u);
-  const size_t n = rows.size();
   EvalRowsCounter()->Add(n);
   std::vector<float> all_probs(n);
   std::vector<float> all_labels(n);
-  // Labels are pure dataset reads, independent of the model — gather them
-  // across the pool while prediction owns the calling thread.
-  auto gather_labels = [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) all_labels[i] = data.label(rows[i]);
-  };
-  ParallelForChunks(0, n, gather_labels, /*min_chunk=*/1024);
-  // Each task owns a ForwardContext and writes its slice of all_probs at a
-  // deterministic offset, so the stitched result — and therefore
-  // AUC/log-loss — is bit-identical whatever the batch-to-task assignment.
   const size_t num_batches = (n + batch_size - 1) / batch_size;
+  std::vector<Status> statuses(num_batches);
+  // Each task owns a ForwardContext and scratch and writes its batches'
+  // slices at deterministic offsets, so the stitched result — and therefore
+  // AUC/log-loss — is bit-identical whatever the batch-to-task assignment.
   auto predict_range = [&](size_t lo, size_t hi) {
-    // Task-local context and scratch, reused across the task's batches.
+    EvalScratch scratch;
     std::vector<float> probs;
     ForwardContext ctx;
     for (size_t bi = lo; bi < hi; ++bi) {
       const size_t start = bi * batch_size;
+      const size_t size = std::min(batch_size, n - start);
       Batch b;
-      b.data = &data;
-      b.rows = rows.data() + start;
-      b.size = std::min(batch_size, n - start);
+      statuses[bi] = batch_at(start, size, &scratch, &b);
+      if (!statuses[bi].ok()) continue;
       model->Predict(b, &probs, &ctx);
       std::memcpy(all_probs.data() + start, probs.data(),
-                  b.size * sizeof(float));
+                  size * sizeof(float));
+      for (size_t k = 0; k < size; ++k) all_labels[start + k] = b.label(k);
     }
   };
   if (num_batches > 1) {
@@ -77,13 +91,13 @@ EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
   } else {
     predict_range(0, num_batches);
   }
+  // Grid order, so the lowest failing batch decides.
+  for (const Status& st : statuses) OPTINTER_RETURN_NOT_OK(st);
   EvalMetrics m;
   m.auc = Auc(all_probs, all_labels);
   m.logloss = LogLoss(all_probs, all_labels);
   return m;
 }
-
-namespace internal {
 
 EpochTelemetry TrainEpoch(PipelinedTrainExecutor* executor,
                           BatchSource* batches, size_t epoch,

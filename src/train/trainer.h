@@ -5,8 +5,10 @@
 // in-RAM TrainModel and the out-of-core TrainModelStreamed
 // (stream_trainer.h). Every training epoch, theirs and the search
 // stage's (core/pipeline.h), steps through the pipelined executor
-// (pipeline_executor.h) via internal::TrainEpoch. Evaluation always
-// predicts whole batches concurrently, each with its own ForwardContext.
+// (pipeline_executor.h) via internal::TrainEpoch. Evaluation, in RAM
+// (EvaluateModel) and streamed (EvaluateModelStreamed), runs one batch grid
+// (internal::EvaluateBatchGrid) that predicts whole batches concurrently,
+// each with its own ForwardContext.
 
 #pragma once
 
@@ -108,11 +110,9 @@ struct TrainSummary {
 };
 
 /// Evaluates `model` on the given rows in batches of `batch_size` (no
-/// gradient work). The label gather fans across the thread pool and whole
-/// batches are predicted concurrently, each task owning a private
-/// ForwardContext. Every batch writes a disjoint slice of the stitched
-/// result at an offset fixed by the batch grid, so the metrics are
-/// bit-identical at any pool size (a pool of 1 runs the batches in order).
+/// gradient work): internal::EvaluateBatchGrid with batch `bi` a view of
+/// rows [bi * batch_size, ...), so the metrics are bit-identical at any
+/// pool size.
 EvalMetrics EvaluateModel(const CtrModel* model, const EncodedDataset& data,
                           const std::vector<size_t>& rows,
                           size_t batch_size = 2048);
@@ -129,6 +129,30 @@ namespace internal {
 
 /// One evaluation pass of the epoch loop.
 using EvalFn = std::function<Result<EvalMetrics>()>;
+
+/// Task-local storage a grid batch may point into (a filled batch's rows
+/// and their ids); reused across the task's batches.
+struct EvalScratch {
+  EncodedDataset buffer;
+  std::vector<size_t> rows;
+};
+
+/// Makes grid rows [start, start + size) into `*batch`, which stays valid
+/// until the next call with the same `scratch`.
+using EvalBatchFn = std::function<Status(size_t start, size_t size,
+                                         EvalScratch* scratch, Batch* batch)>;
+
+/// The evaluation loop behind EvaluateModel and EvaluateModelStreamed: AUC
+/// and log loss over `n` rows cut into a grid of `batch_size` batches.
+/// Batches are made and predicted concurrently across the pool, each task
+/// owning a private ForwardContext and EvalScratch. Every batch writes its
+/// probabilities and labels at an offset fixed by the grid, so the metrics
+/// are bit-identical at any pool size (a pool of 1 runs the batches in
+/// order). When batches fail, the lowest failing batch's Status is
+/// returned, whatever the schedule.
+Result<EvalMetrics> EvaluateBatchGrid(const CtrModel* model, size_t n,
+                                      size_t batch_size,
+                                      const EvalBatchFn& batch_at);
 
 /// The epoch loop behind TrainModel and TrainModelStreamed. Each epoch
 /// trains over `batches` (TrainEpoch), fails the run if `batches_status`

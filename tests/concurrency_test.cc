@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -1211,13 +1212,16 @@ TEST(DeterminismTest, StreamedTrainMatchesInRamTrainModelAcrossThreads) {
   }
 }
 
-// kWindowShuffle has no in-RAM TrainModel twin, so its contract is pinned
-// against the RAM-backed control arm: same order generation, different
-// data path, bitwise-equal results at every thread count/prefetch depth.
-TEST(DeterminismTest, WindowShuffleStreamedMatchesRamControlArm) {
+// kWindowShuffle has no in-RAM TrainModel twin, so the reader arm at one
+// thread and prefetch depth 1 is the reference: every thread count and
+// prefetch depth must reproduce it bitwise. (Its row order is pinned by
+// StreamingBatcherTest.WindowShuffleEpochCoversRangeOnce.)
+TEST(DeterminismTest, WindowShuffleStreamedBitIdenticalAcrossThreadsAndPrefetch) {
   PoolGuard guard;
   const auto& p = SharedTinyData();
   const Architecture arch = MixedArch(p.data.num_pairs());
+  auto reader = StreamingReader::Open(TinyShardDir());
+  ASSERT_TRUE(reader.ok());
   StreamTrainOptions so;
   so.epochs = 2;
   so.batch_size = 256;
@@ -1225,17 +1229,15 @@ TEST(DeterminismTest, WindowShuffleStreamedMatchesRamControlArm) {
   so.patience = 1;
   so.order = StreamingBatcher::Order::kWindowShuffle;
   so.window_blocks = 3;
-  so.block_rows = 512;  // = the shard size the reader arm resolves to
+  so.prefetch_batches = 1;
 
   ThreadPool::SetGlobalThreads(1);
-  FixedArchModel ref_model(p.data, arch, TinyHp(), "ram-arm");
-  auto ref = TrainModelStreamed(&ref_model, p.data, so);
+  FixedArchModel ref_model((*reader)->meta(), arch, TinyHp(), "ref");
+  auto ref = TrainModelStreamed(&ref_model, reader->get(), so);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   const std::vector<float> ref_snap =
       SnapshotModel(&ref_model, HeadBatch(p, 256));
 
-  auto reader = StreamingReader::Open(TinyShardDir());
-  ASSERT_TRUE(reader.ok());
   for (const size_t threads : {1u, 2u, 8u}) {
     for (const size_t prefetch : {1u, 4u}) {
       ThreadPool::SetGlobalThreads(threads);
@@ -1252,28 +1254,105 @@ TEST(DeterminismTest, WindowShuffleStreamedMatchesRamControlArm) {
 }
 
 // Streamed evaluation must reproduce EvaluateModel over the same rows of
-// the materialized dataset bitwise, including under a multi-thread pool
-// (EvaluateModel's parallel path is itself bit-identical to serial).
+// the materialized dataset bitwise, and both must match the serial
+// one-context reference, at every pool size. Batch 64 cuts the 2000 rows
+// into 32 batches, so the parallel grid runs; the reader keeps one
+// resident shard, so concurrent batches pin past the bound.
 TEST(DeterminismTest, StreamedEvalMatchesInRamEvalAcrossThreads) {
   PoolGuard guard;
   const auto& p = SharedTinyData();
   FixedArchModel model(p.data, MixedArch(p.data.num_pairs()), TinyHp(),
                        "eval");
-  auto reader = StreamingReader::Open(TinyShardDir());
+  StreamingReader::Options ro;
+  ro.max_resident_shards = 1;
+  auto reader = StreamingReader::Open(TinyShardDir(), ro);
   ASSERT_TRUE(reader.ok());
   const size_t begin = 4000;
   const size_t end = p.data.num_rows;
   std::vector<size_t> rows;
   for (size_t r = begin; r < end; ++r) rows.push_back(r);
-  for (const size_t threads : {1u, 8u}) {
-    ThreadPool::SetGlobalThreads(threads);
-    const EvalMetrics in_ram = EvaluateModel(&model, p.data, rows);
-    auto streamed =
-        EvaluateModelStreamed(&model, reader->get(), begin, end);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    EXPECT_EQ(streamed->auc, in_ram.auc);
-    EXPECT_EQ(streamed->logloss, in_ram.logloss);
+  for (const size_t batch : {64u, 2048u}) {
+    const EvalMetrics serial =
+        testing::SerialEvaluate(model, p.data, rows, batch);
+    for (const size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + ", threads " +
+                   std::to_string(threads));
+      ThreadPool::SetGlobalThreads(threads);
+      const EvalMetrics in_ram = EvaluateModel(&model, p.data, rows, batch);
+      auto streamed =
+          EvaluateModelStreamed(&model, reader->get(), begin, end, batch);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      EXPECT_EQ(in_ram.auc, serial.auc);
+      EXPECT_EQ(in_ram.logloss, serial.logloss);
+      EXPECT_EQ(streamed->auc, serial.auc);
+      EXPECT_EQ(streamed->logloss, serial.logloss);
+    }
   }
+}
+
+void FlipPayloadByte(const std::string& path) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(kShardHeaderBytes));
+  char c = 0;
+  f.read(&c, 1);
+  c = static_cast<char>(c ^ 0x10);
+  f.seekp(static_cast<std::streamoff>(kShardHeaderBytes));
+  f.write(&c, 1);
+}
+
+// A corrupt shard inside the evaluated range fails streamed evaluation —
+// never metrics over the rows that did read — with the same Status at
+// every pool size: the lowest failing batch's. Two shards are corrupt, so
+// the lowest failing batch names a different file from the last. The
+// first corrupt shard lies in the validation range, so TrainModelStreamed
+// returns its Status instead of metrics.
+TEST(StreamedEvalTest, CorruptShardFailsWithTheLowestBatchStatus) {
+  PoolGuard guard;
+  const auto& p = SharedTinyData();
+  const size_t n = p.data.num_rows;
+  const size_t rows_per_shard = 512;
+  const Splits splits = ContiguousSplits(n);
+  const size_t first_bad = splits.val.back() / rows_per_shard;
+  const size_t last_bad = (n - 1) / rows_per_shard;
+  ASSERT_GT(first_bad, splits.train.back() / rows_per_shard);
+  ASSERT_GT(last_bad, first_bad);
+  const std::string dir = testing::TempPath("corrupt_eval_shards");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(WriteShardedDataset(p.data, dir, rows_per_shard).ok());
+  FlipPayloadByte(ShardPath(dir, first_bad));
+  FlipPayloadByte(ShardPath(dir, last_bad));
+  const std::string first_name = ShardFileName(first_bad);
+  const std::string last_name = ShardFileName(last_bad);
+
+  const Architecture arch = MixedArch(p.data.num_pairs());
+  std::string pool1_status;
+  for (const size_t threads : {1u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool::SetGlobalThreads(threads);
+    auto reader = StreamingReader::Open(dir);
+    ASSERT_TRUE(reader.ok());
+    FixedArchModel model((*reader)->meta(), arch, TinyHp(), "eval");
+    auto m = EvaluateModelStreamed(&model, reader->get(), splits.val.front(),
+                                   n, /*batch_size=*/64);
+    ASSERT_FALSE(m.ok());
+    const std::string st = m.status().ToString();
+    EXPECT_NE(st.find(first_name), std::string::npos) << st;
+    EXPECT_EQ(st.find(last_name), std::string::npos) << st;
+    if (threads == 1) pool1_status = st;
+    EXPECT_EQ(st, pool1_status);
+  }
+
+  auto reader = StreamingReader::Open(dir);
+  ASSERT_TRUE(reader.ok());
+  FixedArchModel model((*reader)->meta(), arch, TinyHp(), "train");
+  StreamTrainOptions so;
+  so.epochs = 1;
+  so.batch_size = 512;
+  auto got = TrainModelStreamed(&model, reader->get(), so);
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.status().ToString().find(first_name), std::string::npos)
+      << got.status().ToString();
 }
 
 }  // namespace

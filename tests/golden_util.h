@@ -9,23 +9,26 @@
 #include <cstdint>
 
 #include "tensor/dispatch.h"
+#include "tensor/simd.h"
 
 namespace optinter {
 namespace testing {
 
 // Optimized GCC x86-64 builds only: -O0 and other compilers contract and
-// schedule floating point differently, so they have no goldens.
+// schedule floating point differently, so they have no goldens. The key is
+// the compile-time SIMD backend simd.h selected, not the ISA macros alone:
+// an -march=native build on an AVX-512 host runs 16-lane header kernels,
+// whose bits no recorded table holds, so it reports "unrecorded".
 inline const char* BuildConfig() {
 #if !defined(__OPTIMIZE__) || !defined(__GNUC__) || defined(__clang__) || \
     !defined(__x86_64__)
   return "unrecorded";
-#elif defined(OPTINTER_DISABLE_SIMD) && !defined(__SANITIZE_ADDRESS__)
+#elif defined(OPTINTER_SIMD_SCALAR) && defined(OPTINTER_DISABLE_SIMD) && \
+    !defined(__AVX__) && !defined(__SANITIZE_ADDRESS__)
   return "nosimd";
-#elif defined(OPTINTER_DISABLE_SIMD)
-  return "unrecorded";
-#elif defined(__SANITIZE_ADDRESS__) && defined(__AVX2__) && defined(__FMA__)
+#elif defined(OPTINTER_SIMD_AVX2) && defined(__SANITIZE_ADDRESS__)
   return "asan-ubsan";
-#elif defined(__AVX2__) && defined(__FMA__)
+#elif defined(OPTINTER_SIMD_AVX2)
   return "avx2";
 #else
   return "unrecorded";

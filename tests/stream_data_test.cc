@@ -9,6 +9,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/encoder.h"
 #include "data/hash_encoder.h"
 #include "data/shard_format.h"
@@ -31,6 +33,7 @@
 namespace optinter {
 namespace {
 
+using testing::PoolGuard;
 using testing::SharedTinyData;
 
 // Fresh empty directory under the test temp root.
@@ -267,8 +270,9 @@ TEST(ShardTortureTest, MissingShardFileFailsCleanly) {
 }
 
 TEST(ShardTortureTest, BatcherSurfacesMidEpochCorruptionWithoutPartialData) {
-  // Corrupt a late shard; a sequential epoch must deliver only full,
-  // valid batches before failing, then stick in the failed state.
+  // Corrupt the last shard; a window-shuffled epoch (one block per shard)
+  // must deliver only full, valid batches before failing, then stick in
+  // the failed state.
   const std::string dir = WriteTinyShards("torture_midepoch");
   const size_t num_rows = SharedTinyData().data.num_rows;
   const size_t last_shard = (num_rows - 1) / 512;
@@ -280,15 +284,17 @@ TEST(ShardTortureTest, BatcherSurfacesMidEpochCorruptionWithoutPartialData) {
   ASSERT_TRUE(reader.ok());
   StreamingBatcher::Options bo;
   bo.batch_size = 100;
-  bo.order = StreamingBatcher::Order::kSequential;
+  bo.order = StreamingBatcher::Order::kWindowShuffle;
+  bo.seed = 7;
   StreamingBatcher batcher(reader->get(), 0, num_rows, bo);
   batcher.StartEpoch();
   size_t rows_delivered = 0;
   for (;;) {
     Batch b = batcher.Next();
     if (b.size == 0) break;
-    // Every delivered batch is fully valid: its rows precede the corrupt
-    // shard (full batches only, never a partial fill).
+    // Every delivered batch is fully valid: it comes before the first
+    // batch that reads the corrupt shard (full batches only, never a
+    // partial fill).
     EXPECT_EQ(b.size, 100u);
     rows_delivered += b.size;
   }
@@ -330,17 +336,77 @@ TEST(StreamingReaderTest, LruEvictionHoldsResidencyBound) {
 // it at construction, naming the option, instead of failing on the first
 // epoch's shuffle.
 TEST(StreamingBatcherDeathTest, ZeroWindowBlocksNamesTheOption) {
+  auto reader = StreamingReader::Open(WriteTinyShards("zero_window"));
+  ASSERT_TRUE(reader.ok());
   StreamingBatcher::Options bo;
   bo.batch_size = 64;
   bo.order = StreamingBatcher::Order::kWindowShuffle;
   bo.window_blocks = 0;
-  const EncodedDataset& data = SharedTinyData().data;
   EXPECT_DEATH(
       {
-        StreamingBatcher batcher(&data, 0, data.num_rows, bo);
+        StreamingBatcher batcher(reader->get(), 0, (*reader)->num_rows(), bo);
         batcher.StartEpoch();
       },
       "window_blocks must be >= 1");
+}
+
+// The bytes of row `r` of `data`: ids, continuous values and label.
+std::string RowPayload(const EncodedDataset& data, size_t r) {
+  std::string out;
+  auto put = [&out, r](const auto& values, size_t width) {
+    out.append(reinterpret_cast<const char*>(values.data() + r * width),
+               width * sizeof(values[0]));
+  };
+  put(data.cat_ids, data.num_categorical());
+  if (data.has_cross()) put(data.cross_ids, data.num_pairs());
+  put(data.cont_values, data.num_continuous());
+  put(data.labels, 1);
+  return out;
+}
+
+// Each window-shuffled epoch over a reader yields every row of its range
+// exactly once (payloads compared as a multiset against Materialize()),
+// two epochs differ in order, and the reader stays within its resident
+// bound. A one-thread pool runs one fill at a time, and one fill pins at
+// most two shards, so a bound of 2 is never overshot.
+TEST(StreamingBatcherTest, WindowShuffleEpochCoversRangeOnce) {
+  PoolGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  StreamingReader::Options ro;
+  ro.max_resident_shards = 2;
+  auto reader = StreamingReader::Open(WriteTinyShards("window_cover"), ro);
+  ASSERT_TRUE(reader.ok());
+  auto all = (*reader)->Materialize();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  // Neither end on a shard boundary.
+  const size_t begin = 700;
+  const size_t end = all->num_rows - 300;
+  std::vector<std::string> expected;
+  for (size_t r = begin; r < end; ++r) expected.push_back(RowPayload(*all, r));
+  std::sort(expected.begin(), expected.end());
+
+  StreamingBatcher::Options bo;
+  bo.batch_size = 100;
+  bo.order = StreamingBatcher::Order::kWindowShuffle;
+  bo.seed = 9;
+  bo.window_blocks = 2;
+  StreamingBatcher batcher(reader->get(), begin, end, bo);
+  std::vector<std::vector<std::string>> epochs(2);
+  for (std::vector<std::string>& seen : epochs) {
+    batcher.StartEpoch();
+    for (Batch b = batcher.Next(); b.size > 0; b = batcher.Next()) {
+      for (size_t k = 0; k < b.size; ++k) {
+        seen.push_back(RowPayload(*b.data, b.row(k)));
+      }
+      EXPECT_LE((*reader)->resident_shards(), ro.max_resident_shards);
+    }
+    ASSERT_TRUE(batcher.status().ok()) << batcher.status().ToString();
+  }
+  EXPECT_NE(epochs[0], epochs[1]);
+  for (std::vector<std::string>& seen : epochs) {
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, expected);
+  }
 }
 
 TEST(StreamEncodeTest, ExactModeMatchesInRamEncoderBitwise) {
